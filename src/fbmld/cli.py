@@ -63,7 +63,7 @@ class ExperimentConfig:
     n_ctrl: int = 32
     alpha: float | None = None
     delta: float | None = None
-    n_workers: int = 1            # throughput knob only; never changes results
+    n_workers: int = 1            # accepted and validated; currently unused
     tolerances: dict = dataclasses.field(default_factory=dict)
 
     @staticmethod
@@ -172,10 +172,15 @@ def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
 
 
 def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
-    n_steps = cfg.n_steps
-    if n_steps % cfg.n_ctrl != 0:
+    """Control-search config on a grid of at most 512 steps.
+
+    The finite-difference search solves on the largest multiple of n_ctrl
+    not above min(n_steps, 512); the rate diagnostics record that grid.
+    """
+    if cfg.n_steps % cfg.n_ctrl != 0:
         raise SchemaError("n_steps must be a multiple of n_ctrl")
-    return ldp.RateConfig(hurst=cfg.hurst, n_steps=min(n_steps, 512),
+    n_steps = min(cfg.n_steps, 512) // cfg.n_ctrl * cfg.n_ctrl
+    return ldp.RateConfig(hurst=cfg.hurst, n_steps=n_steps,
                           n_ctrl=cfg.n_ctrl, seed=cfg.seed)
 
 

@@ -160,15 +160,22 @@ def kernel_table(n_steps: int, hurst: float) -> np.ndarray:
     """Kernel matrix K[k, j] = k_H(t_k, s_j) on the shared midpoint grid.
 
     Rows index nodes t_k = k/n, columns index cell midpoints
-    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  Cached per
+    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  All nonzero
+    entries are evaluated in one vectorised kernel call.  Cached per
     (n_steps, hurst); the returned array is read-only.
     """
     _check_hurst(hurst)
     n = n_steps
-    s = (np.arange(n) + 0.5) / n
     table = np.zeros((n + 1, n))
-    for k in range(1, n + 1):
-        table[k, :k] = _kernel_row(k / n, s[:k], hurst)   # cells with s_j < t_k
+    rows, cols = np.tril_indices(n)           # cells with s_j < t_k, k = row + 1
+    if hurst == 0.5:
+        table[rows + 1, cols] = 1.0
+    else:
+        t = (rows + 1) / n
+        s = (cols + 0.5) / n
+        pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
+        table[rows + 1, cols] = (pref * (t - s) ** (hurst - 0.5)
+                                 * _kernel_hyp_factor(hurst, s / t))
     table.setflags(write=False)
     return table
 
@@ -273,8 +280,16 @@ class FbmBatch:
         return GridFn(self.n_steps, self.values[i])
 
 
-def _draw_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
-    return rng.normal_block(seed, 0, n_paths, (n_steps, dim))
+def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``sum_j table[k, j] noise[p, j, i]`` as one 2-D GEMM, shape (P, rows, d).
+
+    The noise is laid out as (P*d, n) rows, so the reshapes copy nothing
+    when d = 1.
+    """
+    n_paths, n_steps, dim = noise.shape
+    flat = noise.transpose(0, 2, 1).reshape(n_paths * dim, n_steps)
+    out = flat @ table.T
+    return out.reshape(n_paths, dim, -1).transpose(0, 2, 1)
 
 
 def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
@@ -305,30 +320,35 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
                 raise NumericError(
                     f"covariance factorisation failed up to jitter {tol.jitter_max}"
                 ) from None
-    xi = _draw_normals(seed, n_paths, n_steps, dim)
-    paths = np.einsum("kj,pjd->pkd", chol, xi)
-    values = np.concatenate([np.zeros((n_paths, 1, dim)), paths], axis=1)
-    increments = xi / math.sqrt(n_steps)
+    xi = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
+    # a zero first row gives every path its exact zero start
+    values = _synthesise(np.vstack([np.zeros((1, n_steps)), chol]), xi)
+    xi /= math.sqrt(n_steps)
     return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
-                    bm_increments=increments, seed=seed, sampler="cholesky")
+                    bm_increments=xi, seed=seed, sampler="cholesky")
 
 
 def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
-                    seed: int) -> FbmBatch:
+                    seed: int, first_index: int = 0) -> FbmBatch:
     """fBm synthesis from Brownian increments through the Volterra kernel.
 
     ``B^H(t_k) = sum_{j<k} k_H(t_k, s_j) dB_j`` with s_j the cell midpoints;
     the increments dB_j are retained exactly (Girsanov weights need them).
     Terminal variance carries the deterministic midpoint bias reported by
     :func:`volterra_variance_bias`.
+
+    Path ``i`` of the batch draws from stream ``first_index + i``, so the
+    batch for ``first_index=lo`` holds rows ``lo .. lo+n_paths-1`` of any
+    larger batch with the same seed: its increments bitwise, its values up
+    to the rounding of the matrix product.
     """
     _check_hurst(hurst)
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     table = kernel_table(n_steps, hurst)
-    xi = _draw_normals(seed, n_paths, n_steps, dim)
-    increments = xi / math.sqrt(n_steps)
-    values = np.einsum("kj,pjd->pkd", table, increments)
+    increments = rng.normal_block(seed, first_index, n_paths, (n_steps, dim))
+    increments /= math.sqrt(n_steps)
+    values = _synthesise(table, increments)
     return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
                     bm_increments=increments, seed=seed, sampler="volterra")
 

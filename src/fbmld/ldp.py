@@ -139,8 +139,7 @@ def _h_constant(m, params):
     level = params.setdefault("level", 1.0)
     return dict(
         fn=lambda states, x0: np.full(states.shape[0], level),
-        inf_h=min(level, 0.0) if level < 0 else level,
-        sup_h=level,
+        inf_h=level, sup_h=level,
     )
 
 
@@ -350,6 +349,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
         })
 
     diag = {
+        "n_steps": cfg.n_steps,
         "penalty_schedule": stages,
         "starts": per_start,
         "n_solves": obj.n_solves,
@@ -435,11 +435,38 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
 # Monte Carlo side
 # ---------------------------------------------------------------------------
 
+# Paths per Monte Carlo chunk: estimator memory scales with this, not with
+# n_samples.  A constant rather than a setting, so the chunk boundaries (and
+# with them every result bit) never depend on how a run is configured.
+_CHUNK = 2048
+
+
+def _chunks(n_samples: int):
+    """(lo, hi) path-index ranges of the fixed-size chunks, in order."""
+    for lo in range(0, n_samples, _CHUNK):
+        yield lo, min(lo + _CHUNK, n_samples)
+
+
 def _logsumexp(x: np.ndarray) -> float:
     m = float(np.max(x))
     if not np.isfinite(m):
         return m
     return m + math.log(float(np.sum(np.exp(x - m))))
+
+
+def _log_moments(log_y: np.ndarray, n_samples: int) -> tuple[float, float]:
+    """Log-space sample mean of Y = exp(log_y) and its relative standard error.
+
+    ``log_y`` holds the nonzero samples; the other ``n_samples - len(log_y)``
+    samples are zero.  Returns ``(log mean, se(mean) / mean)``, computed from
+    the first two moments without leaving log space, so the error bar stays
+    finite where the squared mean would underflow.
+    """
+    log_n = math.log(n_samples)
+    log_m1 = _logsumexp(log_y) - log_n
+    log_m2 = _logsumexp(2.0 * log_y) - log_n
+    rel_var = math.exp(log_m2 - 2.0 * log_m1) - 1.0
+    return log_m1, math.sqrt(max(rel_var, 0.0) / n_samples)
 
 
 @dataclass(frozen=True)
@@ -457,28 +484,28 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
                n_steps: int) -> LaplaceMcResult:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
 
-    Solves the small-noise SDE on a shared fBm batch and accumulates the
-    exponential average in log space, so the output is always inside
-    [inf h, sup h]; the standard error comes from the delta method.
+    Solves the small-noise SDE on fBm paths drawn in fixed chunks of
+    ``_CHUNK`` paths and accumulates the exponential average in log space,
+    so the output is always inside [inf h, sup h]; the standard error comes
+    from the delta method.
     """
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     if n_samples < 1000:
         raise DomainError("laplace_mc needs n_samples >= 1000")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    batch = sample_volterra(n_steps, hurst, coeffs.d, n_samples, seed)
-    inc = math.sqrt(eps) * np.diff(batch.values, axis=1)
-    states = solve_increments(x0, coeffs, inc)
-    hv = h.fn(states, x0)
+    hv = np.empty(n_samples)
+    for lo, hi in _chunks(n_samples):
+        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
+                                first_index=lo)
+        inc = np.diff(batch.values, axis=1)
+        inc *= math.sqrt(eps)
+        hv[lo:hi] = h.fn(solve_increments(x0, coeffs, inc), x0)
     if not np.all(np.isfinite(hv)):
         raise NumericError("functional produced non-finite values")
-    x = -hv / eps
-    log_m1 = _logsumexp(x) - math.log(n_samples)
-    log_m2 = _logsumexp(2.0 * x) - math.log(n_samples)
-    value = -eps * log_m1
-    rel_var = math.exp(log_m2 - 2.0 * log_m1) - 1.0
-    std_err = eps * math.sqrt(max(rel_var, 0.0) / n_samples)
-    return LaplaceMcResult(value=value, std_err=std_err, n_samples=n_samples)
+    log_mean, rel_se = _log_moments(-hv / eps, n_samples)
+    return LaplaceMcResult(value=-eps * log_mean, std_err=eps * rel_se,
+                           n_samples=n_samples)
 
 
 def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
@@ -532,8 +559,10 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
 
     Samples fBm through the Volterra map, shifts the driver by the control
     (the measure tilt eps^(-1/2) v), solves the controlled SDE, and averages
-    indicator times Girsanov weight.  With ``ctrl=None`` the tilt is the
-    rate minimizer; pass the zero control for crude Monte Carlo.
+    indicator times Girsanov weight.  Paths are drawn, solved and weighted
+    in fixed chunks of ``_CHUNK``, so memory does not grow with
+    ``n_samples``.  With ``ctrl=None`` the tilt is the rate minimizer; pass
+    the zero control for crude Monte Carlo.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if ctrl is None:
@@ -548,27 +577,28 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
     if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
         raise DimensionError("tilt control does not match the sampling grid")
 
-    batch = sample_volterra(n_steps, hurst, coeffs.d, n_samples, seed)
     if np.any(ctrl.cell_values()):
         dv = materialize_from_derivative(ctrl).increments()
     else:
         dv = np.zeros((n_steps, ctrl.dim))    # crude MC, any hurst
-    inc = dv[None] + math.sqrt(eps) * np.diff(batch.values, axis=1)
-    states = solve_increments(x0, coeffs, inc)
-    viol = event.violation_fn(coeffs, x0, n_steps, hurst)(states)
-    hits = viol <= 0.0
+    viol = event.violation_fn(coeffs, x0, n_steps, hurst)
+    hits = np.empty(n_samples, dtype=bool)
+    log_w = np.empty(n_samples)
+    for lo, hi in _chunks(n_samples):
+        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
+                                first_index=lo)
+        inc = np.diff(batch.values, axis=1)
+        inc *= math.sqrt(eps)
+        inc += dv
+        hits[lo:hi] = viol(solve_increments(x0, coeffs, inc)) <= 0.0
+        log_w[lo:hi] = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
     n_hits = int(hits.sum())
-    _, log_w = girsanov_weight(ctrl, eps, batch.bm_increments)
     if n_hits == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
                             note="no hits; consider a larger tilt or eps")
-    log_hit = log_w[hits]
-    log_p = _logsumexp(log_hit) - math.log(n_samples)
-    log_m2 = _logsumexp(2.0 * log_hit) - math.log(n_samples)
+    log_p, rel_se = _log_moments(log_w[hits], n_samples)
     p_hat = math.exp(log_p)
-    var = max(math.exp(log_m2) - p_hat ** 2, 0.0)
-    std_err = math.sqrt(var / n_samples)
-    return ProbEstimate(p_hat, std_err, n_hits, n_samples)
+    return ProbEstimate(p_hat, p_hat * rel_se, n_hits, n_samples)
 
 
 def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,

@@ -112,6 +112,7 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
     assert cli.run(str(path)) == cli.EXIT_OK
     result = json.loads((tmp_path / "out" / "rate_result.json").read_text())
     assert result["feasible"] and abs(result["value"] - 0.5) < 0.03
+    assert result["diagnostics"]["n_steps"] == 128
 
     path2, _ = write_config(
         tmp_path, name="bad_rate.json", command="rate", hurst=0.6,
@@ -120,6 +121,28 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
         event={"kind": "terminal_target", "y": 1e6, "r": 1.0})
     assert cli.run(str(path2)) == cli.EXIT_INFEASIBLE
     assert (tmp_path / "out2" / "error.json").exists()
+
+
+def test_rate_grid_is_largest_multiple_of_n_ctrl_up_to_512():
+    for n_steps, n_ctrl, used in [(1024, 32, 512), (512, 64, 512),
+                                  (256, 32, 256), (960, 60, 480)]:
+        cfg = cli.ExperimentConfig.from_dict(
+            {"command": "rate", "output_dir": "unused", "hurst": 0.6,
+             "n_steps": n_steps, "n_ctrl": n_ctrl,
+             "event": {"kind": "terminal_exceedance", "a": 1.0}})
+        assert cli._rate_cfg(cfg).n_steps == used, (n_steps, n_ctrl)
+
+
+def test_rate_workflow_grid_not_multiple_of_512(tmp_path):
+    # 512 is not a multiple of 60, so the search runs on 480 steps and says so
+    path, _ = write_config(
+        tmp_path, command="rate", hurst=0.6, n_steps=960, n_ctrl=60,
+        coefficient="constant", x0=[0.0],
+        event={"kind": "terminal_exceedance", "a": 1.0})
+    assert cli.run(str(path)) == cli.EXIT_OK
+    result = json.loads((tmp_path / "out" / "rate_result.json").read_text())
+    assert result["diagnostics"]["n_steps"] == 480
+    assert result["feasible"] and abs(result["value"] - 0.5) < 0.03
 
 
 def test_ldp_scaling_workflow(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmld import fbm
+from fbmld import fbm, rng
 from fbmld.errors import DomainError
 from fbmld.fracops import gauss_2f1
 
@@ -88,6 +88,30 @@ def test_kernel_table_low_hurst_matches_scalar():
             fbm.kernel_k(k / n, mids[j], hurst), rel=1e-9)
 
 
+@pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.9])
+def test_kernel_table_matches_row_loop(hurst):
+    # the vectorised build against the one-row-at-a-time reference; the
+    # 2F1 series may run a few more terms over the whole table at once
+    n = 96
+    table = fbm.kernel_table(n, hurst)
+    s = (np.arange(n) + 0.5) / n
+    ref = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        ref[k, :k] = fbm._kernel_row(k / n, s[:k], hurst)
+    np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
+    assert np.array_equal(table == 0.0, ref == 0.0)
+    assert not table.flags.writeable
+
+
+def test_kernel_table_brownian_branch():
+    n = 16
+    table = fbm.kernel_table(n, 0.5)
+    assert np.array_equal(table, np.tril(np.ones((n + 1, n)), -1))
+    s = (np.arange(n) + 0.5) / n
+    for k in range(1, n + 1):
+        assert np.array_equal(table[k, :k], fbm._kernel_row(k / n, s[:k], 0.5))
+
+
 def test_covariance_reconstruction_spot():
     # the identity int K_H(t,.) K_H(s,.) = R_H behind the derived-BM
     # construction, at a cheaper resolution than the acceptance gate
@@ -148,6 +172,48 @@ def test_sampler_determinism_bitwise():
         assert np.array_equal(a.bm_increments, b.bm_increments)
         c = sampler(32, 0.7, 2, 6, seed=12)
         assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_samplers_match_explicit_product(dim):
+    # the GEMM synthesis against a per-path, per-component matrix-vector
+    # reference; only d = 1 is exercised elsewhere at scale
+    n, hurst, n_paths, seed = 24, 0.7, 5, 13
+    xi = rng.normal_block(seed, 0, n_paths, (n, dim))
+
+    vol = fbm.sample_volterra(n, hurst, dim, n_paths, seed)
+    table = fbm.kernel_table(n, hurst)
+    assert vol.values.shape == (n_paths, n + 1, dim)
+    np.testing.assert_array_equal(vol.bm_increments, xi / math.sqrt(n))
+    for p in range(n_paths):
+        for i in range(dim):
+            ref = table @ vol.bm_increments[p, :, i]
+            np.testing.assert_allclose(vol.values[p, :, i], ref,
+                                       rtol=0.0, atol=1e-12)
+
+    chol_batch = fbm.sample_cholesky(n, hurst, dim, n_paths, seed)
+    cov = fbm.build_cov_matrix(n, hurst).entries
+    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
+    assert chol_batch.values.shape == (n_paths, n + 1, dim)
+    assert np.all(chol_batch.values[:, 0] == 0.0)
+    np.testing.assert_array_equal(chol_batch.bm_increments, xi / math.sqrt(n))
+    for p in range(n_paths):
+        for i in range(dim):
+            np.testing.assert_allclose(chol_batch.values[p, 1:, i],
+                                       chol @ xi[p, :, i],
+                                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_volterra_first_index_selects_rows(dim):
+    n, hurst, seed = 32, 0.65, 21
+    full = fbm.sample_volterra(n, hurst, dim, 40, seed)
+    for lo, hi in [(0, 7), (7, 40), (13, 14)]:
+        part = fbm.sample_volterra(n, hurst, dim, hi - lo, seed,
+                                   first_index=lo)
+        assert np.array_equal(part.bm_increments, full.bm_increments[lo:hi])
+        np.testing.assert_allclose(part.values, full.values[lo:hi],
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_volterra_brownian_case_is_cumsum():

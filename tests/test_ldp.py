@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,63 @@ def test_scaling_table_structure_and_determinism():
     with pytest.raises(DomainError):
         ldp.scaling_table(ADDITIVE, [0.0], ev, [0.25, 0.5], 1000, 77,
                           **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# chunked estimators
+# ---------------------------------------------------------------------------
+
+N_CHUNKED = 2 * ldp._CHUNK + 17        # two full chunks and a ragged tail
+
+
+def test_laplace_mc_chunked_matches_one_batch():
+    n, eps, seed = 32, 0.25, 6
+    h = ldp.get_functional("terminal_shortfall")
+    r = ldp.laplace_mc(ADDITIVE, [0.0], h, eps, N_CHUNKED, seed,
+                       hurst=HURST, n_steps=n)
+    batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
+    states = sde.solve_increments(
+        np.zeros(1), ADDITIVE, math.sqrt(eps) * np.diff(batch.values, axis=1))
+    y = np.exp(-h.fn(states, np.zeros(1)) / eps)
+    value = -eps * math.log(y.mean())
+    std_err = eps * y.std() / (y.mean() * math.sqrt(N_CHUNKED))
+    assert r.n_samples == N_CHUNKED
+    assert r.value == pytest.approx(value, rel=1e-12)
+    assert r.std_err == pytest.approx(std_err, rel=1e-9)
+
+
+def test_is_probability_chunked_matches_one_batch():
+    n, eps, seed = 32, 0.1, 8
+    ev = ldp.EventSpec("terminal_exceedance", a=0.6)
+    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.4))
+    est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, N_CHUNKED, seed,
+                             ctrl=ctrl, hurst=HURST, n_steps=n)
+    batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
+    dv = cm.materialize_from_derivative(ctrl).increments()
+    inc = dv[None] + math.sqrt(eps) * np.diff(batch.values, axis=1)
+    states = sde.solve_increments(np.zeros(1), ADDITIVE, inc)
+    hits = ev.violation_fn(ADDITIVE, [0.0], n, HURST)(states) <= 0.0
+    w, _ = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)
+    y = np.where(hits, w, 0.0)
+    assert est.n_hits == int(hits.sum()) and 0 < est.n_hits < N_CHUNKED
+    assert est.p_hat == pytest.approx(y.mean(), rel=1e-12)
+    assert est.std_err == pytest.approx(y.std() / math.sqrt(N_CHUNKED),
+                                        rel=1e-9)
+
+
+def test_is_probability_memory_scales_with_chunk():
+    # the unchunked estimator held four or more (P, n+1, d) arrays at once;
+    # the chunked one must stay below the size of a single such array
+    n, n_paths = 128, 8 * ldp._CHUNK
+    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
+    fbm.kernel_table(n, HURST)                    # keep the cached build out
+    tracemalloc.start()
+    try:
+        est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3,
+                                 ctrl=ctrl, hurst=HURST, n_steps=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == n_paths and est.n_hits > 0
+    assert peak < n_paths * (n + 1) * 1 * 8, peak
