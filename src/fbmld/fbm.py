@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import blas, rng
 from .config import DEFAULT_TOLERANCES, MAX_CHOLESKY_STEPS, MAX_DIM, Tolerances
 from .errors import DomainError, NumericError
 from .fracops import gauss_2f1
@@ -284,11 +284,13 @@ def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """``sum_j table[k, j] noise[p, j, i]`` as one 2-D GEMM, shape (P, rows, d).
 
     The noise is laid out as (P*d, n) rows, so the reshapes copy nothing
-    when d = 1.
+    when d = 1.  The GEMM runs on one BLAS thread, so its bits and its
+    cost do not depend on the core count or on whether other cores are free.
     """
     n_paths, n_steps, dim = noise.shape
     flat = noise.transpose(0, 2, 1).reshape(n_paths * dim, n_steps)
-    out = flat @ table.T
+    with blas.one_thread():
+        out = flat @ table.T
     return out.reshape(n_paths, dim, -1).transpose(0, 2, 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.optimize
 
-from . import rng
+from . import blas, rng
 from .cmspace import CmControl, cm_norm, control_from_cells, materialize_from_derivative
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
@@ -331,11 +331,12 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
         theta = theta0.copy()
         iters = 0
         for mu in stages:
-            res = scipy.optimize.minimize(
-                lambda th: obj.value_and_grad(th, viol, mu, True),
-                theta, jac=True, method="L-BFGS-B",
-                options={"maxiter": cfg.maxiter},
-            )
+            with blas.one_thread():
+                res = scipy.optimize.minimize(
+                    lambda th: obj.value_and_grad(th, viol, mu, True),
+                    theta, jac=True, method="L-BFGS-B",
+                    options={"maxiter": cfg.maxiter},
+                )
             theta = res.x
             iters += int(res.nit)
         residual = max(0.0, obj.scalar(theta, viol))
@@ -418,11 +419,12 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
 
     best, converged = math.inf, False
     for theta0 in _starts(cfg, obj.n_params, coeffs.d):
-        res = scipy.optimize.minimize(
-            lambda th: obj.value_and_grad(th, hfn, 1.0, False),
-            theta0, jac=True, method="L-BFGS-B",
-            options={"maxiter": cfg.maxiter},
-        )
+        with blas.one_thread():
+            res = scipy.optimize.minimize(
+                lambda th: obj.value_and_grad(th, hfn, 1.0, False),
+                theta0, jac=True, method="L-BFGS-B",
+                options={"maxiter": cfg.maxiter},
+            )
         best = min(best, float(res.fun))
         converged = converged or bool(res.success)
     if not converged:
