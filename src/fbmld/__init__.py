@@ -10,15 +10,12 @@ experiment runner (:mod:`fbmld.cli`).
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionError, DomainError, FbmldError, NumericError
 from .gridfn import GridFn
 
 __all__ = [
     "__version__",
     "GridFn",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "FbmldError",
     "DomainError",
     "DimensionError",

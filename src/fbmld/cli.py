@@ -64,7 +64,6 @@ class ExperimentConfig:
     alpha: float | None = None
     delta: float | None = None
     n_workers: int = 1            # accepted and validated; currently unused
-    tolerances: dict = dataclasses.field(default_factory=dict)
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -106,6 +105,11 @@ class ExperimentConfig:
             raise SchemaError("ldp-scaling needs a decreasing eps_list")
         if self.command in ("rate", "ldp-scaling") and not self.event:
             raise SchemaError(f"{self.command} needs an event spec")
+        if self.command in ("rate", "ldp-scaling", "laplace-check"):
+            if not 1 <= self.n_ctrl <= 64:
+                raise SchemaError("n_ctrl must lie in 1..64")
+            if self.n_steps % self.n_ctrl != 0:
+                raise SchemaError("n_steps must be a multiple of n_ctrl")
         if self.n_workers < 1:
             raise SchemaError("n_workers must be >= 1")
 
@@ -177,8 +181,6 @@ def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
     The finite-difference search solves on the largest multiple of n_ctrl
     not above min(n_steps, 512); the rate diagnostics record that grid.
     """
-    if cfg.n_steps % cfg.n_ctrl != 0:
-        raise SchemaError("n_steps must be a multiple of n_ctrl")
     n_steps = min(cfg.n_steps, 512) // cfg.n_ctrl * cfg.n_ctrl
     return ldp.RateConfig(hurst=cfg.hurst, n_steps=n_steps,
                           n_ctrl=cfg.n_ctrl, seed=cfg.seed)
@@ -228,7 +230,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
 def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
     event = _event_from_config(cfg)
-    result = ldp.rate_minimize(coeffs, cfg.x0, event, cfg=_rate_cfg(cfg))
+    result = ldp.rate_minimize(coeffs, cfg.x0, event, _rate_cfg(cfg))
     with open(out / "control.csv", "w") as fh:
         cmspace.export_control_csv(result.control, fh)
     _write_json(out / "rate_result.json", {
@@ -248,7 +250,7 @@ def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
     event = _event_from_config(cfg)
     rows = ldp.scaling_table(coeffs, cfg.x0, event, cfg.eps_list,
                              cfg.n_samples, cfg.seed, hurst=cfg.hurst,
-                             n_steps=cfg.n_steps, rate_cfg=_rate_cfg(cfg))
+                             n_steps=cfg.n_steps, cfg=_rate_cfg(cfg))
     header = ["eps", "p_hat", "std_err", "neg_eps_log_p", "rate_value", "gap"]
     _write_csv(out / "scaling.csv", header,
                (tuple(r[k] for k in header) for r in rows))
@@ -261,7 +263,7 @@ def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     fdict = dict(cfg.functional) or {"name": "terminal_shortfall"}
     name = fdict.pop("name")
     h = ldp.get_functional(name, m=cfg.m, **fdict)
-    variational = ldp.laplace_variational(coeffs, cfg.x0, h, cfg=_rate_cfg(cfg))
+    variational = ldp.laplace_variational(coeffs, cfg.x0, h, _rate_cfg(cfg))
     eps_list = cfg.eps_list or [cfg.eps]
     rows = []
     for i, eps in enumerate(eps_list):

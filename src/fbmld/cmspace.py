@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .fbm import kernel_table, volterra_c
+from .fracops import _convolve_lags, _frac_moments, _weyl_left_core
 from .gridfn import GridFn
 
 __all__ = [
@@ -148,15 +149,6 @@ def project(ctrl: CmControl, t: float) -> CmControl:
     return control_from_cells(ctrl.hurst, cells)
 
 
-def _frac_moments(n: int, order: float) -> np.ndarray:
-    """Exact cell integrals of (t - s)^(order-1) by lag (order in (0, 1))."""
-    dt = 1.0 / n
-    ell = np.arange(n + 1, dtype=float)
-    m = dt ** order * (ell ** order - np.maximum(ell - 1.0, 0.0) ** order) / order
-    m[0] = 0.0
-    return m
-
-
 def _derivative_nodes(cells: np.ndarray, n: int, hurst: float) -> np.ndarray:
     """h'(t_k) for h = K_H v', H > 1/2, from cell-layout density samples.
 
@@ -167,10 +159,7 @@ def _derivative_nodes(cells: np.ndarray, n: int, hurst: float) -> np.ndarray:
     order = hurst - 0.5
     s = (np.arange(n) + 0.5) / n
     weighted = s[:, None] ** (-order) * cells
-    moments = _frac_moments(n, order)
-    out = np.zeros((n + 1, cells.shape[1]))
-    for i in range(cells.shape[1]):
-        out[:, i] = np.convolve(moments, weighted[:, i])[: n + 1]
+    out = _convolve_lags(_frac_moments(n, order), weighted)
     t = np.arange(n + 1) / n
     pref = volterra_c(hurst) / math.gamma(order)
     return pref * t[:, None] ** order * out
@@ -213,8 +202,6 @@ def inverse_kh(path: GridFn, hurst: float) -> np.ndarray:
     """
     if hurst <= 0.5:
         raise DomainError("inverse_kh requires hurst > 1/2")
-    from .fracops import _weyl_left_core
-
     n = path.n_steps
     order = hurst - 0.5
     slopes = np.diff(path.values, axis=0) * n        # h' at cell midpoints

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas, rng
-from .config import DEFAULT_TOLERANCES, MAX_CHOLESKY_STEPS, MAX_DIM, Tolerances
 from .errors import DomainError, NumericError
 from .fracops import gauss_2f1
 from .gridfn import GridFn
@@ -41,6 +40,14 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+MAX_DIM = 4                  # fBm components are sampled independently; d <= 4
+MAX_CHOLESKY_STEPS = 4096    # O(n^3) factorisation budget
+
+# Cholesky diagonal jitter: first value, escalation factor, ceiling
+_JITTER_INIT = 1e-12
+_JITTER_FACTOR = 10.0
+_JITTER_MAX = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +80,7 @@ def covariance(s, t, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_k(t: float, s: float, hurst: float,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def kernel_k(t: float, s: float, hurst: float) -> float:
     """Volterra kernel k_H(t, s) relating fBm to its driving BM.
 
     ``k_H(t,s) = c_H / Gamma(H+1/2) * (t-s)^(H-1/2)
@@ -94,7 +100,7 @@ def kernel_k(t: float, s: float, hurst: float,
     pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
     with np.errstate(divide="ignore"):
         power = float(np.float64(t - s) ** (hurst - 0.5))
-    hyp = gauss_2f1(hurst - 0.5, 0.5 - hurst, hurst + 0.5, 1.0 - t / s, tol)
+    hyp = gauss_2f1(hurst - 0.5, 0.5 - hurst, hurst + 0.5, 1.0 - t / s)
     return pref * power * hyp
 
 
@@ -295,7 +301,7 @@ def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
-                    seed: int, tol: Tolerances = DEFAULT_TOLERANCES) -> FbmBatch:
+                    seed: int) -> FbmBatch:
     """Exact-law fBm sampling via Cholesky factorisation of the covariance.
 
     Factors R_H on t_1..t_n once (diagonal jitter starting at 1e-12 and
@@ -310,17 +316,16 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     cov = build_cov_matrix(n_steps, hurst).entries
-    jitter = tol.jitter_init
-    chol = None
+    jitter = _JITTER_INIT
     while True:
         try:
             chol = np.linalg.cholesky(cov + jitter * np.eye(n_steps))
             break
         except np.linalg.LinAlgError:
-            jitter *= tol.jitter_factor
-            if jitter > tol.jitter_max:
+            jitter *= _JITTER_FACTOR
+            if jitter > _JITTER_MAX:
                 raise NumericError(
-                    f"covariance factorisation failed up to jitter {tol.jitter_max}"
+                    f"covariance factorisation failed up to jitter {_JITTER_MAX}"
                 ) from None
     xi = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
     # a zero first row gives every path its exact zero start

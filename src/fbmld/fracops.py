@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionError, DomainError, NumericError
 from .gridfn import GridFn
 
@@ -39,25 +38,29 @@ __all__ = [
 # Gauss hypergeometric function
 # ---------------------------------------------------------------------------
 
+# power series truncation: relative term threshold and term cap
+_SERIES_REL_TOL = 1e-14
+_SERIES_MAX_TERMS = 100_000
+
+
 def _is_nonpositive_integer(c: float) -> bool:
     return c <= 0 and float(c).is_integer()
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function F(a, b, c; z) for z <= 1/2.
 
     For z < 0 the Pfaff transformation
     ``F(a,b,c;z) = (1-z)^(-a) F(a, c-b, c; z/(z-1))``
     maps the series argument into [0, 1).  The power series is truncated
-    once a term falls below ``series_rel_tol`` of the partial sum.
+    once a term falls below 1e-14 of the partial sum.
 
     Raises
     ------
     DomainError
         if ``c`` is a non-positive integer or ``z > 1/2``.
     NumericError
-        if the series has not converged after ``series_max_terms`` terms.
+        if the series has not converged after 100 000 terms.
     """
     if _is_nonpositive_integer(c):
         raise DomainError(f"c must not be a non-positive integer, got {c}")
@@ -71,13 +74,13 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
 
     total = 1.0
     term = 1.0
-    for k in range(tol.series_max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        if abs(term) <= tol.series_rel_tol * abs(total):
+        if abs(term) <= _SERIES_REL_TOL * abs(total):
             return prefactor * total
     raise NumericError(
-        f"2F1 series did not converge within {tol.series_max_terms} terms "
+        f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, z={z})"
     )
 
@@ -95,11 +98,23 @@ def _convolve_lags(coeff: np.ndarray, data: np.ndarray) -> np.ndarray:
     ``coeff`` is indexed from lag 0 (coeff[0] unused, must be 0); ``data``
     has one row per cell and arbitrary trailing dimension.
     """
-    n = data.shape[0]
     out = np.empty((len(coeff), data.shape[1]))
     for i in range(data.shape[1]):
         out[:, i] = np.convolve(coeff, data[:, i])[: len(coeff)]
     return out
+
+
+def _frac_moments(n: int, order: float) -> np.ndarray:
+    """Exact cell integrals of (t - s)^(order-1) by lag, order in (0, 1].
+
+    ``m[l] = integral over the cell at lag l of (t - s)^(order-1) ds`` with t
+    on the node grid; m[0] = 0.
+    """
+    dt = 1.0 / n
+    ell = np.arange(n + 1, dtype=float)
+    m = dt ** order * (ell ** order - np.maximum(ell - 1.0, 0.0) ** order) / order
+    m[0] = 0.0
+    return m
 
 
 def _riesz_moments(n: int, alpha: float, offset: float) -> np.ndarray:
@@ -191,11 +206,7 @@ def frac_integral(f: GridFn, alpha: float, side: str = "left") -> GridFn:
     n = f.n_steps
     vals = f.values if side == "left" else f.values[::-1]
     f_mid = 0.5 * (vals[:-1] + vals[1:])
-    dt = 1.0 / n
-    ell = np.arange(n + 1, dtype=float)
-    moments = dt ** alpha * (ell ** alpha - np.maximum(ell - 1.0, 0.0) ** alpha) / alpha
-    moments[0] = 0.0
-    out = _convolve_lags(moments, f_mid) / math.gamma(alpha)
+    out = _convolve_lags(_frac_moments(n, alpha), f_mid) / math.gamma(alpha)
     if side == "right":
         out = out[::-1]
     return GridFn(n, out)
@@ -349,12 +360,15 @@ class HolderReport:
     alpha: float
 
 
-def norms(f: GridFn, lam: float, alpha: float,
-          tol: Tolerances = DEFAULT_TOLERANCES) -> HolderReport:
+# the exact O(n^2) Holder scan strides its base index above this many steps
+_HOLDER_SCAN_LIMIT = 4096
+
+
+def norms(f: GridFn, lam: float, alpha: float) -> HolderReport:
     """Path norms: sup over nodes, exact pairwise Holder scan at exponent
     ``lam``, and the W^{alpha,infty} norm with the product-midpoint rule.
 
-    The Holder scan is O(n^2); above ``holder_scan_limit`` steps it strides
+    The Holder scan is O(n^2); above ``_HOLDER_SCAN_LIMIT`` steps it strides
     the base index (the lag axis stays exact) to bound the cost.
     """
     if not 0.0 < lam < 1.0:
@@ -365,7 +379,7 @@ def norms(f: GridFn, lam: float, alpha: float,
     vals = f.values
     sup_norm = float(np.linalg.norm(vals, axis=1).max())
 
-    stride = max(1, math.ceil(n / tol.holder_scan_limit))
+    stride = max(1, math.ceil(n / _HOLDER_SCAN_LIMIT))
     dt = 1.0 / n
     holder = 0.0
     base = vals[::stride]

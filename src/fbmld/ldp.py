@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -168,28 +168,27 @@ def get_functional(name: str, m: int = 1, **params) -> BoundedFunctional:
 # control parametrisation and batched objectives
 # ---------------------------------------------------------------------------
 
+# Optimizer constants of the control-space searches.
+_PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS-B stage per weight
+_MAXITER = 150              # L-BFGS-B iterations per stage (per start)
+_FD_STEP = 1e-5             # relative central-difference step
+_FEASIBILITY_TOL = 1e-3     # largest residual a feasible result may keep
+
+
 @dataclass(frozen=True)
 class RateConfig:
-    """Optimizer configuration for the control-space searches."""
+    """Control family and start seed of the control-space searches."""
 
     hurst: float
     n_steps: int = 256
     n_ctrl: int = 32
-    penalty_init: float = 10.0
-    penalty_factor: float = 10.0
-    n_stages: int = 5
-    n_starts: int = 3
-    fd_step: float = 1e-5
-    maxiter: int = 150
-    feasibility_tol: float = 1e-3
-    start_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if not 0.5 < self.hurst < 1.0:
             raise DomainError("rate computations require hurst in (1/2, 1)")
-        if self.n_ctrl > 64:
-            raise DomainError("n_ctrl is capped at 64")
+        if not 1 <= self.n_ctrl <= 64:
+            raise DomainError("n_ctrl must lie in 1..64")
         if self.n_steps % self.n_ctrl != 0:
             raise DomainError("n_steps must be a multiple of n_ctrl")
 
@@ -213,16 +212,17 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float,
     """Linear map from block coefficients to skeleton driver increments.
 
     Column (b, i) holds the dv increments of the unit control that is 1 on
-    block b, component i; shape (n_ctrl * d, n_steps, d).
+    block b, component i; shape (n_ctrl * d, n_steps, d).  Components do not
+    mix, so one materialization of the n_ctrl block indicators, one per
+    density column, gives every column.
     """
-    out = np.empty((n_ctrl * d, n_steps, d))
-    for b in range(n_ctrl):
-        for i in range(d):
-            theta = np.zeros(n_ctrl * d)
-            theta[b * d + i] = 1.0
-            ctrl = control_from_cells(
-                hurst, expand_blocks(theta, n_ctrl, n_steps, d))
-            out[b * d + i] = materialize_from_derivative(ctrl).increments()
+    indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
+    dv = materialize_from_derivative(
+        control_from_cells(hurst, indicators)).increments()     # (n, n_ctrl)
+    out = np.zeros((n_ctrl, d, n_steps, d))
+    for i in range(d):
+        out[:, i, :, i] = dv.T
+    out = out.reshape(n_ctrl * d, n_steps, d)
     out.setflags(write=False)
     return out
 
@@ -259,7 +259,7 @@ class _SkeletonObjective:
                        squared_hinge: bool):
         """Central finite differences of the full objective, batched."""
         k = self.n_params
-        h = self.cfg.fd_step * np.maximum(1.0, np.abs(theta))
+        h = _FD_STEP * np.maximum(1.0, np.abs(theta))
         stencil = np.tile(theta, (2 * k + 1, 1))
         rows = np.arange(k)
         stencil[1 + rows, rows] += h
@@ -278,12 +278,11 @@ class _SkeletonObjective:
 def _starts(cfg: RateConfig, n_params: int, d: int) -> list[np.ndarray]:
     """Multi-start points: zero, seeded random signs, and a smooth bump."""
     zero = np.zeros(n_params)
-    gen = rng.stream(cfg.seed, 1)
-    rad = cfg.start_scale * gen.choice([-1.0, 1.0], size=n_params)
+    rad = rng.stream(cfg.seed, 1).choice([-1.0, 1.0], size=n_params)
     centers = (np.arange(cfg.n_ctrl) + 0.5) / cfg.n_ctrl
     bump = np.exp(-0.5 * ((centers - 0.5) / 0.2) ** 2)
-    bump = cfg.start_scale * np.tile(bump[:, None], (1, d)).ravel() / bump.max()
-    return [zero, rad, bump][: cfg.n_starts]
+    bump = np.tile(bump[:, None], (1, d)).ravel() / bump.max()
+    return [zero, rad, bump]
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,7 @@ class RateResult:
 
 
 def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
-                  n_ctrl: int | None = None,
-                  cfg: RateConfig | None = None) -> RateResult:
+                  cfg: RateConfig) -> RateResult:
     """Minimize 0.5 ||vdot||^2 subject to the skeleton hitting the event.
 
     Exterior quadratic penalty with stage-escalated weights and L-BFGS
@@ -316,26 +314,20 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     Returns the best feasible candidate, or an infeasibility report with
     value = inf when no start meets the tolerance.
     """
-    if cfg is None:
-        raise DomainError("rate_minimize needs a RateConfig")
-    if n_ctrl is not None and n_ctrl != cfg.n_ctrl:
-        cfg = replace(cfg, n_ctrl=n_ctrl)
     obj = _SkeletonObjective(coeffs, x0, cfg)
     viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps, cfg.hurst)
 
-    stages = [cfg.penalty_init * cfg.penalty_factor ** j
-              for j in range(cfg.n_stages)]
     per_start = []
     thetas = []
     for start_idx, theta0 in enumerate(_starts(cfg, obj.n_params, coeffs.d)):
         theta = theta0.copy()
         iters = 0
-        for mu in stages:
+        for mu in _PENALTY_WEIGHTS:
             with blas.one_thread():
                 res = scipy.optimize.minimize(
                     lambda th: obj.value_and_grad(th, viol, mu, True),
                     theta, jac=True, method="L-BFGS-B",
-                    options={"maxiter": cfg.maxiter},
+                    options={"maxiter": _MAXITER},
                 )
             theta = res.x
             iters += int(res.nit)
@@ -346,12 +338,12 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
         per_start.append({
             "start": start_idx, "value": float(value),
             "residual": float(residual), "iterations": iters,
-            "feasible": bool(residual <= cfg.feasibility_tol),
+            "feasible": bool(residual <= _FEASIBILITY_TOL),
         })
 
     diag = {
         "n_steps": cfg.n_steps,
-        "penalty_schedule": stages,
+        "penalty_schedule": list(_PENALTY_WEIGHTS),
         "starts": per_start,
         "n_solves": obj.n_solves,
         "restarts": len(per_start),
@@ -400,8 +392,7 @@ def _feasibility_polish(obj, viol, theta, residual):
 
 
 def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
-                        n_ctrl: int | None = None,
-                        cfg: RateConfig | None = None) -> float:
+                        cfg: RateConfig) -> float:
     """Deterministic side of the variational representation.
 
     Minimizes ``h(skeleton(v)) + 0.5 ||vdot||^2`` over the block-control
@@ -409,10 +400,6 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
     for the infimum over adapted controls; non-convergence is flagged via a
     warning and the best value so far is returned.
     """
-    if cfg is None:
-        raise DomainError("laplace_variational needs a RateConfig")
-    if n_ctrl is not None and n_ctrl != cfg.n_ctrl:
-        cfg = replace(cfg, n_ctrl=n_ctrl)
     obj = _SkeletonObjective(coeffs, x0, cfg)
     x0v = obj.x0
     hfn = lambda states: h.fn(states, x0v)
@@ -423,7 +410,7 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
             res = scipy.optimize.minimize(
                 lambda th: obj.value_and_grad(th, hfn, 1.0, False),
                 theta0, jac=True, method="L-BFGS-B",
-                options={"maxiter": cfg.maxiter},
+                options={"maxiter": _MAXITER},
             )
         best = min(best, float(res.fun))
         converged = converged or bool(res.success)
@@ -443,10 +430,27 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
 _CHUNK = 2048
 
 
-def _chunks(n_samples: int):
-    """(lo, hi) path-index ranges of the fixed-size chunks, in order."""
+def _solved_chunks(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
+                   n_samples: int, seed: int, hurst: float, n_steps: int,
+                   dv: np.ndarray | None = None):
+    """Small-noise solutions in fixed chunks of paths, in path order.
+
+    Yields ``(lo, hi, batch, states)``: the Volterra batch of paths
+    ``lo .. hi-1`` of ``seed`` and the SDE states driven by its fBm
+    increments times sqrt(eps), plus the control increments ``dv`` if given.
+    Only one chunk's arrays are alive at a time if the caller, like this
+    generator, drops its references to a chunk before asking for the next.
+    """
     for lo in range(0, n_samples, _CHUNK):
-        yield lo, min(lo + _CHUNK, n_samples)
+        hi = min(lo + _CHUNK, n_samples)
+        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
+                                first_index=lo)
+        inc = np.diff(batch.values, axis=1)
+        inc *= math.sqrt(eps)
+        if dv is not None:
+            inc += dv
+        yield lo, hi, batch, solve_increments(x0, coeffs, inc)
+        del batch, inc
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -497,12 +501,10 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
         raise DomainError("laplace_mc needs n_samples >= 1000")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     hv = np.empty(n_samples)
-    for lo, hi in _chunks(n_samples):
-        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
-                                first_index=lo)
-        inc = np.diff(batch.values, axis=1)
-        inc *= math.sqrt(eps)
-        hv[lo:hi] = h.fn(solve_increments(x0, coeffs, inc), x0)
+    for lo, hi, batch, states in _solved_chunks(coeffs, x0, eps, n_samples,
+                                                seed, hurst, n_steps):
+        hv[lo:hi] = h.fn(states, x0)
+        del batch, states                 # see _solved_chunks
     if not np.all(np.isfinite(hv)):
         raise NumericError("functional produced non-finite values")
     log_mean, rel_se = _log_moments(-hv / eps, n_samples)
@@ -554,46 +556,32 @@ class ProbEstimate:
 
 
 def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
-                   n_samples: int, seed: int, ctrl: CmControl | None = None,
-                   *, hurst: float, n_steps: int,
-                   rate_cfg: RateConfig | None = None) -> ProbEstimate:
+                   n_samples: int, seed: int, ctrl: CmControl,
+                   *, hurst: float, n_steps: int) -> ProbEstimate:
     """Importance-sampled probability of the event under the small-noise SDE.
 
     Samples fBm through the Volterra map, shifts the driver by the control
     (the measure tilt eps^(-1/2) v), solves the controlled SDE, and averages
     indicator times Girsanov weight.  Paths are drawn, solved and weighted
     in fixed chunks of ``_CHUNK``, so memory does not grow with
-    ``n_samples``.  With ``ctrl=None`` the tilt is the rate minimizer; pass
-    the zero control for crude Monte Carlo.
+    ``n_samples``.  Pass the zero control for crude Monte Carlo;
+    :func:`scaling_table` tilts by the rate minimizer.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if ctrl is None:
-        cfg = rate_cfg if rate_cfg is not None else RateConfig(hurst=hurst)
-        result = rate_minimize(coeffs, x0, event, cfg=cfg)
-        if not result.feasible:
-            raise NumericError("rate minimization found no feasible tilt; "
-                               "pass a control explicitly")
-        cells = np.repeat(result.block_values,
-                          n_steps // cfg.n_ctrl, axis=0)
-        ctrl = control_from_cells(hurst, cells)
     if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
         raise DimensionError("tilt control does not match the sampling grid")
 
+    dv = None                                 # crude MC, any hurst
     if np.any(ctrl.cell_values()):
         dv = materialize_from_derivative(ctrl).increments()
-    else:
-        dv = np.zeros((n_steps, ctrl.dim))    # crude MC, any hurst
     viol = event.violation_fn(coeffs, x0, n_steps, hurst)
     hits = np.empty(n_samples, dtype=bool)
     log_w = np.empty(n_samples)
-    for lo, hi in _chunks(n_samples):
-        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
-                                first_index=lo)
-        inc = np.diff(batch.values, axis=1)
-        inc *= math.sqrt(eps)
-        inc += dv
-        hits[lo:hi] = viol(solve_increments(x0, coeffs, inc)) <= 0.0
+    for lo, hi, batch, states in _solved_chunks(coeffs, x0, eps, n_samples,
+                                                seed, hurst, n_steps, dv):
+        hits[lo:hi] = viol(states) <= 0.0
         log_w[lo:hi] = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
+        del batch, states                 # see _solved_chunks
     n_hits = int(hits.sum())
     if n_hits == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
@@ -605,18 +593,19 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
 
 def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
                   eps_list, n_samples: int, seed: int, *, hurst: float,
-                  n_steps: int, rate_cfg: RateConfig | None = None) -> list[dict]:
+                  n_steps: int, cfg: RateConfig) -> list[dict]:
     """Small-noise scaling study: rows (eps, p_hat, -eps log p_hat, I, gap).
 
-    The rate value I is computed once; each eps row reuses the same tilt
-    with an independently derived seed.  ``eps_list`` must decrease so the
-    gap column can be read as a convergence record.
+    The rate value I is computed once, by :func:`rate_minimize` under
+    ``cfg``; its block control, spread onto the ``n_steps`` sampling grid,
+    tilts every eps row, each with an independently derived seed.
+    ``eps_list`` must decrease so the gap column can be read as a
+    convergence record.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be strictly decreasing")
-    cfg = rate_cfg if rate_cfg is not None else RateConfig(hurst=hurst)
-    rate = rate_minimize(coeffs, x0, event, cfg=cfg)
+    rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")
     cells = np.repeat(rate.block_values, n_steps // cfg.n_ctrl, axis=0)

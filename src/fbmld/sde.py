@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmspace import CmControl, materialize_from_derivative
-from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, DomainError, NumericError
 from .fracops import HolderReport, norms
 from .gridfn import GridFn
@@ -197,10 +196,12 @@ class SolvedPath:
     norms: HolderReport | None = None
 
 
+# the Euler solver aborts once any state component exceeds this magnitude
+_OVERFLOW_GUARD = 1e12
+
+
 def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
-                     increments: np.ndarray,
-                     overflow_guard: float = DEFAULT_TOLERANCES.overflow_guard,
-                     ) -> np.ndarray:
+                     increments: np.ndarray) -> np.ndarray:
     """Batched Euler core: increments (P, n, d) -> states (P, n+1, m).
 
     Pure function; the batch axis vectorises Monte Carlo samples and
@@ -222,9 +223,9 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
         step = step + np.matmul(coeffs.diffusion(t, x),
                                 increments[:, k, :, None])[:, :, 0]
         x = x + step
-        if not np.all(np.abs(x) <= overflow_guard):
+        if not np.all(np.abs(x) <= _OVERFLOW_GUARD):
             raise NumericError(
-                f"state overflow beyond {overflow_guard:g} at step {k + 1}"
+                f"state overflow beyond {_OVERFLOW_GUARD:g} at step {k + 1}"
             )
         out[:, k + 1] = x
     return out
@@ -245,11 +246,6 @@ def solve_young(x0, coeffs: CoefficientSet, driver: GridFn,
     )
 
 
-def _control_increments(ctrl: CmControl) -> np.ndarray:
-    """dv increments via the cm_derivative quadrature (H > 1/2)."""
-    return materialize_from_derivative(ctrl).increments()
-
-
 def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
                     fbm_path: GridFn) -> SolvedPath:
     """Solution of the controlled SDE dX = b dt + sigma dv + sqrt(eps) sigma dB^H.
@@ -261,7 +257,8 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
         raise DomainError(f"eps must be >= 0, got {eps}")
     if fbm_path.n_steps != ctrl.n_steps or fbm_path.dim != ctrl.dim:
         raise DimensionError("control and fBm path live on different grids")
-    inc = _control_increments(ctrl) + math.sqrt(eps) * fbm_path.increments()
+    inc = (materialize_from_derivative(ctrl).increments()
+           + math.sqrt(eps) * fbm_path.increments())
     states = solve_increments(x0, coeffs, inc[None])
     kind = "skeleton" if eps == 0.0 else "controlled"
     return SolvedPath(

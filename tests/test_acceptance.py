@@ -243,7 +243,7 @@ def scaling_rows():
     event = ldp.EventSpec("terminal_exceedance", a=1.0)
     rows = ldp.scaling_table(ADDITIVE, [0.0], event, [0.25, 0.1, 0.04],
                              10_000, seed=40, hurst=HURST_ADD, n_steps=1024,
-                             rate_cfg=RATE_CFG)
+                             cfg=RATE_CFG)
     return rows, time.time() - t0
 
 

@@ -2,6 +2,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from fbmld import cli
 
 
@@ -42,6 +44,8 @@ def test_missing_keys_exit_2(tmp_path):
 def test_unknown_keys_exit_2(tmp_path):
     path, _ = write_config(tmp_path, extra_field=1)
     assert cli.run(str(path)) == cli.EXIT_SCHEMA
+    path, _ = write_config(tmp_path, tolerances={"bogus": 1})
+    assert cli.run(str(path)) == cli.EXIT_SCHEMA
 
 
 def test_bad_command_and_hurst_exit_2(tmp_path):
@@ -51,6 +55,24 @@ def test_bad_command_and_hurst_exit_2(tmp_path):
     assert cli.run(str(path)) == cli.EXIT_SCHEMA
     path, _ = write_config(tmp_path, hurst=1.2)
     assert cli.run(str(path)) == cli.EXIT_SCHEMA
+
+
+CONTROL_COMMANDS = {
+    "rate": {"event": {"kind": "terminal_exceedance", "a": 1.0}},
+    "ldp-scaling": {"event": {"kind": "terminal_exceedance", "a": 1.0},
+                    "eps_list": [0.5], "n_samples": 1000},
+    "laplace-check": {"n_samples": 1000},
+}
+
+
+@pytest.mark.parametrize("n_ctrl", [0, -8, 65])
+@pytest.mark.parametrize("command", sorted(CONTROL_COMMANDS))
+def test_n_ctrl_out_of_range_exit_2(tmp_path, capsys, command, n_ctrl):
+    path, _ = write_config(tmp_path, command=command, hurst=0.6, n_steps=64,
+                           n_ctrl=n_ctrl, **CONTROL_COMMANDS[command])
+    assert cli.run(str(path)) == cli.EXIT_SCHEMA
+    assert "n_ctrl must lie in 1..64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unreadable_config_exit_2(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fbmld import fbm
 from fbmld import fracops as fo
-from fbmld.config import Tolerances
 from fbmld.errors import DimensionError, DomainError, NumericError
 from fbmld.gridfn import GridFn
 
@@ -68,9 +67,9 @@ def test_2f1_domain_errors():
 
 
 def test_2f1_term_cap_raises_numeric_error():
-    tight = Tolerances(series_max_terms=5)
+    # z -> z/(z-1) lands within 1e-9 of 1, beyond the 100 000-term cap
     with pytest.raises(NumericError):
-        fo.gauss_2f1(0.25, -0.25, 1.25, -200.0, tight)
+        fo.gauss_2f1(0.25, -0.25, 1.25, -1e9)
 
 
 @settings(max_examples=30, deadline=None)

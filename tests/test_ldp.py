@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,8 +11,7 @@ from fbmld.errors import DimensionError, DomainError
 
 HURST = 0.6
 ADDITIVE = sde.get_coefficients("constant")
-SMALL_CFG = ldp.RateConfig(hurst=HURST, n_steps=128, n_ctrl=16, seed=3,
-                           maxiter=80)
+SMALL_CFG = ldp.RateConfig(hurst=HURST, n_steps=128, n_ctrl=16, seed=3)
 
 
 def qp_oracle(a, cfg):
@@ -96,12 +96,31 @@ def test_girsanov_shape_checks():
 # rate minimization
 # ---------------------------------------------------------------------------
 
+def test_rate_config_fields_and_n_ctrl_range():
+    assert [f.name for f in dataclasses.fields(ldp.RateConfig)] == \
+        ["hurst", "n_steps", "n_ctrl", "seed"]
+    for n_ctrl in (0, -8, 65):
+        with pytest.raises(DomainError):
+            ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=n_ctrl)
+
+
+@pytest.mark.parametrize("n_ctrl, n_steps, d", [(8, 64, 1), (4, 32, 3)])
+def test_block_increment_map_matches_unit_controls(n_ctrl, n_steps, d):
+    # column (b, i) is the dv of the unit control on block b, component i
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=n_steps, n_ctrl=n_ctrl)
+    got = ldp._block_increment_map(n_ctrl, n_steps, 0.7, d)
+    k = n_ctrl * d
+    for col in range(k):
+        unit = ldp.control_from_blocks(np.eye(k)[col], cfg, d)
+        want = cm.materialize_from_derivative(unit).increments()
+        assert np.array_equal(got[col], want), col
+
 def test_rate_minimize_additive_oracle():
     ev = ldp.EventSpec("terminal_exceedance", a=1.0)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=SMALL_CFG)
     val_star, theta_star = qp_oracle(1.0, SMALL_CFG)
     assert res.feasible
-    assert res.residual <= SMALL_CFG.feasibility_tol
+    assert res.residual <= ldp._FEASIBILITY_TOL
     assert abs(res.value - 0.5) <= 0.025
     assert abs(res.value - val_star) <= 0.01
     l2 = np.linalg.norm(res.block_values[:, 0] - theta_star) \
@@ -131,19 +150,18 @@ def test_rate_minimize_richer_family_does_not_worsen():
     ev = ldp.EventSpec("terminal_exceedance", a=1.0)
     r8 = ldp.rate_minimize(ADDITIVE, [0.0], ev,
                            cfg=ldp.RateConfig(hurst=HURST, n_steps=128,
-                                              n_ctrl=8, seed=3, maxiter=80))
+                                              n_ctrl=8, seed=3))
     r16 = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=SMALL_CFG)
     assert r16.value <= r8.value * 1.02
 
 
 def test_rate_minimize_infeasible_reports_inf():
     ev = ldp.EventSpec("terminal_target", y=1e6, r=1.0)
-    cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3,
-                         maxiter=15, n_stages=2)
+    cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=cfg)
     assert not res.feasible
     assert res.value == math.inf
-    assert res.residual > cfg.feasibility_tol
+    assert res.residual > ldp._FEASIBILITY_TOL
 
 
 def test_rate_minimize_nontrivial_coefficients_feasible():
@@ -156,7 +174,8 @@ def test_rate_minimize_nontrivial_coefficients_feasible():
 
 def test_rate_minimize_n_ctrl_override():
     ev = ldp.EventSpec("terminal_exceedance", a=1.0)
-    res = ldp.rate_minimize(ADDITIVE, [0.0], ev, n_ctrl=8, cfg=SMALL_CFG)
+    res = ldp.rate_minimize(ADDITIVE, [0.0], ev,
+                            cfg=dataclasses.replace(SMALL_CFG, n_ctrl=8))
     assert res.block_values.shape == (8, 1)
 
 
@@ -268,7 +287,7 @@ def test_is_probability_unpacks_as_pair():
 
 def test_scaling_table_structure_and_determinism():
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
-    kwargs = dict(hurst=HURST, n_steps=128, rate_cfg=SMALL_CFG)
+    kwargs = dict(hurst=HURST, n_steps=128, cfg=SMALL_CFG)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
                              **kwargs)
     rows2 = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
@@ -340,3 +359,31 @@ def test_is_probability_memory_scales_with_chunk():
         tracemalloc.stop()
     assert est.n_samples == n_paths and est.n_hits > 0
     assert peak < n_paths * (n + 1) * 1 * 8, peak
+
+
+def test_estimators_hold_one_chunk_at_a_time():
+    # one chunk's fBm values, Brownian increments, driver increments and
+    # states are four (_CHUNK, n+1) arrays; any array kept from the previous
+    # chunk while the next is drawn and solved pushes the peak past five
+    n, n_paths = 128, 8 * ldp._CHUNK
+    chunk_array = ldp._CHUNK * (n + 1) * 8
+    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
+    h = ldp.get_functional("terminal_shortfall")
+    fbm.kernel_table(n, HURST)                    # keep the cached build out
+    runs = {
+        "is_probability": lambda: ldp.is_probability(
+            ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3, ctrl=ctrl,
+            hurst=HURST, n_steps=n),
+        "laplace_mc": lambda: ldp.laplace_mc(
+            ADDITIVE, [0.0], h, 0.25, n_paths, seed=3, hurst=HURST,
+            n_steps=n),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * chunk_array, (name, peak / chunk_array)
