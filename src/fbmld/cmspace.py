@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .fbm import kernel_table, volterra_c
+from .fbm import _synthesise, kernel_table, volterra_c
 from .fracops import _convolve_lags, _frac_moments, _weyl_left_core
 from .gridfn import GridFn
 
@@ -30,7 +30,6 @@ __all__ = [
     "apply_kh",
     "cm_norm",
     "project",
-    "cm_derivative",
     "materialize_from_derivative",
     "inverse_kh",
     "export_control_csv",
@@ -71,7 +70,11 @@ class CmControl:
 
     @property
     def path(self) -> GridFn:
-        """Materialized path K_H v' (kernel quadrature route), cached."""
+        """Materialized path K_H v' (kernel quadrature route), cached.
+
+        Its increments are the control's dv wherever a solver consumes one:
+        the skeleton, the rate searches and the importance-sampling tilt.
+        """
         if self._cached_path is None:
             object.__setattr__(self, "_cached_path",
                                apply_kh(self.density, self.hurst))
@@ -108,24 +111,23 @@ def apply_kh(density: GridFn, hurst: float, method: str = "kernel") -> GridFn:
     """Materialize v = K_H v' on the nodes from a cell-layout density.
 
     ``method="kernel"`` does the direct quadrature
-    ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds`` (any H); ``method="composition"``
-    uses the H > 1/2 factorisation c_H I^1(psi I^(H-1/2)(psi^(-1) v')) with
-    psi(u) = u^(H-1/2), integrating the inner fractional integral by the same
-    product rule as :func:`cm_derivative` and the outer one by trapezoid.
-    Both routes agree within quadrature tolerance and cross-validate each
-    other in the tests.
+    ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds`` (any H) as the sampler's
+    product on the same cached :func:`fbmld.fbm.kernel_table`, so a tilt by
+    v is exactly a shift of the sampled Brownian increments by v' ds.
+    ``method="composition"`` uses the H > 1/2 factorisation
+    c_H I^1(psi I^(H-1/2)(psi^(-1) v')) with psi(u) = u^(H-1/2), the inner
+    fractional integral by a midpoint product rule and the outer one by
+    trapezoid; it is an independent cross-check of the kernel route and
+    nothing else uses it.
     """
     n = density.n_steps
     cells = density.values[:-1]
     if method == "kernel":
-        table = kernel_table(n, hurst)
-        vals = table @ cells / n
-        return GridFn(n, vals)
+        return GridFn(n, _synthesise(kernel_table(n, hurst), cells[None] / n)[0])
     if method == "composition":
         if hurst <= 0.5:
             raise DomainError("composition route requires hurst > 1/2")
-        deriv = _derivative_nodes(cells, n, hurst)
-        return _cumtrapz(deriv, n)
+        return _cumtrapz(_derivative_nodes(cells, n, hurst), n)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -171,25 +173,9 @@ def _cumtrapz(node_vals: np.ndarray, n: int) -> GridFn:
     return GridFn(n, vals)
 
 
-def cm_derivative(ctrl: CmControl) -> GridFn:
-    """Pointwise derivative h'(t_k) of the materialized control path.
-
-    Requires hurst > 1/2 (paths of H_H are differentiable there); lets Young
-    integrals against v reduce to ordinary quadrature ``int f h' dt``.
-    """
-    if ctrl.hurst <= 0.5:
-        raise DomainError("cm_derivative requires hurst > 1/2")
-    vals = _derivative_nodes(ctrl.cell_values(), ctrl.n_steps, ctrl.hurst)
-    return GridFn(ctrl.n_steps, vals)
-
-
 def materialize_from_derivative(ctrl: CmControl) -> GridFn:
-    """Control path as the cumulative (trapezoid) integral of cm_derivative.
-
-    This is the materialization the pathwise solver consumes for its dv
-    increments; it agrees with the kernel route within quadrature tolerance.
-    """
-    return _cumtrapz(cm_derivative(ctrl).values, ctrl.n_steps)
+    """The control path the solvers consume; the same as ``ctrl.path``."""
+    return ctrl.path
 
 
 def inverse_kh(path: GridFn, hurst: float) -> np.ndarray:

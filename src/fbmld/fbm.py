@@ -19,7 +19,6 @@ import numpy as np
 
 from . import blas, rng
 from .errors import DomainError, NumericError
-from .fracops import gauss_2f1
 from .gridfn import GridFn
 
 __all__ = [
@@ -85,10 +84,8 @@ def kernel_k(t: float, s: float, hurst: float) -> float:
 
     ``k_H(t,s) = c_H / Gamma(H+1/2) * (t-s)^(H-1/2)
     * F(H-1/2, 1/2-H, H+1/2; 1 - t/s)`` for 0 < s <= t, and 0 for s > t
-    (the indicator of the full kernel).  The hypergeometric factor is
-    evaluated by :func:`fbmld.fracops.gauss_2f1`, i.e. Pfaff transform plus
-    power series; for s << t that series is slow and may hit the term cap
-    (use :func:`kernel_table` for bulk evaluation).
+    (the indicator of the full kernel).  Evaluated by the same function as
+    :func:`kernel_table`, machine-accurate for every 0 < s <= t.
     """
     _check_hurst(hurst)
     if s <= 0.0:
@@ -97,14 +94,10 @@ def kernel_k(t: float, s: float, hurst: float) -> float:
         raise DomainError("kernel arguments must lie in (0, 1]")
     if s > t:
         return 0.0
-    pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
-    with np.errstate(divide="ignore"):
-        power = float(np.float64(t - s) ** (hurst - 0.5))
-    hyp = gauss_2f1(hurst - 0.5, 0.5 - hurst, hurst + 0.5, 1.0 - t / s)
-    return pref * power * hyp
+    return float(_kernel_values(t, np.array([s]), hurst)[0])
 
 
-# -- fast vectorised kernel evaluation --------------------------------------
+# -- kernel evaluation ------------------------------------------------------
 #
 # With rho = s/t in (0, 1], the Pfaff transform turns the kernel's 2F1 into
 # G(x) = F(H-1/2, 2H, H+1/2; x) at x = 1 - rho.  The direct series converges
@@ -145,20 +138,30 @@ def _kernel_hyp_factor(hurst: float, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_row(t: float, s: np.ndarray, hurst: float) -> np.ndarray:
-    """k_H(t, s_j) for an array of s values in (0, t]; 0 where s > t."""
+def _kernel_values(t, s: np.ndarray, hurst: float) -> np.ndarray:
+    """k_H(t, s) elementwise for 0 < s <= t <= 1.
+
+    ``t`` is a scalar or an array of the shape of ``s``.  This is the one
+    evaluator of k_H: the scalar kernel, its rows and the table all call it.
+    """
     if hurst == 0.5:
-        return np.where(s <= t, 1.0, 0.0)
+        return np.ones_like(s)
+    pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
+    with np.errstate(divide="ignore"):
+        return pref * (t - s) ** (hurst - 0.5) * _kernel_hyp_factor(hurst, s / t)
+
+
+def _kernel_row(t: float, s: np.ndarray, hurst: float) -> np.ndarray:
+    """k_H(t, s_j) for an array of s values in (0, 1]; 0 where s > t."""
     out = np.zeros_like(s)
     mask = s <= t
-    if t <= 0.0 or not mask.any():
-        return out
-    pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
-    sm = s[mask]
-    with np.errstate(divide="ignore"):
-        power = (t - sm) ** (hurst - 0.5)
-    out[mask] = pref * power * _kernel_hyp_factor(hurst, sm / t)
+    out[mask] = _kernel_values(t, s[mask], hurst)
     return out
+
+
+# Rows of kernel_table filled per evaluator call, so a build's temporaries grow
+# like 64 n rather than like the n^2 / 2 entries of the whole triangle.
+_TABLE_BLOCK_ROWS = 64
 
 
 @functools.lru_cache(maxsize=16)
@@ -166,22 +169,19 @@ def kernel_table(n_steps: int, hurst: float) -> np.ndarray:
     """Kernel matrix K[k, j] = k_H(t_k, s_j) on the shared midpoint grid.
 
     Rows index nodes t_k = k/n, columns index cell midpoints
-    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  All nonzero
-    entries are evaluated in one vectorised kernel call.  Cached per
-    (n_steps, hurst); the returned array is read-only.
+    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  The nonzero
+    entries are evaluated in blocks of ``_TABLE_BLOCK_ROWS`` rows, one
+    vectorised kernel call each.  Cached per (n_steps, hurst); the returned
+    array is read-only.
     """
     _check_hurst(hurst)
     n = n_steps
     table = np.zeros((n + 1, n))
-    rows, cols = np.tril_indices(n)           # cells with s_j < t_k, k = row + 1
-    if hurst == 0.5:
-        table[rows + 1, cols] = 1.0
-    else:
-        t = (rows + 1) / n
-        s = (cols + 0.5) / n
-        pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
-        table[rows + 1, cols] = (pref * (t - s) ** (hurst - 0.5)
-                                 * _kernel_hyp_factor(hurst, s / t))
+    for lo in range(1, n + 1, _TABLE_BLOCK_ROWS):
+        hi = min(lo + _TABLE_BLOCK_ROWS, n + 1)
+        # rows lo..hi-1, cells with s_j < t_k, i.e. j <= k - 1
+        r, c = np.tril_indices(hi - lo, lo - 1, hi - 1)
+        table[lo + r, c] = _kernel_values((lo + r) / n, (c + 0.5) / n, hurst)
     table.setflags(write=False)
     return table
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from . import blas, rng
-from .cmspace import CmControl, cm_norm, control_from_cells, materialize_from_derivative
+from .cmspace import CmControl, control_from_cells, zero_control
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
 from .sde import CoefficientSet, skeleton, solve_increments
@@ -85,7 +85,6 @@ class EventSpec:
             return lambda states: (
                 np.linalg.norm(states[:, -1, :] - y, axis=1) - r
             )
-        from .cmspace import zero_control
         phi = skeleton(x0, coeffs,
                        zero_control(hurst, n_steps, coeffs.d)).path.values
         a = self.a
@@ -217,8 +216,7 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float,
     density column, gives every column.
     """
     indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
-    dv = materialize_from_derivative(
-        control_from_cells(hurst, indicators)).increments()     # (n, n_ctrl)
+    dv = control_from_cells(hurst, indicators).path.increments()  # (n, n_ctrl)
     out = np.zeros((n_ctrl, d, n_steps, d))
     for i in range(d):
         out[:, i, :, i] = dv.T
@@ -573,7 +571,7 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
 
     dv = None                                 # crude MC, any hurst
     if np.any(ctrl.cell_values()):
-        dv = materialize_from_derivative(ctrl).increments()
+        dv = ctrl.path.increments()
     viol = event.violation_fn(coeffs, x0, n_steps, hurst)
     hits = np.empty(n_samples, dtype=bool)
     log_w = np.empty(n_samples)
@@ -608,8 +606,8 @@ def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")
-    cells = np.repeat(rate.block_values, n_steps // cfg.n_ctrl, axis=0)
-    tilt = control_from_cells(hurst, cells)
+    tilt = control_from_cells(hurst, expand_blocks(
+        rate.block_values, cfg.n_ctrl, n_steps, coeffs.d))
     rows = []
     for i, eps in enumerate(eps_list):
         est = is_probability(coeffs, x0, event, eps, n_samples,

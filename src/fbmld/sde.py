@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmspace import CmControl, materialize_from_derivative
+from .cmspace import CmControl
 from .errors import DimensionError, DomainError, NumericError
 from .fracops import HolderReport, norms
 from .gridfn import GridFn
@@ -257,8 +257,7 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
         raise DomainError(f"eps must be >= 0, got {eps}")
     if fbm_path.n_steps != ctrl.n_steps or fbm_path.dim != ctrl.dim:
         raise DimensionError("control and fBm path live on different grids")
-    inc = (materialize_from_derivative(ctrl).increments()
-           + math.sqrt(eps) * fbm_path.increments())
+    inc = ctrl.path.increments() + math.sqrt(eps) * fbm_path.increments()
     states = solve_increments(x0, coeffs, inc[None])
     kind = "skeleton" if eps == 0.0 else "controlled"
     return SolvedPath(
@@ -271,8 +270,7 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
 def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> SolvedPath:
     """Deterministic skeleton: the controlled equation driven by v alone.
 
-    This is the solution map evaluated at the control (zero-noise limit);
-    requires hurst in (1/2, 1).
+    This is the solution map evaluated at the control (zero-noise limit).
     """
     zero_fbm = GridFn.zeros(ctrl.n_steps, ctrl.dim)
     return controlled_path(x0, coeffs, ctrl, 0.0, zero_fbm)

@@ -112,38 +112,25 @@ def test_project_family_monotone(s, t):
 
 
 # ---------------------------------------------------------------------------
-# cm_derivative
+# composition route (the independent cross-check of the kernel route)
 # ---------------------------------------------------------------------------
 
-def test_cm_derivative_zero():
-    d = cm.cm_derivative(cm.zero_control(0.75, 64))
-    assert np.abs(d.values).max() == 0.0
-
-
-def test_cm_derivative_consistent_with_kernel_route():
-    n, hurst = 512, 0.75
-    ctrl = cm.control_from_callable(lambda s: np.sin(2 * np.pi * s) + 0.3,
-                                    n, hurst)
-    via_deriv = cm.materialize_from_derivative(ctrl)
-    via_kernel = cm.apply_kh(ctrl.density, hurst)
-    assert np.abs(via_deriv.values - via_kernel.values).max() <= 1e-2
+def test_composition_route_zero():
+    ctrl = cm.zero_control(0.75, 64)
+    v = cm.apply_kh(ctrl.density, 0.75, "composition")
+    assert np.abs(v.values).max() == 0.0
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
-def test_cm_derivative_linear_exactly(a, b):
+def test_composition_route_linear_exactly(a, b):
     c1 = random_control(46, n=64)
     c2 = random_control(47, n=64)
     combo = cm.control_from_cells(
         0.75, a * c1.cell_values() + b * c2.cell_values())
-    lhs = cm.cm_derivative(combo).values
-    rhs = a * cm.cm_derivative(c1).values + b * cm.cm_derivative(c2).values
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
-
-
-def test_cm_derivative_needs_high_hurst():
-    with pytest.raises(DomainError):
-        cm.cm_derivative(cm.zero_control(0.5, 32))
+    comp = lambda c: cm.apply_kh(c.density, 0.75, "composition").values
+    np.testing.assert_allclose(comp(combo), a * comp(c1) + b * comp(c2),
+                               rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

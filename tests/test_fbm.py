@@ -1,6 +1,8 @@
 import io
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from fbmld import fbm, rng
 from fbmld.errors import DomainError
-from fbmld.fracops import gauss_2f1
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,16 @@ def test_covariance_domain_errors():
 # kernel
 # ---------------------------------------------------------------------------
 
+def mp_kernel(t, s, hurst):
+    """k_H(t, s) from mpmath's 2F1 at 40 digits: the independent reference."""
+    with mpmath.workdps(40):
+        h, t, s = mpmath.mpf(hurst), mpmath.mpf(t), mpmath.mpf(s)
+        c_h = mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h) * mpmath.gamma(h + 0.5)
+                          / mpmath.gamma(2 - 2 * h))
+        return float(c_h / mpmath.gamma(h + 0.5) * (t - s) ** (h - 0.5)
+                     * mpmath.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - t / s))
+
+
 def test_kernel_brownian_case_is_one():
     for t, s in [(0.9, 0.1), (0.5, 0.49), (1.0, 0.0001)]:
         assert fbm.kernel_k(t, s, 0.5) == 1.0
@@ -71,7 +82,7 @@ def test_kernel_table_matches_scalar_kernel():
     for k in (3, 17, 64):
         for j in (0, k // 2, k - 1):
             assert table[k, j] == pytest.approx(
-                fbm.kernel_k(k / n, mids[j], hurst), rel=1e-10)
+                mp_kernel(k / n, mids[j], hurst), rel=1e-13)
     assert np.all(table[0] == 0.0)
     # strictly upper cells are zero (the kernel's indicator)
     for k in range(n + 1):
@@ -85,7 +96,7 @@ def test_kernel_table_low_hurst_matches_scalar():
     for k in (5, 32):
         j = k - 1
         assert table[k, j] == pytest.approx(
-            fbm.kernel_k(k / n, mids[j], hurst), rel=1e-9)
+            mp_kernel(k / n, mids[j], hurst), rel=1e-13)
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.9])
@@ -121,13 +132,32 @@ def test_covariance_reconstruction_spot():
         assert err <= 1e-3, (hurst, err)
 
 
-def test_kernel_via_pfaff_series_route():
-    # the public scalar route (Pfaff + truncated series) against the
-    # closed-form constant: k_H(t, s) for H, s, t where the series is fast
-    hurst, t, s = 0.75, 1.0, 0.5
-    pref = fbm.volterra_c(hurst) / math.gamma(hurst + 0.5)
-    hyp = gauss_2f1(hurst - 0.5, 0.5 - hurst, hurst + 0.5, 1.0 - t / s)
-    assert fbm.kernel_k(t, s, hurst) == pref * (t - s) ** 0.25 * hyp
+@pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.9])
+def test_kernel_matches_mpmath(hurst):
+    # includes s << t, where a plain 2F1 series needs O(t/s) terms
+    for t, s in [(1.0, 0.5), (0.75, 0.7), (0.5, 0.01), (1.0, 1e-4),
+                 (1.0, 1e-5), (1.0, 5e-6)]:
+        assert fbm.kernel_k(t, s, hurst) == pytest.approx(
+            mp_kernel(t, s, hurst), rel=1e-13), (t, s)
+    n = 64
+    table = fbm.kernel_table(n, hurst)
+    for k, j in [(1, 0), (17, 0), (17, 16), (64, 0), (64, 31), (64, 63)]:
+        assert table[k, j] == pytest.approx(
+            mp_kernel(k / n, (j + 0.5) / n, hurst), rel=1e-13), (k, j)
+
+
+def test_kernel_table_build_memory():
+    # the build fills row blocks, so its temporaries stay well below the
+    # several copies of the lower triangle a one-call build allocates
+    n, hurst = 512, 0.7
+    fbm.kernel_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = fbm.kernel_table(n, hurst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.nbytes, peak / table.nbytes
 
 
 # ---------------------------------------------------------------------------
