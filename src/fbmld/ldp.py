@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from . import blas, rng
-from .cmspace import CmControl, control_from_cells, zero_control
+from . import blas, fbm, rng
+from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import CoefficientSet, skeleton, solve_increments
+from .sde import CoefficientSet, solve_increments
 
 __all__ = [
     "EventSpec",
@@ -69,26 +69,21 @@ class EventSpec:
         if self.kind == "terminal_target" and self.r <= 0.0:
             raise DomainError("terminal_target needs radius r > 0")
 
-    def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int,
-                     hurst: float):
+    def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int):
         """Batch map from solved states (B, n+1, m) to constraint violations.
 
         Violations are in the event's natural units; values <= 0 mean the
-        event holds.
+        event holds.  ``sup_exceedance`` solves the zero-noise flow once,
+        here, on zero increments.
         """
         if self.kind == "terminal_exceedance":
-            a = self.a
-            return lambda states: a - states[:, -1, 0]
+            return lambda states: self.a - states[:, -1, 0]
         if self.kind == "terminal_target":
             y = np.atleast_1d(np.asarray(self.y, dtype=float))
-            r = self.r
-            return lambda states: (
-                np.linalg.norm(states[:, -1, :] - y, axis=1) - r
-            )
-        phi = skeleton(x0, coeffs,
-                       zero_control(hurst, n_steps, coeffs.d)).path.values
-        a = self.a
-        return lambda states: a - np.linalg.norm(
+            return lambda states: np.linalg.norm(
+                states[:, -1, :] - y, axis=1) - self.r
+        phi = solve_increments(x0, coeffs, np.zeros((1, n_steps, coeffs.d)))[0]
+        return lambda states: self.a - np.linalg.norm(
             states - phi[None], axis=2).max(axis=1)
 
 
@@ -158,7 +153,12 @@ def get_functional(name: str, m: int = 1, **params) -> BoundedFunctional:
     if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; "
                           f"choose from {functional_names()}")
-    params = dict(params)
+    defaults = {}
+    _FUNCTIONALS[name](m, defaults)
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise DomainError(f"functional {name!r} takes no parameter {unread}; "
+                          f"it reads {sorted(defaults)}")
     spec = _FUNCTIONALS[name](m, params)
     return BoundedFunctional(name=name, params=params, **spec)
 
@@ -172,6 +172,11 @@ _PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS-B stage per weight
 _MAXITER = 150              # L-BFGS-B iterations per stage (per start)
 _FD_STEP = 1e-5             # relative central-difference step
 _FEASIBILITY_TOL = 1e-3     # largest residual a feasible result may keep
+# Feasibility polish: one ladder of scales, then rounds that each split the
+# bracket at 31 interior scales; 32^8 = 2^40 shrinks it to 2^-40 of its width.
+_POLISH_LADDER = 1.05 ** np.arange(9.0)     # 1, 1.05, ..., 1.05^8
+_POLISH_POINTS = 31
+_POLISH_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -206,21 +211,17 @@ def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl
 
 
 @functools.lru_cache(maxsize=8)
-def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float,
-                         d: int) -> np.ndarray:
+def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     """Linear map from block coefficients to skeleton driver increments.
 
-    Column (b, i) holds the dv increments of the unit control that is 1 on
-    block b, component i; shape (n_ctrl * d, n_steps, d).  Components do not
-    mix, so one materialization of the n_ctrl block indicators, one per
-    density column, gives every column.
+    Column b holds the dv increments of the unit density that is 1 on block
+    b; shape (n_steps, n_ctrl).  Components do not mix, so the increments of
+    block coefficients (n_ctrl, d) are this map applied to each component
+    column, and one materialization of the n_ctrl block indicators, one
+    per density column, gives every column.
     """
     indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
-    dv = control_from_cells(hurst, indicators).path.increments()  # (n, n_ctrl)
-    out = np.zeros((n_ctrl, d, n_steps, d))
-    for i in range(d):
-        out[:, i, :, i] = dv.T
-    out = out.reshape(n_ctrl * d, n_steps, d)
+    out = control_from_cells(hurst, indicators).path.increments()
     out.setflags(write=False)
     return out
 
@@ -231,15 +232,15 @@ class _SkeletonObjective:
     Evaluates ``0.5 ||vdot||^2 + weight * g(theta)`` where g is either the
     squared positive violation (penalty mode) or a bounded functional, with
     the skeleton solves for a whole finite-difference stencil batched into
-    one Euler sweep.
+    one Euler sweep.  :meth:`map_batch` is the one place that solves
+    skeletons, and ``n_solves`` counts its rows.
     """
 
     def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig):
         self.coeffs = coeffs
         self.x0 = np.asarray(x0, dtype=float).reshape(-1)
         self.cfg = cfg
-        self.inc_map = _block_increment_map(
-            cfg.n_ctrl, cfg.n_steps, cfg.hurst, coeffs.d)
+        self.inc_map = _block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
         self.n_params = cfg.n_ctrl * coeffs.d
         self.n_solves = 0
 
@@ -248,13 +249,13 @@ class _SkeletonObjective:
 
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
         """fn over the solved skeleton states for each row of thetas."""
-        inc = np.einsum("bk,knd->bnd", thetas, self.inc_map)
+        blocks = thetas.reshape(len(thetas), self.cfg.n_ctrl, self.coeffs.d)
+        inc = fbm._synthesise(self.inc_map, blocks)
         states = solve_increments(self.x0, self.coeffs, inc)
         self.n_solves += thetas.shape[0]
         return fn(states)
 
-    def value_and_grad(self, theta: np.ndarray, fn, weight: float,
-                       squared_hinge: bool):
+    def value_and_grad(self, theta: np.ndarray, g, weight: float):
         """Central finite differences of the full objective, batched."""
         k = self.n_params
         h = _FD_STEP * np.maximum(1.0, np.abs(theta))
@@ -262,15 +263,9 @@ class _SkeletonObjective:
         rows = np.arange(k)
         stencil[1 + rows, rows] += h
         stencil[1 + k + rows, rows] -= h
-        g = self.map_batch(stencil, fn)
-        if squared_hinge:
-            g = np.maximum(g, 0.0) ** 2
-        obj = 0.5 * self.norm_sq(stencil) + weight * g
+        obj = 0.5 * self.norm_sq(stencil) + weight * self.map_batch(stencil, g)
         grad = (obj[1 : 1 + k] - obj[1 + k :]) / (2.0 * h)
         return obj[0], grad
-
-    def scalar(self, theta: np.ndarray, fn) -> float:
-        return float(self.map_batch(theta[None], fn)[0])
 
 
 def _starts(cfg: RateConfig, n_params: int, d: int) -> list[np.ndarray]:
@@ -281,6 +276,26 @@ def _starts(cfg: RateConfig, n_params: int, d: int) -> list[np.ndarray]:
     bump = np.exp(-0.5 * ((centers - 0.5) / 0.2) ** 2)
     bump = np.tile(bump[:, None], (1, d)).ravel() / bump.max()
     return [zero, rad, bump]
+
+
+def _descend(obj: _SkeletonObjective, g, weights):
+    """L-BFGS-B from every start, one stage per weight, each from the last.
+
+    Minimizes ``obj.value_and_grad(., g, weight)`` on one BLAS thread and
+    returns, per start, the last stage's ``OptimizeResult`` and the
+    iterations summed over the stages.
+    """
+    runs = []
+    with blas.one_thread():
+        for theta in _starts(obj.cfg, obj.n_params, obj.coeffs.d):
+            iters = 0
+            for weight in weights:
+                res = scipy.optimize.minimize(
+                    obj.value_and_grad, theta, args=(g, weight),
+                    jac=True, method="L-BFGS-B", options={"maxiter": _MAXITER})
+                theta, iters = res.x, iters + int(res.nit)
+            runs.append((res, iters))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -310,31 +325,24 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     random signs, smooth bump).  After the stages a scalar feasibility
     polish rescales the control onto the constraint when that costs little.
     Returns the best feasible candidate, or an infeasibility report with
-    value = inf when no start meets the tolerance.
+    value = inf when no start meets the tolerance.  ``n_solves`` in the
+    diagnostics counts every skeleton row solved, the zero-noise flow of a
+    ``sup_exceedance`` event included.
     """
     obj = _SkeletonObjective(coeffs, x0, cfg)
-    viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps, cfg.hurst)
+    viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps)
+    # violation_fn solved one skeleton row: a sup_exceedance event's flow
+    obj.n_solves = int(event.kind == "sup_exceedance")
 
-    per_start = []
-    thetas = []
-    for start_idx, theta0 in enumerate(_starts(cfg, obj.n_params, coeffs.d)):
-        theta = theta0.copy()
-        iters = 0
-        for mu in _PENALTY_WEIGHTS:
-            with blas.one_thread():
-                res = scipy.optimize.minimize(
-                    lambda th: obj.value_and_grad(th, viol, mu, True),
-                    theta, jac=True, method="L-BFGS-B",
-                    options={"maxiter": _MAXITER},
-                )
-            theta = res.x
-            iters += int(res.nit)
-        residual = max(0.0, obj.scalar(theta, viol))
-        theta, residual = _feasibility_polish(obj, viol, theta, residual)
+    per_start, thetas = [], []
+    runs = _descend(obj, lambda states: np.maximum(viol(states), 0.0) ** 2,
+                    _PENALTY_WEIGHTS)
+    for start_idx, (res, iters) in enumerate(runs):
+        theta, residual = _feasibility_polish(obj, viol, res.x)
         thetas.append(theta)
-        value = 0.5 * obj.norm_sq(theta[None])[0]
         per_start.append({
-            "start": start_idx, "value": float(value),
+            "start": start_idx,
+            "value": float(0.5 * obj.norm_sq(theta[None])[0]),
             "residual": float(residual), "iterations": iters,
             "feasible": bool(residual <= _FEASIBILITY_TOL),
         })
@@ -351,42 +359,37 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     chosen = min(feas, key=lambda s: (s["value"], s["start"])) if feas else \
         min(per_start, key=lambda s: (s["residual"], s["start"]))
     theta = thetas[chosen["start"]]
-    ctrl = control_from_blocks(theta, cfg, coeffs.d)
-    blocks = theta.reshape(cfg.n_ctrl, coeffs.d)
     return RateResult(
         value=chosen["value"] if feas else math.inf,
-        control=ctrl, block_values=blocks,
-        residual=chosen["residual"], feasible=bool(feas),
-        diagnostics=diag,
+        control=control_from_blocks(theta, cfg, coeffs.d),
+        block_values=theta.reshape(cfg.n_ctrl, coeffs.d),
+        residual=chosen["residual"], feasible=bool(feas), diagnostics=diag,
     )
 
 
-def _feasibility_polish(obj, viol, theta, residual):
+def _feasibility_polish(obj, viol, theta):
     """Scale the control up to strict feasibility when that is cheap.
 
     Exterior penalties stop slightly infeasible; for outward-monotone events
     a small scalar rescaling lands on the constraint and makes the value a
-    genuine upper bound.  Give up silently when scaling does not help.
+    genuine upper bound.  Returns ``(theta, residual)``: theta unchanged
+    if it is feasible, zero, or infeasible at every scale up to 1.05^8, else
+    its smallest feasible scale, bracketed by _POLISH_ROUNDS ladder rounds
+    of one ``map_batch`` call each, with the residual recomputed there.
     """
-    if residual <= 0.0 or np.allclose(theta, 0.0):
+    r = obj.map_batch(_POLISH_LADDER[:, None] * theta, viol)
+    residual = max(0.0, float(r[0]))
+    hit = np.flatnonzero(r <= 0.0)
+    if residual <= 0.0 or not hit.size or np.allclose(theta, 0.0):
         return theta, residual
-    lo, hi = 1.0, 1.0
-    r_hi = residual
-    for _ in range(8):
-        hi *= 1.05
-        r_hi = obj.scalar(hi * theta, viol)
-        if r_hi <= 0.0:
-            break
-    if r_hi > 0.0:
-        return theta, residual
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if obj.scalar(mid * theta, viol) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _POLISH_LADDER[hit[0] - 1], _POLISH_LADDER[hit[0]]
+    for _ in range(_POLISH_ROUNDS):
+        scales = np.linspace(lo, hi, _POLISH_POINTS + 2)
+        r = obj.map_batch(scales[1:-1, None] * theta, viol)
+        k = 1 + np.argmax(np.append(r, 0.0) <= 0.0)   # hi itself is feasible
+        lo, hi = scales[k - 1], scales[k]
     theta = hi * theta
-    return theta, max(0.0, obj.scalar(theta, viol))
+    return theta, max(0.0, float(obj.map_batch(theta[None], viol)[0]))
 
 
 def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
@@ -399,23 +402,11 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
     warning and the best value so far is returned.
     """
     obj = _SkeletonObjective(coeffs, x0, cfg)
-    x0v = obj.x0
-    hfn = lambda states: h.fn(states, x0v)
-
-    best, converged = math.inf, False
-    for theta0 in _starts(cfg, obj.n_params, coeffs.d):
-        with blas.one_thread():
-            res = scipy.optimize.minimize(
-                lambda th: obj.value_and_grad(th, hfn, 1.0, False),
-                theta0, jac=True, method="L-BFGS-B",
-                options={"maxiter": _MAXITER},
-            )
-        best = min(best, float(res.fun))
-        converged = converged or bool(res.success)
-    if not converged:
+    runs = _descend(obj, lambda states: h.fn(states, obj.x0), (1.0,))
+    if not any(res.success for res, _ in runs):
         warnings.warn("laplace_variational: optimizer did not converge; "
                       "returning best value so far", stacklevel=2)
-    return best
+    return min(float(res.fun) for res, _ in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +562,10 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
 
     dv = None                                 # crude MC, any hurst
     if np.any(ctrl.cell_values()):
+        if ctrl.hurst != hurst:
+            raise DomainError(f"tilt is for hurst {ctrl.hurst}, not {hurst}")
         dv = ctrl.path.increments()
-    viol = event.violation_fn(coeffs, x0, n_steps, hurst)
+    viol = event.violation_fn(coeffs, x0, n_steps)
     hits = np.empty(n_samples, dtype=bool)
     log_w = np.empty(n_samples)
     for lo, hi, batch, states in _solved_chunks(coeffs, x0, eps, n_samples,

@@ -177,7 +177,12 @@ def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> Coefficient
     if name not in _REGISTRY:
         raise DomainError(f"unknown coefficient family {name!r}; "
                           f"choose from {registry_names()}")
-    params = dict(params)
+    defaults = {}
+    _REGISTRY[name](m, d, defaults)
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise DomainError(f"coefficient family {name!r} takes no parameter "
+                          f"{unread}; it reads {sorted(defaults)}")
     spec = _REGISTRY[name](m, d, params)
     return CoefficientSet(name=name, m=m, d=d, params=params, **spec)
 

@@ -75,6 +75,19 @@ def test_n_ctrl_out_of_range_exit_2(tmp_path, capsys, command, n_ctrl):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"command": "solve", "coefficient_params": {"scael": 3.0}}, "scael"),
+    ({"command": "laplace-check", "n_samples": 1000, "n_ctrl": 8,
+      "functional": {"name": "terminal_shortfall", "targte": 2.0}}, "targte"),
+])
+def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
+    path, _ = write_config(tmp_path, hurst=0.6, n_steps=64,
+                           coefficient="constant", **overrides)
+    assert cli.run(str(path)) == cli.EXIT_SCHEMA
+    assert key in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_unreadable_config_exit_2(tmp_path):
     assert cli.run(str(tmp_path / "missing.json")) == cli.EXIT_SCHEMA
     bad = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,13 +42,13 @@ def test_event_violations_semantics():
     states[0, -1, 0] = 2.0
     states[1, -1, 0] = 0.5
     v = ldp.EventSpec("terminal_exceedance", a=1.0).violation_fn(
-        ADDITIVE, [0.0], 4, HURST)(states)
+        ADDITIVE, [0.0], 4)(states)
     assert v[0] <= 0.0 < v[1]
     v = ldp.EventSpec("terminal_target", y=2.0, r=0.25).violation_fn(
-        ADDITIVE, [0.0], 4, HURST)(states)
+        ADDITIVE, [0.0], 4)(states)
     assert v[0] <= 0.0 < v[1]
     v = ldp.EventSpec("sup_exceedance", a=1.0).violation_fn(
-        ADDITIVE, [0.0], 4, HURST)(states)
+        ADDITIVE, [0.0], 4)(states)
     assert v[0] <= 0.0 < v[1]
 
 
@@ -60,6 +61,15 @@ def test_functionals_bounded_and_unknown():
         assert np.all(vals <= h.sup_h + 1e-12)
     with pytest.raises(DomainError):
         ldp.get_functional("entropy")
+
+
+def test_functionals_reject_unread_parameters():
+    with pytest.raises(DomainError, match="targte"):
+        ldp.get_functional("terminal_shortfall", targte=2.0)
+    with pytest.raises(DomainError, match="cap"):
+        ldp.get_functional("constant", cap=2.0)
+    h = ldp.get_functional("terminal_shortfall", target=2.0)
+    assert h.params == {"cap": 1.0, "target": 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +115,73 @@ def test_rate_config_fields_and_n_ctrl_range():
 
 
 @pytest.mark.parametrize("n_ctrl, n_steps, d", [(8, 64, 1), (4, 32, 3)])
-def test_block_increment_map_matches_unit_controls(n_ctrl, n_steps, d):
-    # column (b, i) is the dv of the unit control on block b, component i;
-    # an n_ctrl-column kernel product rounds differently from a one-column one
+def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
+                                                   n_steps, d):
+    # the increments map_batch builds for unit theta column (b, i) are the
+    # dv of the unit control on block b, component i; an n_ctrl-column
+    # kernel product rounds differently from a one-column one
     cfg = ldp.RateConfig(hurst=0.7, n_steps=n_steps, n_ctrl=n_ctrl)
-    got = ldp._block_increment_map(n_ctrl, n_steps, 0.7, d)
+    assert ldp._block_increment_map(n_ctrl, n_steps, 0.7).shape == \
+        (n_steps, n_ctrl)
+    coeffs = sde.get_coefficients("constant", m=d, d=d)
+    obj = ldp._SkeletonObjective(coeffs, np.zeros(d), cfg)
+    monkeypatch.setattr(ldp, "solve_increments", lambda x0, co, inc: inc)
     k = n_ctrl * d
+    got = obj.map_batch(np.eye(k), lambda inc: inc)
     for col in range(k):
         unit = ldp.control_from_blocks(np.eye(k)[col], cfg, d)
         want = unit.path.increments()
         np.testing.assert_allclose(got[col], want, rtol=0, atol=1e-15,
                                    err_msg=str(col))
+
+
+def test_feasibility_polish_lands_on_the_constraint(monkeypatch):
+    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    obj = ldp._SkeletonObjective(ADDITIVE, [0.0], SMALL_CFG)
+    viol = ev.violation_fn(ADDITIVE, obj.x0, SMALL_CFG.n_steps)
+    theta_star = qp_oracle(1.0, SMALL_CFG)[1]      # terminal state exactly a
+    calls = []
+    solve = obj.map_batch
+    monkeypatch.setattr(obj, "map_batch",
+                        lambda th, fn: calls.append(len(th)) or solve(th, fn))
+    theta, residual = ldp._feasibility_polish(obj, viol, 0.9 * theta_star)
+    # one call for the ladder, one per round, one for the final residual
+    assert len(calls) == ldp._POLISH_ROUNDS + 2
+    assert residual == 0.0
+    assert solve(theta[None], viol)[0] <= 0.0
+    assert solve((1.0 - 1e-9) * theta[None], viol)[0] > 0.0
+    # no scale up to 1.05^8 rescues half the optimal control
+    theta0 = 0.5 * theta_star
+    theta, residual = ldp._feasibility_polish(obj, viol, theta0)
+    assert np.array_equal(theta, theta0)
+    assert residual == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("event", [
+    ldp.EventSpec("terminal_exceedance", a=0.5),
+    ldp.EventSpec("sup_exceedance", a=0.5),
+    ldp.EventSpec("terminal_target", y=0.5, r=0.1),
+], ids=lambda ev: ev.kind)
+def test_n_solves_counts_every_skeleton_row(monkeypatch, event):
+    # count rows through every module attribute bound to solve_increments,
+    # as a tracer that wraps the function from outside the package does
+    rows = []
+    solve = sde.solve_increments
+
+    def counted(x0, coeffs, increments):
+        rows.append(len(increments))
+        return solve(x0, coeffs, increments)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fbmld" or name.startswith("fbmld."):
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, counted)
+    cfg = ldp.RateConfig(hurst=HURST, n_steps=32, n_ctrl=4, seed=3)
+    res = ldp.rate_minimize(ADDITIVE, [0.0], event, cfg)
+    assert res.feasible
+    assert sum(rows) == res.diagnostics["n_solves"]
+
 
 def test_rate_minimize_additive_oracle():
     ev = ldp.EventSpec("terminal_exceedance", a=1.0)
@@ -291,6 +357,22 @@ def test_tilt_is_girsanov_shift_of_sampled_increments():
     np.testing.assert_allclose(states[:, :, 0], want, rtol=0, atol=1e-12)
 
 
+def test_is_probability_rejects_a_tilt_for_another_hurst():
+    # a unit-density tilt built at H = 0.9 shifts paths sampled at H = 0.6
+    # by the wrong kernel; p_hat was biased by ~75 standard errors
+    n = 64
+    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    tilt = cm.control_from_cells(0.9, np.ones((n, 1)))
+    with pytest.raises(DomainError, match="hurst"):
+        ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 4000, seed=1,
+                           ctrl=tilt, hurst=HURST, n_steps=n)
+    # the zero control tilts nothing, whatever hurst it was built for
+    est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 100, seed=1,
+                             ctrl=cm.zero_control(0.9, n), hurst=HURST,
+                             n_steps=n)
+    assert est.n_samples == 100
+
+
 def test_is_probability_grid_mismatch():
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     with pytest.raises(DimensionError):
@@ -356,7 +438,7 @@ def test_is_probability_chunked_matches_one_batch():
     dv = ctrl.path.increments()
     inc = dv[None] + math.sqrt(eps) * np.diff(batch.values, axis=1)
     states = sde.solve_increments(np.zeros(1), ADDITIVE, inc)
-    hits = ev.violation_fn(ADDITIVE, [0.0], n, HURST)(states) <= 0.0
+    hits = ev.violation_fn(ADDITIVE, [0.0], n)(states) <= 0.0
     w, _ = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)
     y = np.where(hits, w, 0.0)
     assert est.n_hits == int(hits.sum()) and 0 < est.n_hits < N_CHUNKED

@@ -22,6 +22,16 @@ def test_registry_lists_built_in_families():
         sde.get_coefficients("heston")
 
 
+def test_registry_rejects_unread_parameters():
+    with pytest.raises(DomainError, match="scael"):
+        sde.get_coefficients("constant", scael=3.0)
+    for name in ("zero", "linear_sigma"):
+        with pytest.raises(DomainError, match="scale"):
+            sde.get_coefficients(name, scale=1.0)
+    co = sde.get_coefficients("constant", scale=3.0)
+    assert co.params == {"scale": 3.0, "drift_const": 0.0}
+
+
 @pytest.mark.parametrize("name,kwargs", [
     ("zero", {}),
     ("constant", {}),
