@@ -101,10 +101,21 @@ class ExperimentConfig:
             raise SchemaError("n_steps must be positive")
         if self.sampler not in ("volterra", "cholesky"):
             raise SchemaError("sampler must be 'volterra' or 'cholesky'")
+        if self.n_paths < 1:
+            raise SchemaError("n_paths must be >= 1")
         if self.command == "ldp-scaling" and not self.eps_list:
             raise SchemaError("ldp-scaling needs a decreasing eps_list")
+        if self.command == "ldp-scaling" and min(self.eps_list) <= 0.0:
+            raise SchemaError("every eps in eps_list must be > 0")
+        for key in ("event", "functional"):
+            if not isinstance(getattr(self, key), dict):
+                raise SchemaError(f"{key} must be a JSON object")
+        if self.functional and "name" not in self.functional:
+            raise SchemaError("functional needs a 'name'")
         if self.command in ("rate", "ldp-scaling") and not self.event:
             raise SchemaError(f"{self.command} needs an event spec")
+        if self.event:
+            _event_from_config(self)
         if self.command in ("rate", "ldp-scaling", "laplace-check"):
             if not 1 <= self.n_ctrl <= 64:
                 raise SchemaError("n_ctrl must lie in 1..64")
@@ -165,9 +176,15 @@ def _event_from_config(cfg: ExperimentConfig) -> ldp.EventSpec:
     if kind is None:
         raise SchemaError("event spec needs a 'kind'")
     try:
-        return ldp.EventSpec(kind=kind, **ev)
-    except TypeError as exc:
+        event = ldp.EventSpec(kind=kind, **ev)
+    except (TypeError, DomainError) as exc:
         raise SchemaError(f"bad event spec: {exc}") from exc
+    unread = sorted(set(ev) - ldp.EVENT_READS[kind])
+    if unread:
+        raise SchemaError(f"event kind {kind!r} does not read {unread}")
+    if np.ndim(event.y) != 0 and np.shape(event.y) != (cfg.m,):
+        raise SchemaError(f"event y must be a scalar or hold m={cfg.m} entries")
+    return event
 
 
 def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:

@@ -27,6 +27,7 @@ from .sde import CoefficientSet, solve_increments
 
 __all__ = [
     "EventSpec",
+    "EVENT_READS",
     "RateConfig",
     "RateResult",
     "BoundedFunctional",
@@ -47,6 +48,11 @@ __all__ = [
 # events
 # ---------------------------------------------------------------------------
 
+# the EventSpec fields each event kind reads
+EVENT_READS = {"terminal_exceedance": {"a"}, "sup_exceedance": {"a"},
+               "terminal_target": {"y", "r"}}
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """Target event for rate/probability computations.
@@ -63,8 +69,7 @@ class EventSpec:
     r: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("terminal_exceedance", "sup_exceedance",
-                             "terminal_target"):
+        if self.kind not in EVENT_READS:
             raise DomainError(f"unknown event kind {self.kind!r}")
         if self.kind == "terminal_target" and self.r <= 0.0:
             raise DomainError("terminal_target needs radius r > 0")
@@ -556,6 +561,8 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
     ``n_samples``.  Pass the zero control for crude Monte Carlo;
     :func:`scaling_table` tilts by the rate minimizer.
     """
+    if eps <= 0.0:
+        raise DomainError(f"eps must be > 0, got {eps}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
         raise DimensionError("tilt control does not match the sampling grid")
@@ -596,6 +603,8 @@ def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be strictly decreasing")
+    if eps_list and eps_list[-1] <= 0.0:
+        raise DomainError(f"every eps must be > 0, got {eps_list[-1]}")
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")

@@ -45,8 +45,12 @@ __all__ = [
 class CoefficientSet:
     """Drift b(t, x) and diffusion sigma(t, x) with regularity metadata.
 
-    ``drift`` maps (t, X) with X of shape (batch, m) to (batch, m);
-    ``diffusion`` maps to (batch, m, d) (a leading 1 is fine, it broadcasts).
+    ``drift`` maps (t, X) with X of shape (batch, m) to (batch, m).
+    ``diffusion`` returns the diagonal s of sigma: a scalar or an array
+    broadcastable to (batch, min(m, d)), with sigma_ij = s_i for
+    i = j < min(m, d) and 0 otherwise -- the ``eye(m, d)`` embedding, so
+    state rows past d get no noise and driver components past m are
+    ignored.  Every registry family is diagonal.
     The metadata records the constants in the well-posedness assumptions:
     ``lipschitz_drift`` (L), ``lipschitz_sigma`` (M), ``time_holder``
     (lambda), ``grad_holder`` (gamma).  Registry entries satisfy those
@@ -76,7 +80,7 @@ class CoefficientSet:
 def _entry_zero(m, d, params):
     return dict(
         drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x: np.zeros((1, m, d)),
+        diffusion=lambda t, x: 0.0,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
     )
 
@@ -84,11 +88,10 @@ def _entry_zero(m, d, params):
 def _entry_constant(m, d, params):
     scale = params.setdefault("scale", 1.0)
     b0 = params.setdefault("drift_const", 0.0)
-    sig = scale * np.eye(m, d)[None]
     bvec = b0 * np.ones((1, m))
     return dict(
         drift=lambda t, x: np.broadcast_to(bvec, x.shape),
-        diffusion=lambda t, x: sig,
+        diffusion=lambda t, x: scale,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
     )
 
@@ -96,10 +99,9 @@ def _entry_constant(m, d, params):
 def _entry_linear_drift(m, d, params):
     rate = params.setdefault("rate", 1.0)
     scale = params.setdefault("scale", 0.0)
-    sig = scale * np.eye(m, d)[None]
     return dict(
         drift=lambda t, x: -rate * x,
-        diffusion=lambda t, x: sig,
+        diffusion=lambda t, x: scale,
         lipschitz_drift=abs(rate), lipschitz_sigma=0.0,
         time_holder=1.0, grad_holder=1.0,
     )
@@ -108,16 +110,9 @@ def _entry_linear_drift(m, d, params):
 def _entry_linear_sigma(m, d, params):
     if m != d:
         raise DomainError("linear_sigma requires m == d")
-
-    def diffusion(t, x):
-        out = np.zeros(x.shape + (d,))
-        idx = np.arange(m)
-        out[:, idx, idx] = x
-        return out
-
     return dict(
         drift=lambda t, x: np.zeros_like(x),
-        diffusion=diffusion,
+        diffusion=lambda t, x: x,
         lipschitz_drift=0.0, lipschitz_sigma=1.0, time_holder=1.0, grad_holder=1.0,
     )
 
@@ -128,16 +123,9 @@ def _entry_tanh(m, d, params):
     b_scale = params.setdefault("drift_scale", 1.0)
     s0 = params.setdefault("sigma_base", 1.0)
     s1 = params.setdefault("sigma_scale", 0.5)
-
-    def diffusion(t, x):
-        out = np.zeros(x.shape + (d,))
-        idx = np.arange(m)
-        out[:, idx, idx] = s0 + s1 * np.tanh(x)
-        return out
-
     return dict(
         drift=lambda t, x: b_scale * np.tanh(x),
-        diffusion=diffusion,
+        diffusion=lambda t, x: s0 + s1 * np.tanh(x),
         lipschitz_drift=abs(b_scale), lipschitz_sigma=abs(s1),
         time_holder=1.0, grad_holder=1.0,
     )
@@ -149,10 +137,9 @@ def _entry_rotation(m, d, params):
     omega = params.setdefault("omega", 1.0)
     scale = params.setdefault("scale", 1.0)
     gen = omega * np.array([[0.0, -1.0], [1.0, 0.0]])
-    sig = scale * np.eye(2, d)[None]
     return dict(
         drift=lambda t, x: x @ gen.T,
-        diffusion=lambda t, x: sig,
+        diffusion=lambda t, x: scale,
         lipschitz_drift=abs(omega), lipschitz_sigma=0.0,
         time_holder=1.0, grad_holder=1.0,
     )
@@ -198,7 +185,6 @@ class SolvedPath:
     path: GridFn
     driver_kind: str                  # skeleton | controlled | noise | generic
     config: dict
-    norms: HolderReport | None = None
 
 
 # the Euler solver aborts once any state component exceeds this magnitude
@@ -219,14 +205,14 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     if x0.size != coeffs.m:
         raise DimensionError(f"x0 has dim {x0.size}, expected m={coeffs.m}")
     dt = 1.0 / n
+    r = min(coeffs.m, d)
     out = np.empty((n_paths, n + 1, coeffs.m))
     x = np.broadcast_to(x0, (n_paths, coeffs.m)).copy()
     out[:, 0] = x
     for k in range(n):
         t = k * dt
         step = coeffs.drift(t, x) * dt
-        step = step + np.matmul(coeffs.diffusion(t, x),
-                                increments[:, k, :, None])[:, :, 0]
+        step[:, :r] += coeffs.diffusion(t, x) * increments[:, k, :r]
         x = x + step
         if not np.all(np.abs(x) <= _OVERFLOW_GUARD):
             raise NumericError(

@@ -88,6 +88,34 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"command": "laplace-check", "functional": {"target": 2.0}}, "'name'"),
+    ({"command": "laplace-check", "functional": ["x"]}, "functional"),
+    ({"command": "rate", "coefficient": "rotation", "m": 2, "d": 2,
+      "x0": [0.0, 0.0],
+      "event": {"kind": "terminal_target", "y": [1.0, 0.5, 0.2], "r": 0.1}},
+     "event y"),
+    ({"command": "ldp-scaling", "eps_list": [0.5, -0.1],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}}, "eps_list"),
+    ({"command": "sample", "n_paths": 0}, "n_paths"),
+    ({"command": "rate", "event": {"kind": "terminal_exceedance", "a": 0.5,
+                                   "r": 3.0}}, "['r']"),
+    ({"command": "rate", "event": {"kind": "terminal_target", "a": 0.5,
+                                   "y": 1.0, "r": 0.1}}, "['a']"),
+    ({"command": "rate", "event": {"kind": "sup_exceedance", "a": 0.5,
+                                   "y": 1.0}}, "['y']"),
+], ids=["functional_without_name", "functional_not_an_object",
+        "y_wrong_length", "negative_eps", "no_paths", "unread_r",
+        "unread_a", "unread_y"])
+def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
+                                                  overrides, fragment):
+    path, _ = write_config(tmp_path, hurst=0.6, n_steps=64, n_ctrl=8,
+                           n_samples=1000, **overrides)
+    assert cli.run(str(path)) == cli.EXIT_SCHEMA
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unreadable_config_exit_2(tmp_path):
     assert cli.run(str(tmp_path / "missing.json")) == cli.EXIT_SCHEMA
     bad = tmp_path / "broken.json"

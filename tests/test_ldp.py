@@ -373,6 +373,15 @@ def test_is_probability_rejects_a_tilt_for_another_hurst():
     assert est.n_samples == 100
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_is_probability_rejects_nonpositive_eps(eps):
+    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    with pytest.raises(DomainError, match="eps"):
+        ldp.is_probability(ADDITIVE, [0.0], ev, eps, 100, seed=1,
+                           ctrl=cm.zero_control(HURST, 64),
+                           hurst=HURST, n_steps=64)
+
+
 def test_is_probability_grid_mismatch():
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     with pytest.raises(DimensionError):
@@ -402,6 +411,9 @@ def test_scaling_table_structure_and_determinism():
         assert r["gap"] == pytest.approx(r["neg_eps_log_p"] - r["rate_value"])
     with pytest.raises(DomainError):
         ldp.scaling_table(ADDITIVE, [0.0], ev, [0.25, 0.5], 1000, 77,
+                          **kwargs)
+    with pytest.raises(DomainError, match="eps"):
+        ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, -0.1], 1000, 77,
                           **kwargs)
 
 

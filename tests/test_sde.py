@@ -110,6 +110,64 @@ def test_overflow_guard_reports_step():
         sde.solve_young([1.0], co, g)
 
 
+def _sigma_matrix(co, x):
+    """sigma(x) of a registry family as its full (batch, m, d) matrix."""
+    batch, m, d = x.shape[0], co.m, co.d
+    if co.name == "zero":
+        return np.zeros((1, m, d))
+    if co.name in ("constant", "linear_drift", "rotation"):
+        return co.params["scale"] * np.eye(m, d)[None]
+    if co.name == "linear_sigma":
+        diag = x
+    else:
+        diag = co.params["sigma_base"] + co.params["sigma_scale"] * np.tanh(x)
+    out = np.zeros((batch, m, d))
+    out[:, np.arange(m), np.arange(m)] = diag
+    return out
+
+
+def _matrix_euler(x0, co, increments):
+    """Euler loop with a matrix-valued sigma, stepped by np.matmul."""
+    n_paths, n, _ = increments.shape
+    dt = 1.0 / n
+    out = np.empty((n_paths, n + 1, co.m))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, co.m)).copy()
+    out[:, 0] = x
+    for k in range(n):
+        step = co.drift(k * dt, x) * dt
+        step = step + np.matmul(_sigma_matrix(co, x),
+                                increments[:, k, :, None])[:, :, 0]
+        x = x + step
+        out[:, k + 1] = x
+    return out
+
+
+@pytest.mark.parametrize("name,m,d,params", [
+    ("zero", 1, 1, {}),
+    ("constant", 1, 1, {"scale": 1.3, "drift_const": 0.4}),
+    ("linear_drift", 1, 1, {"rate": 2.0, "scale": 0.7}),
+    ("linear_sigma", 1, 1, {}),
+    ("tanh", 1, 1, {}),
+    ("rotation", 2, 2, {"omega": 1.5, "scale": 0.8}),   # rotation needs m = 2
+    ("tanh", 2, 2, {"sigma_scale": 0.9}),
+    ("tanh", 3, 3, {}),
+    ("linear_sigma", 2, 2, {}),
+    ("linear_sigma", 3, 3, {}),
+    ("constant", 3, 1, {"scale": 1.3, "drift_const": 0.4}),   # m > d
+    ("rotation", 2, 1, {"omega": 1.5, "scale": 0.8}),
+    ("constant", 1, 2, {"scale": 1.3, "drift_const": 0.4}),   # d > m
+    ("linear_drift", 2, 3, {"rate": 2.0, "scale": 0.7}),
+])
+def test_diagonal_diffusion_matches_matrix_euler(name, m, d, params):
+    # the registry returns sigma's diagonal; the full eye(m, d)-embedded
+    # matrix stepped by matmul must give bitwise the same states
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    x0 = np.linspace(0.3, 0.9, m)
+    inc = 0.3 * rng.stream(29, 0).standard_normal((5, 64, d))
+    states = sde.solve_increments(x0, co, inc)
+    np.testing.assert_array_equal(states, _matrix_euler(x0, co, inc))
+
+
 # ---------------------------------------------------------------------------
 # skeleton / controlled reductions
 # ---------------------------------------------------------------------------
