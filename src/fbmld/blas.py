@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import importlib.util
 import os
@@ -22,32 +23,42 @@ _SYMBOLS = [(f"{p}openblas_get_num_threads{s}", f"{p}openblas_set_num_threads{s}
             for p in ("scipy_", "") for s in ("64_", "")]
 
 
-def _bundled_openblas() -> list[tuple]:
-    """(get, set) thread-count pairs of the OpenBLAS copies already loaded.
-
-    Only libraries the process has loaded are touched (loading one would
-    start its thread pool).  Empty when numpy and scipy link another BLAS.
-    """
-    pairs = []
+@functools.cache
+def _openblas_files() -> tuple[str, ...]:
+    """Paths of the OpenBLAS libraries bundled with numpy and scipy."""
+    paths = []
     for package in _PACKAGES:
         spec = importlib.util.find_spec(package)
         if spec is None or not spec.submodule_search_locations:
             continue
         libdir = os.path.join(spec.submodule_search_locations[0], os.pardir,
                               f"{package}.libs")
-        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-            try:
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:
-                continue
-            for get_name, set_name in _SYMBOLS:
-                get = getattr(lib, get_name, None)
-                put = getattr(lib, set_name, None)
-                if get is not None and put is not None:
-                    get.restype = ctypes.c_int
-                    put.argtypes = [ctypes.c_int]
-                    pairs.append((get, put))
-                    break
+        paths += sorted(glob.glob(os.path.join(libdir, "*openblas*")))
+    return tuple(paths)
+
+
+def _bundled_openblas() -> list[tuple]:
+    """(get, set) thread-count pairs of the OpenBLAS copies already loaded.
+
+    Only libraries the process has loaded are touched (loading one would
+    start its thread pool), so each call probes them again: a library loaded
+    since the last call is pinned too.  Empty when numpy and scipy link
+    another BLAS.
+    """
+    pairs = []
+    for path in _openblas_files():
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                pairs.append((get, put))
+                break
     return pairs
 
 

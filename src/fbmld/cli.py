@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise SchemaError("sampler must be 'volterra' or 'cholesky'")
         if self.n_paths < 1:
             raise SchemaError("n_paths must be >= 1")
+        if not 1 <= self.d <= fbm.MAX_DIM:
+            raise SchemaError(f"d must lie in 1..{fbm.MAX_DIM}")
         if self.command == "ldp-scaling" and not self.eps_list:
             raise SchemaError("ldp-scaling needs a decreasing eps_list")
         if self.command == "ldp-scaling" and min(self.eps_list) <= 0.0:
@@ -116,6 +118,21 @@ class ExperimentConfig:
             raise SchemaError(f"{self.command} needs an event spec")
         if self.event:
             _event_from_config(self)
+        if self.command in ("solve", "rate", "ldp-scaling", "laplace-check"):
+            _coeffs_from_config(self)
+            if np.shape(self.x0) != (self.m,):
+                raise SchemaError(f"x0 must hold m={self.m} entries")
+        if self.command == "ldp-scaling" and self.n_samples < 1:
+            raise SchemaError("ldp-scaling needs n_samples >= 1")
+        if self.command == "laplace-check":
+            _functional_from_config(self)
+            if self.n_samples < ldp.LAPLACE_MIN_SAMPLES:
+                raise SchemaError("laplace-check needs n_samples >= "
+                                  f"{ldp.LAPLACE_MIN_SAMPLES}")
+            eps_values = self.eps_list or [self.eps]
+            if not all(0.0 < e <= 1.0 for e in eps_values):
+                raise SchemaError("laplace-check eps must lie in (0, 1], "
+                                  f"got {eps_values}")
         if self.command in ("rate", "ldp-scaling", "laplace-check"):
             if not 1 <= self.n_ctrl <= 64:
                 raise SchemaError("n_ctrl must lie in 1..64")
@@ -188,8 +205,19 @@ def _event_from_config(cfg: ExperimentConfig) -> ldp.EventSpec:
 
 
 def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
-    return sde.get_coefficients(cfg.coefficient, m=cfg.m, d=cfg.d,
-                                **cfg.coefficient_params)
+    try:
+        return sde.get_coefficients(cfg.coefficient, m=cfg.m, d=cfg.d,
+                                    **cfg.coefficient_params)
+    except (TypeError, DomainError) as exc:
+        raise SchemaError(f"bad coefficient: {exc}") from exc
+
+
+def _functional_from_config(cfg: ExperimentConfig) -> ldp.BoundedFunctional:
+    params = dict(cfg.functional) or {"name": "terminal_shortfall"}
+    try:
+        return ldp.get_functional(**params)
+    except (TypeError, DomainError) as exc:
+        raise SchemaError(f"bad functional: {exc}") from exc
 
 
 def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
@@ -266,8 +294,8 @@ def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
     event = _event_from_config(cfg)
     rows = ldp.scaling_table(coeffs, cfg.x0, event, cfg.eps_list,
-                             cfg.n_samples, cfg.seed, hurst=cfg.hurst,
-                             n_steps=cfg.n_steps, cfg=_rate_cfg(cfg))
+                             cfg.n_samples, cfg.seed, n_steps=cfg.n_steps,
+                             cfg=_rate_cfg(cfg))
     header = ["eps", "p_hat", "std_err", "neg_eps_log_p", "rate_value", "gap"]
     _write_csv(out / "scaling.csv", header,
                (tuple(r[k] for k in header) for r in rows))
@@ -277,9 +305,7 @@ def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
-    fdict = dict(cfg.functional) or {"name": "terminal_shortfall"}
-    name = fdict.pop("name")
-    h = ldp.get_functional(name, m=cfg.m, **fdict)
+    h = _functional_from_config(cfg)
     variational = ldp.laplace_variational(coeffs, cfg.x0, h, _rate_cfg(cfg))
     eps_list = cfg.eps_list or [cfg.eps]
     rows = []
@@ -294,7 +320,7 @@ def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     _write_csv(out / "laplace.csv", header,
                (tuple(r[k] for k in header) for r in rows))
     _write_json(out / "laplace.json",
-                {"functional": {"name": name, **h.params}, "rows": rows})
+                {"functional": {"name": h.name, **h.params}, "rows": rows})
     return ["laplace.csv", "laplace.json"]
 
 

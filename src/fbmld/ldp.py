@@ -36,6 +36,7 @@ __all__ = [
     "rate_minimize",
     "laplace_variational",
     "LaplaceMcResult",
+    "LAPLACE_MIN_SAMPLES",
     "laplace_mc",
     "girsanov_weight",
     "ProbEstimate",
@@ -107,7 +108,7 @@ class BoundedFunctional:
     params: dict
 
 
-def _h_sup_norm_capped(m, params):
+def _h_sup_norm_capped(params):
     cap = params.setdefault("cap", 1.0)
     return dict(
         fn=lambda states, x0: np.minimum(
@@ -116,7 +117,7 @@ def _h_sup_norm_capped(m, params):
     )
 
 
-def _h_terminal_rise_capped(m, params):
+def _h_terminal_rise_capped(params):
     cap = params.setdefault("cap", 1.0)
     return dict(
         fn=lambda states, x0: np.clip(states[:, -1, 0] - x0[0], 0.0, cap),
@@ -124,7 +125,7 @@ def _h_terminal_rise_capped(m, params):
     )
 
 
-def _h_terminal_shortfall(m, params):
+def _h_terminal_shortfall(params):
     cap = params.setdefault("cap", 1.0)
     target = params.setdefault("target", 1.0)
     return dict(
@@ -134,7 +135,7 @@ def _h_terminal_shortfall(m, params):
     )
 
 
-def _h_constant(m, params):
+def _h_constant(params):
     level = params.setdefault("level", 1.0)
     return dict(
         fn=lambda states, x0: np.full(states.shape[0], level),
@@ -154,17 +155,17 @@ def functional_names() -> list[str]:
     return sorted(_FUNCTIONALS)
 
 
-def get_functional(name: str, m: int = 1, **params) -> BoundedFunctional:
+def get_functional(name: str, **params) -> BoundedFunctional:
     if name not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {name!r}; "
                           f"choose from {functional_names()}")
     defaults = {}
-    _FUNCTIONALS[name](m, defaults)
+    _FUNCTIONALS[name](defaults)
     unread = sorted(set(params) - set(defaults))
     if unread:
         raise DomainError(f"functional {name!r} takes no parameter {unread}; "
                           f"it reads {sorted(defaults)}")
-    spec = _FUNCTIONALS[name](m, params)
+    spec = _FUNCTIONALS[name](params)
     return BoundedFunctional(name=name, params=params, **spec)
 
 
@@ -422,19 +423,25 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
 # n_samples.  A constant rather than a setting, so the chunk boundaries (and
 # with them every result bit) never depend on how a run is configured.
 _CHUNK = 2048
+LAPLACE_MIN_SAMPLES = 1000
 
 
-def _solved_chunks(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
-                   n_samples: int, seed: int, hurst: float, n_steps: int,
-                   dv: np.ndarray | None = None):
-    """Small-noise solutions in fixed chunks of paths, in path order.
+def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
+                 n_samples: int, seed: int, hurst: float, n_steps: int,
+                 log_y, dv: np.ndarray | None = None):
+    """Monte Carlo mean of a path score Y >= 0, in log space.
 
-    Yields ``(lo, hi, batch, states)``: the Volterra batch of paths
-    ``lo .. hi-1`` of ``seed`` and the SDE states driven by its fBm
-    increments times sqrt(eps), plus the control increments ``dv`` if given.
-    Only one chunk's arrays are alive at a time if the caller, like this
-    generator, drops its references to a chunk before asking for the next.
+    Solves the SDE on the Volterra paths of ``seed``, driven by their fBm
+    increments times sqrt(eps) plus the control increments ``dv`` if given,
+    one chunk of ``_CHUNK`` paths alive at a time; ``log_y(batch, states)``
+    gives each path's log Y, -inf where Y = 0.  Returns ``(log mean,
+    se(mean) / mean, number of nonzero Y)`` from the first two moments of
+    the nonzero Y in path order, so the error bar stays finite where the
+    squared mean would underflow.
     """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
@@ -443,8 +450,19 @@ def _solved_chunks(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
         inc *= math.sqrt(eps)
         if dv is not None:
             inc += dv
-        yield lo, hi, batch, solve_increments(x0, coeffs, inc)
-        del batch, inc
+        states = solve_increments(x0, coeffs, inc)
+        scores[lo:hi] = log_y(batch, states)
+        del batch, inc, states
+    if not np.all(scores < math.inf):                 # NaN fails it too
+        raise NumericError("path scores have a NaN or +inf log value")
+    nonzero = scores[scores > -math.inf]
+    if not nonzero.size:
+        return -math.inf, math.nan, 0
+    log_n = math.log(n_samples)
+    log_m1 = _logsumexp(nonzero) - log_n
+    log_m2 = _logsumexp(2.0 * nonzero) - log_n
+    rel_var = math.exp(log_m2 - 2.0 * log_m1) - 1.0
+    return log_m1, math.sqrt(max(rel_var, 0.0) / n_samples), nonzero.size
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -452,21 +470,6 @@ def _logsumexp(x: np.ndarray) -> float:
     if not np.isfinite(m):
         return m
     return m + math.log(float(np.sum(np.exp(x - m))))
-
-
-def _log_moments(log_y: np.ndarray, n_samples: int) -> tuple[float, float]:
-    """Log-space sample mean of Y = exp(log_y) and its relative standard error.
-
-    ``log_y`` holds the nonzero samples; the other ``n_samples - len(log_y)``
-    samples are zero.  Returns ``(log mean, se(mean) / mean)``, computed from
-    the first two moments without leaving log space, so the error bar stays
-    finite where the squared mean would underflow.
-    """
-    log_n = math.log(n_samples)
-    log_m1 = _logsumexp(log_y) - log_n
-    log_m2 = _logsumexp(2.0 * log_y) - log_n
-    rel_var = math.exp(log_m2 - 2.0 * log_m1) - 1.0
-    return log_m1, math.sqrt(max(rel_var, 0.0) / n_samples)
 
 
 @dataclass(frozen=True)
@@ -484,24 +487,19 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
                n_steps: int) -> LaplaceMcResult:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
 
-    Solves the small-noise SDE on fBm paths drawn in fixed chunks of
-    ``_CHUNK`` paths and accumulates the exponential average in log space,
+    The exponential average is taken in log space by :func:`_mc_log_mean`,
     so the output is always inside [inf h, sup h]; the standard error comes
     from the delta method.
     """
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    if n_samples < 1000:
-        raise DomainError("laplace_mc needs n_samples >= 1000")
+    if n_samples < LAPLACE_MIN_SAMPLES:
+        raise DomainError(
+            f"laplace_mc needs n_samples >= {LAPLACE_MIN_SAMPLES}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    hv = np.empty(n_samples)
-    for lo, hi, batch, states in _solved_chunks(coeffs, x0, eps, n_samples,
-                                                seed, hurst, n_steps):
-        hv[lo:hi] = h.fn(states, x0)
-        del batch, states                 # see _solved_chunks
-    if not np.all(np.isfinite(hv)):
-        raise NumericError("functional produced non-finite values")
-    log_mean, rel_se = _log_moments(-hv / eps, n_samples)
+    log_mean, rel_se, _ = _mc_log_mean(
+        coeffs, x0, eps, n_samples, seed, hurst, n_steps,
+        lambda batch, states: -h.fn(states, x0) / eps)
     return LaplaceMcResult(value=-eps * log_mean, std_err=eps * rel_se,
                            n_samples=n_samples)
 
@@ -556,10 +554,9 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
 
     Samples fBm through the Volterra map, shifts the driver by the control
     (the measure tilt eps^(-1/2) v), solves the controlled SDE, and averages
-    indicator times Girsanov weight.  Paths are drawn, solved and weighted
-    in fixed chunks of ``_CHUNK``, so memory does not grow with
-    ``n_samples``.  Pass the zero control for crude Monte Carlo;
-    :func:`scaling_table` tilts by the rate minimizer.
+    indicator times Girsanov weight through :func:`_mc_log_mean`, so memory
+    does not grow with ``n_samples``.  Pass the zero control for crude
+    Monte Carlo; :func:`scaling_table` tilts by the rate minimizer.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
@@ -573,30 +570,29 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
             raise DomainError(f"tilt is for hurst {ctrl.hurst}, not {hurst}")
         dv = ctrl.path.increments()
     viol = event.violation_fn(coeffs, x0, n_steps)
-    hits = np.empty(n_samples, dtype=bool)
-    log_w = np.empty(n_samples)
-    for lo, hi, batch, states in _solved_chunks(coeffs, x0, eps, n_samples,
-                                                seed, hurst, n_steps, dv):
-        hits[lo:hi] = viol(states) <= 0.0
-        log_w[lo:hi] = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
-        del batch, states                 # see _solved_chunks
-    n_hits = int(hits.sum())
+
+    def log_y(batch, states):
+        log_w = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
+        return np.where(viol(states) <= 0.0, log_w, -math.inf)
+
+    log_p, rel_se, n_hits = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
+                                         hurst, n_steps, log_y, dv)
     if n_hits == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
                             note="no hits; consider a larger tilt or eps")
-    log_p, rel_se = _log_moments(log_w[hits], n_samples)
     p_hat = math.exp(log_p)
     return ProbEstimate(p_hat, p_hat * rel_se, n_hits, n_samples)
 
 
 def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
-                  eps_list, n_samples: int, seed: int, *, hurst: float,
-                  n_steps: int, cfg: RateConfig) -> list[dict]:
+                  eps_list, n_samples: int, seed: int, *, n_steps: int,
+                  cfg: RateConfig) -> list[dict]:
     """Small-noise scaling study: rows (eps, p_hat, -eps log p_hat, I, gap).
 
     The rate value I is computed once, by :func:`rate_minimize` under
     ``cfg``; its block control, spread onto the ``n_steps`` sampling grid,
-    tilts every eps row, each with an independently derived seed.
+    tilts every eps row, each sampled at ``cfg.hurst`` with an independently
+    derived seed.
     ``eps_list`` must decrease so the gap column can be read as a
     convergence record.
     """
@@ -608,13 +604,13 @@ def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")
-    tilt = control_from_cells(hurst, expand_blocks(
+    tilt = control_from_cells(cfg.hurst, expand_blocks(
         rate.block_values, cfg.n_ctrl, n_steps, coeffs.d))
     rows = []
     for i, eps in enumerate(eps_list):
         est = is_probability(coeffs, x0, event, eps, n_samples,
                              rng.mix64(seed, i), ctrl=tilt,
-                             hurst=hurst, n_steps=n_steps)
+                             hurst=cfg.hurst, n_steps=n_steps)
         neg = -eps * math.log(est.p_hat) if est.p_hat > 0 else math.inf
         rows.append({
             "eps": eps,

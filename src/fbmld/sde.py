@@ -88,9 +88,8 @@ def _entry_zero(m, d, params):
 def _entry_constant(m, d, params):
     scale = params.setdefault("scale", 1.0)
     b0 = params.setdefault("drift_const", 0.0)
-    bvec = b0 * np.ones((1, m))
     return dict(
-        drift=lambda t, x: np.broadcast_to(bvec, x.shape),
+        drift=lambda t, x: np.full_like(x, b0),
         diffusion=lambda t, x: scale,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
     )

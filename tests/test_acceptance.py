@@ -242,8 +242,7 @@ def scaling_rows():
     t0 = time.time()
     event = ldp.EventSpec("terminal_exceedance", a=1.0)
     rows = ldp.scaling_table(ADDITIVE, [0.0], event, [0.25, 0.1, 0.04],
-                             10_000, seed=40, hurst=HURST_ADD, n_steps=1024,
-                             cfg=RATE_CFG)
+                             10_000, seed=40, n_steps=1024, cfg=RATE_CFG)
     return rows, time.time() - t0
 
 

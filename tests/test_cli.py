@@ -85,7 +85,7 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
                            coefficient="constant", **overrides)
     assert cli.run(str(path)) == cli.EXIT_SCHEMA
     assert key in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, fragment", [
@@ -104,13 +104,32 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
                                    "y": 1.0, "r": 0.1}}, "['a']"),
     ({"command": "rate", "event": {"kind": "sup_exceedance", "a": 0.5,
                                    "y": 1.0}}, "['y']"),
+    ({"command": "ldp-scaling", "n_samples": -5, "eps_list": [0.5],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}}, "n_samples"),
+    ({"command": "ldp-scaling", "n_samples": 0, "eps_list": [0.5],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}}, "n_samples"),
+    ({"command": "laplace-check", "eps_list": [2.0]}, "eps"),
+    ({"command": "laplace-check", "eps": 0.0}, "eps"),
+    ({"command": "laplace-check", "n_samples": 500}, "n_samples"),
+    ({"command": "rate", "coefficient_params": {"scael": 3.0},
+      "event": {"kind": "terminal_exceedance", "a": 1.0}}, "scael"),
+    ({"command": "laplace-check", "functional": {"name": "entropy"}},
+     "entropy"),
+    ({"command": "solve", "coefficient": "tanh", "m": 2, "d": 1,
+      "x0": [0.0, 0.0]}, "m == d"),
+    ({"command": "solve", "coefficient": "rotation", "m": 2, "d": 2,
+      "x0": [0.0]}, "x0"),
+    ({"command": "sample", "d": 5}, "d must lie in 1..4"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
-        "unread_a", "unread_y"])
+        "unread_a", "unread_y", "negative_samples", "zero_samples",
+        "laplace_eps_above_one", "laplace_eps_zero", "laplace_few_samples",
+        "misspelled_coefficient_key", "unknown_functional", "tanh_m_not_d",
+        "x0_wrong_length", "d_above_max"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
-    path, _ = write_config(tmp_path, hurst=0.6, n_steps=64, n_ctrl=8,
-                           n_samples=1000, **overrides)
+    defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}
+    path, _ = write_config(tmp_path, **{**defaults, **overrides})
     assert cli.run(str(path)) == cli.EXIT_SCHEMA
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

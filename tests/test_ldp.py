@@ -8,7 +8,7 @@ import pytest
 
 from fbmld import cmspace as cm
 from fbmld import fbm, ldp, rng, sde
-from fbmld.errors import DimensionError, DomainError
+from fbmld.errors import DimensionError, DomainError, NumericError
 
 HURST = 0.6
 ADDITIVE = sde.get_coefficients("constant")
@@ -382,6 +382,15 @@ def test_is_probability_rejects_nonpositive_eps(eps):
                            hurst=HURST, n_steps=64)
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_is_probability_rejects_fewer_than_one_sample(n_samples):
+    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    with pytest.raises(DomainError, match="n_samples"):
+        ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_samples, seed=1,
+                           ctrl=cm.zero_control(HURST, 64),
+                           hurst=HURST, n_steps=64)
+
+
 def test_is_probability_grid_mismatch():
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     with pytest.raises(DimensionError):
@@ -400,7 +409,7 @@ def test_is_probability_unpacks_as_pair():
 
 def test_scaling_table_structure_and_determinism():
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
-    kwargs = dict(hurst=HURST, n_steps=128, cfg=SMALL_CFG)
+    kwargs = dict(n_steps=128, cfg=SMALL_CFG)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
                              **kwargs)
     rows2 = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
@@ -457,6 +466,19 @@ def test_is_probability_chunked_matches_one_batch():
     assert est.p_hat == pytest.approx(y.mean(), rel=1e-12)
     assert est.std_err == pytest.approx(y.std() / math.sqrt(N_CHUNKED),
                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mc_core_rejects_nan_and_plus_inf_scores(bad):
+    # -inf is a zero score; NaN or +inf in any chunk is a numeric failure
+    def log_y(batch, states):
+        out = np.zeros(len(states))
+        out[-1] = bad
+        return out
+
+    with pytest.raises(NumericError):
+        ldp._mc_log_mean(ADDITIVE, np.zeros(1), 0.25, ldp._CHUNK + 3, 1,
+                         HURST, 16, log_y)
 
 
 def test_is_probability_memory_scales_with_chunk():
