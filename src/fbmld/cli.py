@@ -119,9 +119,15 @@ class ExperimentConfig:
         if self.event:
             _event_from_config(self)
         if self.command in ("solve", "rate", "ldp-scaling", "laplace-check"):
-            _coeffs_from_config(self)
+            coeffs = _coeffs_from_config(self)
             if np.shape(self.x0) != (self.m,):
                 raise SchemaError(f"x0 must hold m={self.m} entries")
+            if self.command == "solve":
+                try:
+                    sde._check_admissible(coeffs, self.hurst,
+                                          *_solve_exponents(self, coeffs))
+                except DomainError as exc:
+                    raise SchemaError(f"bad alpha/delta: {exc}") from exc
         if self.command == "ldp-scaling" and self.n_samples < 1:
             raise SchemaError("ldp-scaling needs n_samples >= 1")
         if self.command == "laplace-check":
@@ -220,6 +226,16 @@ def _functional_from_config(cfg: ExperimentConfig) -> ldp.BoundedFunctional:
         raise SchemaError(f"bad functional: {exc}") from exc
 
 
+def _solve_exponents(cfg: ExperimentConfig,
+                     coeffs: sde.CoefficientSet) -> tuple[float, float]:
+    """(alpha, delta) of the solve norm report; unset ones take the midpoints
+    of their admissible intervals."""
+    lo, hi = coeffs.admissible_alpha(cfg.hurst)
+    alpha = cfg.alpha if cfg.alpha is not None else 0.5 * (lo + hi)
+    delta = cfg.delta if cfg.delta is not None else 0.5 * (alpha - (1.0 - cfg.hurst))
+    return alpha, delta
+
+
 def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
     """Control-search config on a grid of at most 512 steps.
 
@@ -250,9 +266,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
     batch = fbm.sample_volterra(cfg.n_steps, cfg.hurst, cfg.d, 1, cfg.seed)
     driver = batch.path(0)
     sol = sde.solve_young(cfg.x0, coeffs, driver)
-    lo, hi = coeffs.admissible_alpha(cfg.hurst)
-    alpha = cfg.alpha if cfg.alpha is not None else 0.5 * (lo + hi)
-    delta = cfg.delta if cfg.delta is not None else 0.5 * (alpha - (1.0 - cfg.hurst))
+    alpha, delta = _solve_exponents(cfg, coeffs)
     report = sde.norm_report(sol, alpha, delta, coeffs, hurst=cfg.hurst,
                              driver=driver)
     t = driver.times

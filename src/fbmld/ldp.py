@@ -23,7 +23,7 @@ from . import blas, fbm, rng
 from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import CoefficientSet, solve_increments
+from .sde import CoefficientSet, _raise_on_overflow, solve_increments
 
 __all__ = [
     "EventSpec",
@@ -237,9 +237,14 @@ class _SkeletonObjective:
 
     Evaluates ``0.5 ||vdot||^2 + weight * g(theta)`` where g is either the
     squared positive violation (penalty mode) or a bounded functional, with
-    the skeleton solves for a whole finite-difference stencil batched into
-    one Euler sweep.  :meth:`map_batch` is the one place that solves
-    skeletons, and ``n_solves`` counts its rows.
+    the skeletons for a whole finite-difference stencil evaluated in one
+    batch.  :meth:`map_batch` is the one place that evaluates skeletons.
+    For an affine family (``coeffs.affine``) the skeleton states are
+    affine in theta, ``X_free + theta @ G``; the objective builds
+    ``(X_free, G)`` once, from one Euler solve of the zero control and the
+    k = n_ctrl * d unit columns, and every batch is then one GEMM.  Other
+    families run the Euler loop per batch.  ``n_solves`` counts the rows
+    passed to ``solve_increments``, ``n_evals`` the skeletons evaluated.
     """
 
     def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig):
@@ -249,16 +254,44 @@ class _SkeletonObjective:
         self.inc_map = _block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
         self.n_params = cfg.n_ctrl * coeffs.d
         self.n_solves = 0
+        self.n_evals = 0
+        self.affine_map = self._affine_map() if coeffs.affine else None
+
+    def _drivers(self, thetas: np.ndarray) -> np.ndarray:
+        """Skeleton driver increments (B, n_steps, d) of block coefficients."""
+        blocks = thetas.reshape(len(thetas), self.cfg.n_ctrl, self.coeffs.d)
+        return fbm._synthesise(self.inc_map, blocks)
+
+    def _solve(self, inc: np.ndarray) -> np.ndarray:
+        self.n_solves += len(inc)
+        return solve_increments(self.x0, self.coeffs, inc)
+
+    def _affine_map(self):
+        """``(X_free, G)``, flat: X_free (N,), G (k, N), N = (n_steps+1) m.
+
+        Row 0 of the one solve is the zero control, the free flow X_free;
+        row 1 + j is unit column j, so G[j] is its states minus X_free.
+        """
+        k = self.n_params
+        inc = self._drivers(np.eye(k))
+        zero = np.zeros((1,) + inc.shape[1:])
+        states = self._solve(np.concatenate([zero, inc])).reshape(k + 1, -1)
+        return states[0], states[1:] - states[0]
 
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
 
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
-        """fn over the solved skeleton states for each row of thetas."""
-        blocks = thetas.reshape(len(thetas), self.cfg.n_ctrl, self.coeffs.d)
-        inc = fbm._synthesise(self.inc_map, blocks)
-        states = solve_increments(self.x0, self.coeffs, inc)
-        self.n_solves += thetas.shape[0]
+        """fn over the skeleton states for each row of thetas."""
+        self.n_evals += len(thetas)
+        if self.affine_map is None:
+            return fn(self._solve(self._drivers(thetas)))
+        x_free, g = self.affine_map
+        with blas.one_thread():
+            flat = thetas @ g
+        flat += x_free
+        states = flat.reshape(len(thetas), self.cfg.n_steps + 1, self.coeffs.m)
+        _raise_on_overflow(states)
         return fn(states)
 
     def value_and_grad(self, theta: np.ndarray, g, weight: float):
@@ -332,13 +365,16 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     polish rescales the control onto the constraint when that costs little.
     Returns the best feasible candidate, or an infeasibility report with
     value = inf when no start meets the tolerance.  ``n_solves`` in the
-    diagnostics counts every skeleton row solved, the zero-noise flow of a
-    ``sup_exceedance`` event included.
+    diagnostics counts every row passed to ``solve_increments``, the
+    zero-noise flow of a ``sup_exceedance`` event included; ``n_evals``
+    counts every skeleton the search evaluated.  The two agree, flow
+    aside, except for affine families, whose ``n_solves`` is the
+    n_ctrl * d + 1 rows of the one affine-map build.
     """
     obj = _SkeletonObjective(coeffs, x0, cfg)
     viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps)
     # violation_fn solved one skeleton row: a sup_exceedance event's flow
-    obj.n_solves = int(event.kind == "sup_exceedance")
+    obj.n_solves += int(event.kind == "sup_exceedance")
 
     per_start, thetas = [], []
     runs = _descend(obj, lambda states: np.maximum(viol(states), 0.0) ** 2,
@@ -358,6 +394,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
         "penalty_schedule": list(_PENALTY_WEIGHTS),
         "starts": per_start,
         "n_solves": obj.n_solves,
+        "n_evals": obj.n_evals,
         "restarts": len(per_start),
         "iterations": sum(s["iterations"] for s in per_start),
     }
@@ -601,6 +638,8 @@ def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
         raise DomainError("eps_list must be strictly decreasing")
     if eps_list and eps_list[-1] <= 0.0:
         raise DomainError(f"every eps must be > 0, got {eps_list[-1]}")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")

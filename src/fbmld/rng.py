@@ -30,9 +30,19 @@ def normal_block(seed: int, first_index: int, n_streams: int, shape) -> np.ndarr
     """Standard normals for streams ``first_index .. first_index+n_streams-1``.
 
     Returns an array of shape ``(n_streams, *shape)``.  Stream ``i`` always
-    produces the same block regardless of batching.
+    produces the same block regardless of batching: row ``i`` is
+    ``stream(seed, first_index + i).standard_normal(shape)``.  One Philox
+    and one Generator serve every row; each row rekeys the Philox to
+    ``mix64(seed, first_index + i)`` and restarts it from a zero counter
+    with an empty output buffer, which is the state ``stream`` starts in.
     """
     out = np.empty((n_streams,) + tuple(shape))
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state            # zero counter, empty buffer, no spare uint32
+    key = fresh["state"]["key"]   # (low, high) 64-bit words; high stays 0
     for i in range(n_streams):
-        out[i] = stream(seed, first_index + i).standard_normal(shape)
+        key[0] = mix64(seed, first_index + i)
+        bits.state = fresh
+        out[i] = gen.standard_normal(shape)
     return out

@@ -55,7 +55,11 @@ class CoefficientSet:
     ``lipschitz_drift`` (L), ``lipschitz_sigma`` (M), ``time_holder``
     (lambda), ``grad_holder`` (gamma).  Registry entries satisfy those
     assumptions analytically; a finite-difference spot check lives in the
-    test suite.
+    test suite.  ``affine`` marks families whose drift is affine in x and
+    whose diffusion does not depend on x: their Euler states are affine in
+    the driver increments, which lets the control searches evaluate
+    skeletons by one cached linear map (``ldp._SkeletonObjective``).
+    Registry families do not depend on t.
     """
 
     name: str
@@ -67,6 +71,7 @@ class CoefficientSet:
     lipschitz_sigma: float
     time_holder: float
     grad_holder: float
+    affine: bool = False
     params: dict = field(default_factory=dict)
 
     def admissible_alpha(self, hurst: float) -> tuple[float, float]:
@@ -82,6 +87,7 @@ def _entry_zero(m, d, params):
         drift=lambda t, x: np.zeros_like(x),
         diffusion=lambda t, x: 0.0,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
+        affine=True,
     )
 
 
@@ -92,6 +98,7 @@ def _entry_constant(m, d, params):
         drift=lambda t, x: np.full_like(x, b0),
         diffusion=lambda t, x: scale,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
+        affine=True,
     )
 
 
@@ -102,7 +109,7 @@ def _entry_linear_drift(m, d, params):
         drift=lambda t, x: -rate * x,
         diffusion=lambda t, x: scale,
         lipschitz_drift=abs(rate), lipschitz_sigma=0.0,
-        time_holder=1.0, grad_holder=1.0,
+        time_holder=1.0, grad_holder=1.0, affine=True,
     )
 
 
@@ -140,7 +147,7 @@ def _entry_rotation(m, d, params):
         drift=lambda t, x: x @ gen.T,
         diffusion=lambda t, x: scale,
         lipschitz_drift=abs(omega), lipschitz_sigma=0.0,
-        time_holder=1.0, grad_holder=1.0,
+        time_holder=1.0, grad_holder=1.0, affine=True,
     )
 
 
@@ -190,12 +197,33 @@ class SolvedPath:
 _OVERFLOW_GUARD = 1e12
 
 
+def _raise_on_overflow(states: np.ndarray) -> None:
+    """Raise NumericError if a state of steps 1..n leaves the overflow guard.
+
+    ``states`` is (P, n+1, m); the message names the first offending step,
+    as the Euler loop's own check does.  NaN counts as an overflow.
+    """
+    # axis 0 first: one reduction over (0, 2) walks the array far slower;
+    # the initial values let a batch of no paths pass
+    hi = states[:, 1:].max(axis=0, initial=-np.inf).max(axis=1)
+    lo = states[:, 1:].min(axis=0, initial=np.inf).min(axis=1)
+    bad = ~((hi <= _OVERFLOW_GUARD) & (lo >= -_OVERFLOW_GUARD))
+    if bad.any():
+        raise NumericError(f"state overflow beyond {_OVERFLOW_GUARD:g} "
+                           f"at step {int(np.argmax(bad)) + 1}")
+
+
 def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
                      increments: np.ndarray) -> np.ndarray:
     """Batched Euler core: increments (P, n, d) -> states (P, n+1, m).
 
     Pure function; the batch axis vectorises Monte Carlo samples and
-    finite-difference stencils alike.
+    finite-difference stencils alike.  When neither coefficient depends on
+    the state (Lipschitz constants 0: ``zero`` and ``constant``; registry
+    coefficients never depend on t) every Euler step b dt + s dg is known
+    up front, and the states are their running sum from x0, one
+    ``np.cumsum`` in the loop's order of additions, so bitwise the loop's
+    states.
     """
     n_paths, n, d = increments.shape
     if d != coeffs.d:
@@ -206,6 +234,18 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     dt = 1.0 / n
     r = min(coeffs.m, d)
     out = np.empty((n_paths, n + 1, coeffs.m))
+    if coeffs.lipschitz_drift == 0.0 and coeffs.lipschitz_sigma == 0.0:
+        x = x0[None]
+        b_dt = coeffs.drift(0.0, x) * dt
+        out[:, 0] = x0
+        # s dg + b dt in place: no (P, n, m) temporary
+        np.multiply(coeffs.diffusion(0.0, x), increments[:, :, :r],
+                    out=out[:, 1:, :r])
+        out[:, 1:, :r] += b_dt[:, :r]
+        out[:, 1:, r:] = b_dt[:, r:]
+        np.cumsum(out, axis=1, out=out)
+        _raise_on_overflow(out)
+        return out
     x = np.broadcast_to(x0, (n_paths, coeffs.m)).copy()
     out[:, 0] = x
     for k in range(n):

@@ -120,12 +120,15 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"command": "solve", "coefficient": "rotation", "m": 2, "d": 2,
       "x0": [0.0]}, "x0"),
     ({"command": "sample", "d": 5}, "d must lie in 1..4"),
+    ({"command": "solve", "coefficient": "tanh", "alpha": 0.9}, "alpha=0.9"),
+    ({"command": "solve", "coefficient": "tanh", "delta": -1.0}, "delta=-1.0"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
         "laplace_eps_above_one", "laplace_eps_zero", "laplace_few_samples",
         "misspelled_coefficient_key", "unknown_functional", "tanh_m_not_d",
-        "x0_wrong_length", "d_above_max"])
+        "x0_wrong_length", "d_above_max", "solve_alpha_outside",
+        "solve_delta_outside"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}

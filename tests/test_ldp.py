@@ -117,13 +117,14 @@ def test_rate_config_fields_and_n_ctrl_range():
 @pytest.mark.parametrize("n_ctrl, n_steps, d", [(8, 64, 1), (4, 32, 3)])
 def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
                                                    n_steps, d):
-    # the increments map_batch builds for unit theta column (b, i) are the
-    # dv of the unit control on block b, component i; an n_ctrl-column
-    # kernel product rounds differently from a one-column one
+    # the increments map_batch hands the Euler route for unit theta column
+    # (b, i) are the dv of the unit control on block b, component i; an
+    # n_ctrl-column kernel product rounds differently from a one-column one.
+    # linear_sigma is not affine, so map_batch solves every batch it sees.
     cfg = ldp.RateConfig(hurst=0.7, n_steps=n_steps, n_ctrl=n_ctrl)
     assert ldp._block_increment_map(n_ctrl, n_steps, 0.7).shape == \
         (n_steps, n_ctrl)
-    coeffs = sde.get_coefficients("constant", m=d, d=d)
+    coeffs = sde.get_coefficients("linear_sigma", m=d, d=d)
     obj = ldp._SkeletonObjective(coeffs, np.zeros(d), cfg)
     monkeypatch.setattr(ldp, "solve_increments", lambda x0, co, inc: inc)
     k = n_ctrl * d
@@ -133,6 +134,64 @@ def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
         want = unit.path.increments()
         np.testing.assert_allclose(got[col], want, rtol=0, atol=1e-15,
                                    err_msg=str(col))
+
+
+AFFINE_CASES = [
+    ("zero", 1, 1, {}, [0.4]),
+    ("constant", 1, 1, {"scale": 1.3, "drift_const": 0.4}, [0.7]),
+    ("linear_drift", 2, 3, {"rate": 2.0, "scale": 0.7}, [0.3, -0.5]),
+    ("rotation", 2, 2, {"omega": 1.5, "scale": 0.8}, [0.6, -0.2]),
+]
+
+
+@pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
+                         ids=[case[0] for case in AFFINE_CASES])
+def test_affine_map_batch_matches_euler(name, m, d, params, x0):
+    # X_free + theta @ G against the Euler solve of the same drivers
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    obj = ldp._SkeletonObjective(co, x0, cfg)
+    assert obj.affine_map is not None
+    thetas = rng.stream(5, 0).standard_normal((9, obj.n_params))
+    got = obj.map_batch(thetas, lambda states: states)
+    want = sde.solve_increments(x0, co, obj._drivers(thetas))
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+    assert (obj.n_solves, obj.n_evals) == (obj.n_params + 1, 9)
+
+
+def test_affine_map_batch_overflow_names_the_euler_step():
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("rotation", m=2, d=2)   # Euler loop: not state-free
+    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg)
+    thetas = np.zeros((2, obj.n_params))
+    thetas[1, 2 * 3] = 1e16                  # block 3, first component
+    messages = []
+    for solve in (lambda: obj.map_batch(thetas, lambda states: states),
+                  lambda: sde.solve_increments(obj.x0, co,
+                                               obj._drivers(thetas))):
+        with pytest.raises(NumericError, match="step") as err:
+            solve()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("family", ["constant", "tanh"])
+def test_n_evals_counts_map_batch_rows(monkeypatch, family):
+    rows = []
+    map_batch = ldp._SkeletonObjective.map_batch
+    monkeypatch.setattr(
+        ldp._SkeletonObjective, "map_batch",
+        lambda self, th, fn: rows.append(len(th)) or map_batch(self, th, fn))
+    co = sde.get_coefficients(family)
+    cfg = ldp.RateConfig(hurst=HURST, n_steps=32, n_ctrl=4, seed=3)
+    res = ldp.rate_minimize(co, [0.0], ldp.EventSpec("terminal_exceedance",
+                                                     a=0.5), cfg)
+    assert res.feasible
+    assert sum(rows) == res.diagnostics["n_evals"]
+    # the affine route solves its map once; the Euler route every row
+    want = cfg.n_ctrl + 1 if co.affine else sum(rows)
+    assert res.diagnostics["n_solves"] == want
 
 
 def test_feasibility_polish_lands_on_the_constraint(monkeypatch):
@@ -407,7 +466,7 @@ def test_is_probability_unpacks_as_pair():
     assert p == 1.0 and se == 0.0
 
 
-def test_scaling_table_structure_and_determinism():
+def test_scaling_table_structure_and_determinism(monkeypatch):
     ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     kwargs = dict(n_steps=128, cfg=SMALL_CFG)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
@@ -423,6 +482,11 @@ def test_scaling_table_structure_and_determinism():
                           **kwargs)
     with pytest.raises(DomainError, match="eps"):
         ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, -0.1], 1000, 77,
+                          **kwargs)
+    # rejected before the rate search, which this call must not reach
+    monkeypatch.setattr(ldp, "rate_minimize", None)
+    with pytest.raises(DomainError, match="n_samples"):
+        ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 0, 77,
                           **kwargs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,13 @@ def test_registry_lipschitz_metadata_spot_check(name, kwargs):
         gap = np.linalg.norm(x - y)
         assert bgap <= 1.01 * co.lipschitz_drift * gap + 1e-12
         assert sgap <= 1.01 * co.lipschitz_sigma * gap + 1e-12
+
+
+def test_affine_flag_marks_affine_drift_and_state_free_sigma():
+    flags = {name: sde.get_coefficients(name, m=2, d=2).affine
+             for name in sde.registry_names()}
+    assert flags == {"zero": True, "constant": True, "linear_drift": True,
+                     "rotation": True, "tanh": False, "linear_sigma": False}
 
 
 def test_admissible_alpha_interval():
@@ -166,6 +174,20 @@ def test_diagonal_diffusion_matches_matrix_euler(name, m, d, params):
     inc = 0.3 * rng.stream(29, 0).standard_normal((5, 64, d))
     states = sde.solve_increments(x0, co, inc)
     np.testing.assert_array_equal(states, _matrix_euler(x0, co, inc))
+
+
+def test_state_free_cumsum_overflow_names_the_loop_step():
+    co = sde.get_coefficients("constant", scale=1.0, drift_const=0.5)
+    # a nonzero Lipschitz constant sends the same coefficients to the loop
+    loop = dataclasses.replace(co, lipschitz_drift=1.0)
+    inc = np.zeros((3, 64, 1))
+    inc[1, 20, 0] = 3e12                      # the state leaves at step 21
+    messages = []
+    for coeffs in (co, loop):
+        with pytest.raises(NumericError, match="step 21") as err:
+            sde.solve_increments([0.0], coeffs, inc)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
