@@ -62,19 +62,30 @@ def _bundled_openblas() -> list[tuple]:
     return pairs
 
 
+# one_thread() blocks open now: module state, as the thread counts it guards
+# are process-wide; only the outermost block pins and restores them
+_depth = 0
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the enclosed BLAS calls of numpy and scipy on one thread.
 
     The previous thread counts are restored on exit.  The setting is
-    process-wide while it lasts.
+    process-wide while it lasts.  Entries nest: only the outermost one
+    probes the libraries, pins them and restores them, so a nested entry
+    costs nothing (and a library first loaded inside the outermost block
+    is not pinned until the next outermost entry).
     """
-    pairs = _bundled_openblas()
+    global _depth
+    pairs = [] if _depth else _bundled_openblas()
     before = [get() for get, _ in pairs]
     for _, put in pairs:
         put(1)
+    _depth += 1
     try:
         yield
     finally:
+        _depth -= 1
         for (_, put), count in zip(pairs, before):
             put(count)

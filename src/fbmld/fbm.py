@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -252,10 +253,28 @@ class CovMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def build_cov_matrix(n_steps: int, hurst: float) -> CovMatrix:
+def _cov_entries(n_steps: int, hurst: float) -> np.ndarray:
+    """Writable R_H(t_k, t_j) on t_1..t_n, two n x n arrays at the peak.
+
+    :func:`covariance`'s expression with its operations in the same order,
+    each in place, so the entries are bitwise its values.
+    """
+    _check_hurst(hurst)
     t = np.arange(1, n_steps + 1) / n_steps
-    ent = covariance(t[:, None], t[None, :], hurst)
-    return CovMatrix(hurst=hurst, entries=ent)
+    s, t = t[:, None], t[None, :]
+    h2 = 2.0 * hurst
+    out = s ** h2 + t ** h2
+    gap = t - s
+    np.abs(gap, out=gap)
+    gap **= h2
+    out -= gap
+    del gap
+    out *= 0.5
+    return out
+
+
+def build_cov_matrix(n_steps: int, hurst: float) -> CovMatrix:
+    return CovMatrix(hurst=hurst, entries=_cov_entries(n_steps, hurst))
 
 
 @dataclass(frozen=True)
@@ -268,19 +287,26 @@ class FbmBatch:
     normals scaled by sqrt(1/n)) that drive the kernel synthesis, and the
     Girsanov machinery consumes them; for the Cholesky sampler they hold the
     i.i.d. normal draws (same scaling) as a seed-reproducibility surrogate.
+    ``synthesis`` makes ``values`` on its first read (the Volterra sampler's
+    kernel product, so a caller that reads only ``bm_increments`` never
+    pays for it); ``n_paths`` reads ``bm_increments``.
     """
 
     hurst: float
     n_steps: int
     dim: int
-    values: np.ndarray
     bm_increments: np.ndarray
     seed: int
     sampler: str
+    synthesis: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.synthesis()
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.bm_increments.shape[0]
 
     def path(self, i: int) -> GridFn:
         return GridFn(self.n_steps, self.values[i])
@@ -315,11 +341,14 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
         )
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    cov = build_cov_matrix(n_steps, hurst).entries
+    cov = _cov_entries(n_steps, hurst)
+    diagonal = np.einsum("ii->i", cov)            # a writable view
+    base = diagonal.copy()
     jitter = _JITTER_INIT
     while True:
+        np.add(base, jitter, out=diagonal)
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(n_steps))
+            chol = np.linalg.cholesky(cov)
             break
         except np.linalg.LinAlgError:
             jitter *= _JITTER_FACTOR
@@ -327,12 +356,13 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
                 raise NumericError(
                     f"covariance factorisation failed up to jitter {_JITTER_MAX}"
                 ) from None
+    del cov, diagonal
     xi = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
     # a zero first row gives every path its exact zero start
     values = _synthesise(np.vstack([np.zeros((1, n_steps)), chol]), xi)
     xi /= math.sqrt(n_steps)
-    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
-                    bm_increments=xi, seed=seed, sampler="cholesky")
+    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, bm_increments=xi,
+                    seed=seed, sampler="cholesky", synthesis=lambda: values)
 
 
 def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
@@ -355,9 +385,9 @@ def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
     table = kernel_table(n_steps, hurst)
     increments = rng.normal_block(seed, first_index, n_paths, (n_steps, dim))
     increments /= math.sqrt(n_steps)
-    values = _synthesise(table, increments)
-    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
-                    bm_increments=increments, seed=seed, sampler="volterra")
+    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim,
+                    bm_increments=increments, seed=seed, sampler="volterra",
+                    synthesis=functools.partial(_synthesise, table, increments))
 
 
 # ---------------------------------------------------------------------------

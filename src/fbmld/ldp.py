@@ -23,7 +23,8 @@ from . import blas, fbm, rng
 from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import CoefficientSet, _raise_on_overflow, solve_increments
+from .sde import (_OVERFLOW_GUARD, CoefficientSet, _raise_on_overflow,
+                  solve_increments)
 
 __all__ = [
     "EventSpec",
@@ -75,12 +76,18 @@ class EventSpec:
         if self.kind == "terminal_target" and self.r <= 0.0:
             raise DomainError("terminal_target needs radius r > 0")
 
+    @property
+    def terminal(self) -> bool:
+        """True when the event reads the terminal state X_1 alone."""
+        return self.kind in ("terminal_exceedance", "terminal_target")
+
     def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int):
         """Batch map from solved states (B, n+1, m) to constraint violations.
 
         Violations are in the event's natural units; values <= 0 mean the
-        event holds.  ``sup_exceedance`` solves the zero-noise flow once,
-        here, on zero increments.
+        event holds.  A :attr:`terminal` event reads only ``states[:, -1]``,
+        so it also takes the terminal slice (B, 1, m).  ``sup_exceedance``
+        solves the zero-noise flow once, here, on zero increments.
         """
         if self.kind == "terminal_exceedance":
             return lambda states: self.a - states[:, -1, 0]
@@ -89,8 +96,15 @@ class EventSpec:
             return lambda states: np.linalg.norm(
                 states[:, -1, :] - y, axis=1) - self.r
         phi = solve_increments(x0, coeffs, np.zeros((1, n_steps, coeffs.d)))[0]
-        return lambda states: self.a - np.linalg.norm(
-            states - phi[None], axis=2).max(axis=1)
+
+        def sup_violation(states):
+            # np.linalg.norm(states - phi, axis=2).max(axis=1) bitwise, with
+            # one temporary: the square root commutes with the max
+            dev = states - phi
+            dev *= dev
+            return self.a - np.sqrt(dev.sum(axis=2).max(axis=1))
+
+        return sup_violation
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +113,27 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class BoundedFunctional:
-    """A bounded path functional h with recorded bounds."""
+    """A bounded path functional h with recorded bounds.
+
+    ``terminal`` marks functionals that read only ``states[:, -1]``; their
+    ``fn`` also takes the terminal slice (B, 1, m).
+    """
 
     name: str
     fn: callable                   # (states (B, n+1, m), x0) -> (B,)
     inf_h: float
     sup_h: float
+    terminal: bool
     params: dict
 
 
 def _h_sup_norm_capped(params):
     cap = params.setdefault("cap", 1.0)
     return dict(
+        # np.linalg.norm(states, axis=2).max(axis=1), square root last
         fn=lambda states, x0: np.minimum(
-            np.linalg.norm(states, axis=2).max(axis=1), cap),
-        inf_h=0.0, sup_h=cap,
+            np.sqrt(np.square(states).sum(axis=2).max(axis=1)), cap),
+        inf_h=0.0, sup_h=cap, terminal=False,
     )
 
 
@@ -121,7 +141,7 @@ def _h_terminal_rise_capped(params):
     cap = params.setdefault("cap", 1.0)
     return dict(
         fn=lambda states, x0: np.clip(states[:, -1, 0] - x0[0], 0.0, cap),
-        inf_h=0.0, sup_h=cap,
+        inf_h=0.0, sup_h=cap, terminal=True,
     )
 
 
@@ -131,7 +151,7 @@ def _h_terminal_shortfall(params):
     return dict(
         fn=lambda states, x0: np.clip(
             target - (states[:, -1, 0] - x0[0]), 0.0, cap),
-        inf_h=0.0, sup_h=cap,
+        inf_h=0.0, sup_h=cap, terminal=True,
     )
 
 
@@ -139,7 +159,7 @@ def _h_constant(params):
     level = params.setdefault("level", 1.0)
     return dict(
         fn=lambda states, x0: np.full(states.shape[0], level),
-        inf_h=level, sup_h=level,
+        inf_h=level, sup_h=level, terminal=True,
     )
 
 
@@ -232,6 +252,34 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     return out
 
 
+# The terminal routes never form the states the 1e12 overflow guard reads.
+# A batch in which some row's bound on |states| reaches half the guard takes
+# the full-state route instead, which raises exactly where it would have;
+# the factor two leaves room for the rounding between bound and states.
+_BOUND_LIMIT = 0.5 * _OVERFLOW_GUARD
+
+
+def _terminal_states(terminal_map, z: np.ndarray, scale: float = 1.0):
+    """Terminal states ``x_T + scale * z @ R_T`` as (B, 1, m), or None.
+
+    ``terminal_map`` is ``(x_T, max|X|, R_T, r_max)`` of an affine map
+    ``X + scale * sum_j z_j R_j``: the base states' terminal row and largest
+    entry, each input's terminal response (rows of R_T) and its largest
+    response over every step and component (r_max).  So every state of
+    every step is bounded by ``max|X| + scale * |z| @ r_max``, and None
+    means that bound reached ``_BOUND_LIMIT`` (or is NaN) for some row.
+    """
+    x_t, x_abs, r_t, r_abs = terminal_map
+    with blas.one_thread():
+        bound = x_abs + scale * (np.abs(z) @ r_abs)
+        if not np.all(bound < _BOUND_LIMIT):
+            return None
+        term = z @ r_t
+    term *= scale
+    term += x_t
+    return term[:, None, :]
+
+
 class _SkeletonObjective:
     """Batched objective evaluations over the block-control family.
 
@@ -242,12 +290,16 @@ class _SkeletonObjective:
     For an affine family (``coeffs.affine``) the skeleton states are
     affine in theta, ``X_free + theta @ G``; the objective builds
     ``(X_free, G)`` once, from one Euler solve of the zero control and the
-    k = n_ctrl * d unit columns, and every batch is then one GEMM.  Other
-    families run the Euler loop per batch.  ``n_solves`` counts the rows
-    passed to ``solve_increments``, ``n_evals`` the skeletons evaluated.
+    k = n_ctrl * d unit columns, and every batch is then one GEMM.  With
+    ``terminal`` (g reads only the terminal state) it keeps just G's
+    terminal columns (k x m) and the bound data of :func:`_terminal_states`.
+    Other families run the Euler loop per batch.  ``n_solves`` counts the
+    rows passed to ``solve_increments``, ``n_evals`` the skeletons
+    evaluated.
     """
 
-    def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig):
+    def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig,
+                 terminal: bool = False):
         self.coeffs = coeffs
         self.x0 = np.asarray(x0, dtype=float).reshape(-1)
         self.cfg = cfg
@@ -255,7 +307,16 @@ class _SkeletonObjective:
         self.n_params = cfg.n_ctrl * coeffs.d
         self.n_solves = 0
         self.n_evals = 0
-        self.affine_map = self._affine_map() if coeffs.affine else None
+        self.affine_map = self.terminal_map = None
+        if coeffs.affine and terminal:
+            x_free, g = self._affine_map()
+            g = g.reshape(self.n_params, cfg.n_steps + 1, coeffs.m)
+            # copies, so the (k + 1)-row solve is not kept alive
+            self.terminal_map = (x_free[-coeffs.m:].copy(),
+                                 np.abs(x_free).max(), g[:, -1].copy(),
+                                 np.abs(g).max(axis=(1, 2)))
+        elif coeffs.affine:
+            self.affine_map = self._affine_map()
 
     def _drivers(self, thetas: np.ndarray) -> np.ndarray:
         """Skeleton driver increments (B, n_steps, d) of block coefficients."""
@@ -282,8 +343,18 @@ class _SkeletonObjective:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
 
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
-        """fn over the skeleton states for each row of thetas."""
+        """fn over the skeleton states for each row of thetas.
+
+        On the terminal route this is ``fn(thetas @ G_T + x_T)``, the
+        states a (B, 1, m) terminal slice; a batch that could reach the
+        overflow guard is solved by the Euler loop instead, which raises
+        its own message.  Otherwise fn sees the full (B, n+1, m) states.
+        """
         self.n_evals += len(thetas)
+        if self.terminal_map is not None:
+            states = _terminal_states(self.terminal_map, thetas)
+            if states is not None:
+                return fn(states)
         if self.affine_map is None:
             return fn(self._solve(self._drivers(thetas)))
         x_free, g = self.affine_map
@@ -371,7 +442,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     aside, except for affine families, whose ``n_solves`` is the
     n_ctrl * d + 1 rows of the one affine-map build.
     """
-    obj = _SkeletonObjective(coeffs, x0, cfg)
+    obj = _SkeletonObjective(coeffs, x0, cfg, terminal=event.terminal)
     viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps)
     # violation_fn solved one skeleton row: a sup_exceedance event's flow
     obj.n_solves += int(event.kind == "sup_exceedance")
@@ -444,7 +515,7 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
     for the infimum over adapted controls; non-convergence is flagged via a
     warning and the best value so far is returned.
     """
-    obj = _SkeletonObjective(coeffs, x0, cfg)
+    obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
     runs = _descend(obj, lambda states: h.fn(states, obj.x0), (1.0,))
     if not any(res.success for res, _ in runs):
         warnings.warn("laplace_variational: optimizer did not converge; "
@@ -463,9 +534,61 @@ _CHUNK = 2048
 LAPLACE_MIN_SAMPLES = 1000
 
 
+def _terminal_response(coeffs: CoefficientSet, x0: np.ndarray,
+                       hurst: float, n_steps: int, dv: np.ndarray | None):
+    """The terminal map of the Monte Carlo states of an affine family.
+
+    The states driven by ``dv + sqrt(eps) * dB^H`` are ``X + sqrt(eps)
+    sum_c R_c dB_c`` over the Brownian cells c = (j, i) of
+    ``bm_increments.reshape(P, n d)``, with X the states driven by ``dv``
+    alone.  R_c is the Euler response to the fBm increments one unit
+    Brownian increment makes, the ``np.diff`` of kernel-table column j in
+    component i, solved in blocks of ``_CHUNK`` cells.  Returns the
+    :func:`_terminal_states` map ``(X_n, max|X|, R_n, max_k |R_c(k)|)``,
+    or None when one of these solves overflows, which sends every chunk
+    down the full-state route.
+    """
+    n, d = n_steps, coeffs.d
+    dk = np.diff(fbm.kernel_table(n, hurst), axis=0)
+    r_t, r_abs = [], []
+    try:
+        free = solve_increments(
+            x0, coeffs, np.zeros((1, n, d)) if dv is None else dv[None])[0]
+        for lo in range(0, n * d, _CHUNK):
+            cells = np.arange(lo, min(lo + _CHUNK, n * d))
+            inc = np.zeros((cells.size, n, d))
+            inc[np.arange(cells.size), :, cells % d] = dk[:, cells // d].T
+            if dv is not None:
+                inc += dv
+            resp = solve_increments(x0, coeffs, inc)
+            del inc
+            resp -= free
+            r_t.append(resp[:, -1].copy())
+            r_abs.append(np.abs(resp).max(axis=(1, 2)))
+            del resp
+    except NumericError:
+        return None
+    return free[-1], np.abs(free).max(), np.concatenate(r_t), \
+        np.concatenate(r_abs)
+
+
+def _full_states(batch, x0: np.ndarray, coeffs: CoefficientSet, eps: float,
+                 dv: np.ndarray | None) -> np.ndarray:
+    """Euler states (P, n+1, m) driven by sqrt(eps) dB^H + dv.
+
+    The fBm values are synthesised for the diff alone; the batch does not
+    keep them, so they are not alive while the states are scored.
+    """
+    inc = np.diff(batch.synthesis(), axis=1)
+    inc *= math.sqrt(eps)
+    if dv is not None:
+        inc += dv
+    return solve_increments(x0, coeffs, inc)
+
+
 def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
                  n_samples: int, seed: int, hurst: float, n_steps: int,
-                 log_y, dv: np.ndarray | None = None):
+                 log_y, dv: np.ndarray | None = None, terminal: bool = False):
     """Monte Carlo mean of a path score Y >= 0, in log space.
 
     Solves the SDE on the Volterra paths of ``seed``, driven by their fBm
@@ -475,21 +598,35 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     se(mean) / mean, number of nonzero Y)`` from the first two moments of
     the nonzero Y in path order, so the error bar stays finite where the
     squared mean would underflow.
+
+    With ``terminal`` (log_y reads only the terminal state) and an affine
+    family, the terminal states are linear in the Brownian increments:
+    each chunk is one product ``bm_increments.reshape(P, n d) @ R_n`` on
+    the map of :func:`_terminal_response`, built once per call, and
+    ``log_y`` gets the (P, 1, m) terminal slice.  The fBm values are then
+    never synthesised.  A chunk whose bound could reach the overflow
+    guard, and every chunk of other families and events, is solved in
+    full by the Euler loop.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    route = None
+    if terminal and coeffs.affine:
+        route = _terminal_response(coeffs, x0, hurst, n_steps, dv)
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
                                 first_index=lo)
-        inc = np.diff(batch.values, axis=1)
-        inc *= math.sqrt(eps)
-        if dv is not None:
-            inc += dv
-        states = solve_increments(x0, coeffs, inc)
+        states = None
+        if route is not None:
+            states = _terminal_states(
+                route, batch.bm_increments.reshape(hi - lo, -1),
+                math.sqrt(eps))
+        if states is None:
+            states = _full_states(batch, x0, coeffs, eps, dv)
         scores[lo:hi] = log_y(batch, states)
-        del batch, inc, states
+        del batch, states
     if not np.all(scores < math.inf):                 # NaN fails it too
         raise NumericError("path scores have a NaN or +inf log value")
     nonzero = scores[scores > -math.inf]
@@ -536,7 +673,7 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     log_mean, rel_se, _ = _mc_log_mean(
         coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-        lambda batch, states: -h.fn(states, x0) / eps)
+        lambda batch, states: -h.fn(states, x0) / eps, terminal=h.terminal)
     return LaplaceMcResult(value=-eps * log_mean, std_err=eps * rel_se,
                            n_samples=n_samples)
 
@@ -613,7 +750,8 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
         return np.where(viol(states) <= 0.0, log_w, -math.inf)
 
     log_p, rel_se, n_hits = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
-                                         hurst, n_steps, log_y, dv)
+                                         hurst, n_steps, log_y, dv,
+                                         event.terminal)
     if n_hits == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
                             note="no hits; consider a larger tilt or eps")

@@ -25,6 +25,35 @@ def test_one_thread_restores_after_an_error():
     assert _counts() == before
 
 
+def test_nested_one_thread_probes_once(monkeypatch):
+    probes = []
+    probe = blas._bundled_openblas
+    monkeypatch.setattr(blas, "_bundled_openblas",
+                        lambda: probes.append(1) or probe())
+    with blas.one_thread():
+        with blas.one_thread():
+            pass
+    assert len(probes) == 1
+    with blas.one_thread():
+        pass
+    assert len(probes) == 2
+
+
+def test_nested_one_thread_restores_at_the_outermost_exit():
+    if not blas._bundled_openblas():
+        pytest.skip("numpy and scipy link no bundled OpenBLAS")
+    before = _counts()
+    with pytest.raises(RuntimeError):
+        with blas.one_thread():
+            with blas.one_thread():
+                assert _counts() == [1] * len(before)
+            assert _counts() == [1] * len(before)
+            with blas.one_thread():
+                raise RuntimeError("inside")
+    assert _counts() == before
+    assert blas._depth == 0
+
+
 def test_synthesis_is_the_single_thread_product():
     # a threaded GEMM splits the work differently and can change the last
     # bits; the synthesis must give the one-thread bits on any core count

@@ -174,6 +174,50 @@ def test_cov_matrix_invariants():
     np.linalg.cholesky(ent + 1e-12 * np.eye(32))
 
 
+def test_cov_entries_match_covariance_bitwise():
+    # the in-place build runs covariance()'s operations in the same order;
+    # exponents 0.5 and 1 are the ones numpy's power special-cases
+    for n, hurst in [(64, 0.25), (50, 0.5), (96, 0.75), (33, 0.9)]:
+        t = np.arange(1, n + 1) / n
+        want = fbm.covariance(t[:, None], t[None, :], hurst)
+        assert np.array_equal(fbm.build_cov_matrix(n, hurst).entries, want)
+
+
+def test_cholesky_build_memory():
+    # the covariance is built and jittered in place, so at the peak it and
+    # the factor are the only n x n arrays (three before: 3.0 n^2 doubles)
+    n = 1024
+    fbm.sample_cholesky(16, 0.75, 1, 1, seed=0)     # keep first-call costs out
+    tracemalloc.start()
+    try:
+        fbm.sample_cholesky(n, 0.75, 1, 4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+def test_cholesky_jitter_retries_from_the_original_diagonal(monkeypatch):
+    n = 16
+    base = np.diag(fbm.build_cov_matrix(n, 0.75).entries).copy()
+    seen = []
+    factor = np.linalg.cholesky
+
+    def failing_twice(a):
+        seen.append(np.diag(a).copy())
+        if len(seen) < 3:
+            raise np.linalg.LinAlgError("not positive definite")
+        return factor(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_twice)
+    fbm.sample_cholesky(n, 0.75, 1, 2, seed=0)
+    jitter = fbm._JITTER_INIT
+    assert len(seen) == 3
+    for diag in seen:
+        assert np.array_equal(diag, base + jitter)
+        jitter *= fbm._JITTER_FACTOR
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -232,6 +276,19 @@ def test_samplers_match_explicit_product(dim):
             np.testing.assert_allclose(chol_batch.values[p, 1:, i],
                                        chol @ xi[p, :, i],
                                        rtol=0.0, atol=1e-12)
+
+
+def test_volterra_values_synthesised_on_first_read(monkeypatch):
+    calls = []
+    synthesise = fbm._synthesise
+    monkeypatch.setattr(fbm, "_synthesise",
+                        lambda t, z: calls.append(1) or synthesise(t, z))
+    batch = fbm.sample_volterra(32, 0.7, 2, 5, seed=4)
+    assert batch.n_paths == 5 and not calls
+    values = batch.values
+    assert len(calls) == 1 and batch.values is values
+    assert np.array_equal(values, synthesise(fbm.kernel_table(32, 0.7),
+                                             batch.bm_increments))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

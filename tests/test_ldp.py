@@ -176,6 +176,71 @@ def test_affine_map_batch_overflow_names_the_euler_step():
     assert messages[0] == messages[1]
 
 
+def test_event_and_functional_terminal_flags():
+    assert ldp.EventSpec("terminal_exceedance", a=1.0).terminal
+    assert ldp.EventSpec("terminal_target", y=1.0, r=0.1).terminal
+    assert not ldp.EventSpec("sup_exceedance", a=1.0).terminal
+    flags = {name: ldp.get_functional(name).terminal
+             for name in ldp.functional_names()}
+    assert flags == {"constant": True, "sup_norm_capped": False,
+                     "terminal_rise_capped": True, "terminal_shortfall": True}
+
+
+@pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
+                         ids=[case[0] for case in AFFINE_CASES])
+def test_terminal_map_batch_matches_full_states(name, m, d, params, x0):
+    # thetas @ G_T + x_T against the Euler solve of the same drivers, for
+    # the raw terminal slice, a terminal event and a terminal functional
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    obj = ldp._SkeletonObjective(co, x0, cfg, terminal=True)
+    assert obj.affine_map is None and obj.terminal_map is not None
+    thetas = rng.stream(5, 0).standard_normal((9, obj.n_params))
+    full = sde.solve_increments(x0, co, obj._drivers(thetas))
+    atol = 1e-12 * np.abs(full).max()
+    got = obj.map_batch(thetas, lambda states: states)
+    assert got.shape == (9, 1, m)
+    np.testing.assert_allclose(got, full[:, -1:], rtol=0, atol=atol)
+    ev = ldp.EventSpec("terminal_target", y=np.ones(m), r=0.5)
+    viol = ev.violation_fn(co, obj.x0, cfg.n_steps)
+    h = ldp.get_functional("terminal_rise_capped", cap=5.0)
+    for fn in (viol, lambda states: h.fn(states, obj.x0)):
+        np.testing.assert_allclose(obj.map_batch(thetas, fn), fn(full),
+                                   rtol=0, atol=atol)
+    assert (obj.n_solves, obj.n_evals) == (obj.n_params + 1, 27)
+
+
+def test_terminal_map_batch_overflow_names_the_euler_step():
+    # the 1e16 theta of the full-state test, with a terminal fn: the bound
+    # sends the batch to the Euler loop, which raises its own message
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("rotation", m=2, d=2)
+    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
+    thetas = np.zeros((2, obj.n_params))
+    thetas[1, 2 * 3] = 1e16
+    with pytest.raises(NumericError, match="step") as err:
+        obj.map_batch(thetas, lambda states: states[:, -1, 0])
+    with pytest.raises(NumericError) as want:
+        sde.solve_increments(obj.x0, co, obj._drivers(thetas))
+    assert str(err.value) == str(want.value)
+
+
+def test_terminal_map_batch_over_the_bound_takes_the_euler_route():
+    # a bound between the limit and the guard: the Euler loop solves the
+    # batch (counted in n_solves) and nothing overflows
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("rotation", m=2, d=2)
+    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
+    g_abs = obj.terminal_map[3]
+    thetas = np.zeros((2, obj.n_params))
+    thetas[1, 6] = 0.75 * sde._OVERFLOW_GUARD / g_abs[6]
+    solves = obj.n_solves
+    got = obj.map_batch(thetas, lambda states: states[:, -1])
+    assert obj.n_solves == solves + 2
+    want = sde.solve_increments(obj.x0, co, obj._drivers(thetas))[:, -1]
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("family", ["constant", "tanh"])
 def test_n_evals_counts_map_batch_rows(monkeypatch, family):
     rows = []
@@ -545,22 +610,137 @@ def test_mc_core_rejects_nan_and_plus_inf_scores(bad):
                          HURST, 16, log_y)
 
 
+def _cells(n, d, seed=2):
+    return 0.6 * rng.stream(seed, 1).standard_normal((n, d))
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["crude", "tilted"])
+@pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
+                         ids=[case[0] for case in AFFINE_CASES])
+def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
+                                              tilted):
+    n, eps = 32, 0.25
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    dv = cm.control_from_cells(HURST, _cells(n, d)).path.increments() \
+        if tilted else None
+    seen = {True: [], False: []}
+    for terminal, states in seen.items():
+        ldp._mc_log_mean(
+            co, np.asarray(x0, dtype=float), eps, ldp._CHUNK + 5, 4, HURST,
+            n, lambda batch, s: states.append(s) or np.zeros(len(s)), dv,
+            terminal)
+    term, full = np.concatenate(seen[True]), np.concatenate(seen[False])
+    assert term.shape == (ldp._CHUNK + 5, 1, m)
+    np.testing.assert_allclose(term[:, 0], full[:, -1], rtol=0,
+                               atol=1e-12 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["crude", "tilted"])
+@pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
+                         ids=[case[0] for case in AFFINE_CASES])
+def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
+                                              params, x0, tilted):
+    # the full-state route is what every chunk takes when the terminal map
+    # is unavailable
+    n, eps, n_samples, seed = 32, 0.25, 1500, 6
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    # the zero family's states stay at x0: its event is sure, and p_hat is
+    # the mean Girsanov weight
+    ev = ldp.EventSpec("terminal_exceedance",
+                       a=x0[0] + (0.0 if name == "zero" else 0.3))
+    h = ldp.get_functional("terminal_shortfall")
+    cells = _cells(n, d) if tilted else np.zeros((n, d))
+    ctrl = cm.control_from_cells(HURST, cells)
+
+    def run():
+        est = ldp.is_probability(co, x0, ev, eps, n_samples, seed, ctrl,
+                                 hurst=HURST, n_steps=n)
+        lap = ldp.laplace_mc(co, x0, h, eps, n_samples, seed, hurst=HURST,
+                             n_steps=n)
+        return est, lap
+
+    got = run()
+    monkeypatch.setattr(ldp, "_terminal_response", lambda *args: None)
+    want = run()
+    assert got[0].n_hits == want[0].n_hits
+    assert 0 < got[0].n_hits < n_samples or name == "zero"
+    for a, b in zip(got, want):
+        assert tuple(a) == pytest.approx(tuple(b), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rate, eps", [(-40.0, 1.0), (-34.0, 64.0)],
+                         ids=["map_overflows", "chunk_bound"])
+def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
+    # rate -40: the unit responses of the terminal map overflow, so every
+    # chunk is solved in full; rate -34: the map builds, but the chunk's
+    # bound reaches the limit.  Both raise the Euler loop's message.
+    n = 64
+    co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
+    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ctrl = cm.zero_control(HURST, n)
+    built = ldp._terminal_response(co, np.zeros(1), HURST, n, None)
+    assert (built is None) == (rate == -40.0)
+    messages = []
+    for full in (False, True):
+        if full:
+            monkeypatch.setattr(ldp, "_terminal_response", lambda *a: None)
+        with pytest.raises(NumericError, match="step") as err:
+            ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1, ctrl=ctrl,
+                               hurst=HURST, n_steps=n)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_terminal_mc_chunks_over_the_bound_are_solved_in_full():
+    # rate -32 at eps 64: the first chunk's bound reaches the limit and it
+    # is solved in full, the second is not; neither overflows
+    n = 64
+    co = sde.get_coefficients("linear_drift", rate=-32.0, scale=1.0)
+    widths = []
+    ldp._mc_log_mean(co, np.zeros(1), 64.0, 3000, 1, HURST, n,
+                     lambda batch, s: widths.append(s.shape[1])
+                     or np.zeros(len(s)), terminal=True)
+    assert widths == [n + 1, 1]
+
+
+def test_terminal_mc_route_skips_the_synthesis(monkeypatch):
+    calls = []
+    synthesise = fbm._synthesise
+    monkeypatch.setattr(fbm, "_synthesise",
+                        lambda t, z: calls.append(1) or synthesise(t, z))
+    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 3000, seed=1,
+                             ctrl=cm.zero_control(HURST, 64), hurst=HURST,
+                             n_steps=64)
+    assert est.n_hits > 0 and not calls
+
+
+# (event, functional) pairs for the terminal route and the full-state route
+ROUTES = {
+    "terminal": (ldp.EventSpec("terminal_exceedance", a=0.5),
+                 "terminal_shortfall"),
+    "path": (ldp.EventSpec("sup_exceedance", a=0.5), "sup_norm_capped"),
+}
+
+
 def test_is_probability_memory_scales_with_chunk():
     # the unchunked estimator held four or more (P, n+1, d) arrays at once;
-    # the chunked one must stay below the size of a single such array
+    # the chunked one must stay below the size of a single such array, on
+    # the terminal route and on the full-state route alike
     n, n_paths = 128, 8 * ldp._CHUNK
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
     fbm.kernel_table(n, HURST)                    # keep the cached build out
-    tracemalloc.start()
-    try:
-        est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3,
-                                 ctrl=ctrl, hurst=HURST, n_steps=n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert est.n_samples == n_paths and est.n_hits > 0
-    assert peak < n_paths * (n + 1) * 1 * 8, peak
+    for route, (ev, _) in ROUTES.items():
+        tracemalloc.start()
+        try:
+            est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_paths,
+                                     seed=3, ctrl=ctrl, hurst=HURST,
+                                     n_steps=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.n_samples == n_paths and est.n_hits > 0, route
+        assert peak < n_paths * (n + 1) * 1 * 8, (route, peak)
 
 
 def test_estimators_hold_one_chunk_at_a_time():
@@ -569,23 +749,24 @@ def test_estimators_hold_one_chunk_at_a_time():
     # chunk while the next is drawn and solved pushes the peak past five
     n, n_paths = 128, 8 * ldp._CHUNK
     chunk_array = ldp._CHUNK * (n + 1) * 8
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
-    h = ldp.get_functional("terminal_shortfall")
     fbm.kernel_table(n, HURST)                    # keep the cached build out
-    runs = {
-        "is_probability": lambda: ldp.is_probability(
-            ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3, ctrl=ctrl,
-            hurst=HURST, n_steps=n),
-        "laplace_mc": lambda: ldp.laplace_mc(
-            ADDITIVE, [0.0], h, 0.25, n_paths, seed=3, hurst=HURST,
-            n_steps=n),
-    }
-    for name, run in runs.items():
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * chunk_array, (name, peak / chunk_array)
+    for route, (ev, functional) in ROUTES.items():
+        h = ldp.get_functional(functional)
+        runs = {
+            "is_probability": lambda: ldp.is_probability(
+                ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3, ctrl=ctrl,
+                hurst=HURST, n_steps=n),
+            "laplace_mc": lambda: ldp.laplace_mc(
+                ADDITIVE, [0.0], h, 0.25, n_paths, seed=3, hurst=HURST,
+                n_steps=n),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4.5 * chunk_array, (route, name,
+                                              peak / chunk_array)
