@@ -14,7 +14,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -287,9 +286,9 @@ class FbmBatch:
     normals scaled by sqrt(1/n)) that drive the kernel synthesis, and the
     Girsanov machinery consumes them; for the Cholesky sampler they hold the
     i.i.d. normal draws (same scaling) as a seed-reproducibility surrogate.
-    ``synthesis`` makes ``values`` on its first read (the Volterra sampler's
-    kernel product, so a caller that reads only ``bm_increments`` never
-    pays for it); ``n_paths`` reads ``bm_increments``.
+    A Volterra batch synthesises ``values`` from ``bm_increments`` on their
+    first read and keeps them, so a caller that reads only the increments
+    never pays for the kernel product; ``n_paths`` reads ``bm_increments``.
     """
 
     hurst: float
@@ -298,11 +297,11 @@ class FbmBatch:
     bm_increments: np.ndarray
     seed: int
     sampler: str
-    synthesis: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return self.synthesis()
+        return _synthesise(kernel_table(self.n_steps, self.hurst),
+                           self.bm_increments)
 
     @property
     def n_paths(self) -> int:
@@ -310,6 +309,15 @@ class FbmBatch:
 
     def path(self, i: int) -> GridFn:
         return GridFn(self.n_steps, self.values[i])
+
+
+@dataclass(frozen=True)
+class _CholeskyBatch(FbmBatch):
+    """A Cholesky batch: its values come from the covariance factor, not
+    from ``bm_increments``, so they are a field, which shadows the Volterra
+    synthesis."""
+
+    values: np.ndarray = field()
 
 
 def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -361,8 +369,9 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
     # a zero first row gives every path its exact zero start
     values = _synthesise(np.vstack([np.zeros((1, n_steps)), chol]), xi)
     xi /= math.sqrt(n_steps)
-    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, bm_increments=xi,
-                    seed=seed, sampler="cholesky", synthesis=lambda: values)
+    return _CholeskyBatch(hurst=hurst, n_steps=n_steps, dim=dim,
+                          bm_increments=xi, seed=seed, sampler="cholesky",
+                          values=values)
 
 
 def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
@@ -382,12 +391,10 @@ def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
     _check_hurst(hurst)
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    table = kernel_table(n_steps, hurst)
     increments = rng.normal_block(seed, first_index, n_paths, (n_steps, dim))
     increments /= math.sqrt(n_steps)
     return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim,
-                    bm_increments=increments, seed=seed, sampler="volterra",
-                    synthesis=functools.partial(_synthesise, table, increments))
+                    bm_increments=increments, seed=seed, sampler="volterra")
 
 
 # ---------------------------------------------------------------------------

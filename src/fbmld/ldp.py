@@ -23,8 +23,7 @@ from . import blas, fbm, rng
 from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import (_OVERFLOW_GUARD, CoefficientSet, _raise_on_overflow,
-                  solve_increments)
+from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
 __all__ = [
     "EventSpec",
@@ -113,18 +112,19 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class BoundedFunctional:
-    """A bounded path functional h with recorded bounds.
-
-    ``terminal`` marks functionals that read only ``states[:, -1]``; their
-    ``fn`` also takes the terminal slice (B, 1, m).
-    """
+    """A bounded path functional h with recorded bounds."""
 
     name: str
     fn: callable                   # (states (B, n+1, m), x0) -> (B,)
     inf_h: float
     sup_h: float
-    terminal: bool
     params: dict
+
+    @property
+    def terminal(self) -> bool:
+        """True for the registry functionals that read ``states[:, -1]``
+        alone; their ``fn`` also takes the terminal slice (B, 1, m)."""
+        return self.name in _TERMINAL_FUNCTIONALS
 
 
 def _h_sup_norm_capped(params):
@@ -133,7 +133,7 @@ def _h_sup_norm_capped(params):
         # np.linalg.norm(states, axis=2).max(axis=1), square root last
         fn=lambda states, x0: np.minimum(
             np.sqrt(np.square(states).sum(axis=2).max(axis=1)), cap),
-        inf_h=0.0, sup_h=cap, terminal=False,
+        inf_h=0.0, sup_h=cap,
     )
 
 
@@ -141,7 +141,7 @@ def _h_terminal_rise_capped(params):
     cap = params.setdefault("cap", 1.0)
     return dict(
         fn=lambda states, x0: np.clip(states[:, -1, 0] - x0[0], 0.0, cap),
-        inf_h=0.0, sup_h=cap, terminal=True,
+        inf_h=0.0, sup_h=cap,
     )
 
 
@@ -151,7 +151,7 @@ def _h_terminal_shortfall(params):
     return dict(
         fn=lambda states, x0: np.clip(
             target - (states[:, -1, 0] - x0[0]), 0.0, cap),
-        inf_h=0.0, sup_h=cap, terminal=True,
+        inf_h=0.0, sup_h=cap,
     )
 
 
@@ -159,7 +159,7 @@ def _h_constant(params):
     level = params.setdefault("level", 1.0)
     return dict(
         fn=lambda states, x0: np.full(states.shape[0], level),
-        inf_h=level, sup_h=level, terminal=True,
+        inf_h=level, sup_h=level,
     )
 
 
@@ -169,6 +169,8 @@ _FUNCTIONALS = {
     "terminal_shortfall": _h_terminal_shortfall,
     "constant": _h_constant,
 }
+_TERMINAL_FUNCTIONALS = frozenset(
+    {"terminal_rise_capped", "terminal_shortfall", "constant"})
 
 
 def functional_names() -> list[str]:
@@ -252,32 +254,35 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     return out
 
 
-# The terminal routes never form the states the 1e12 overflow guard reads.
-# A batch in which some row's bound on |states| reaches half the guard takes
-# the full-state route instead, which raises exactly where it would have;
-# the factor two leaves room for the rounding between bound and states.
+# The affine routes never run the Euler loop whose 1e12 overflow guard
+# names the first bad step.  A batch in which some row's bound on |states|
+# reaches half the guard is solved by that loop instead, which raises
+# exactly where it would have; the factor two leaves room for the rounding
+# between bound and states.
 _BOUND_LIMIT = 0.5 * _OVERFLOW_GUARD
 
 
-def _terminal_states(terminal_map, z: np.ndarray, scale: float = 1.0):
-    """Terminal states ``x_T + scale * z @ R_T`` as (B, 1, m), or None.
+def _affine_states(affine_map, z: np.ndarray, scale: float = 1.0):
+    """States ``x + scale * z @ R`` as (B, rows, m), or None.
 
-    ``terminal_map`` is ``(x_T, max|X|, R_T, r_max)`` of an affine map
-    ``X + scale * sum_j z_j R_j``: the base states' terminal row and largest
-    entry, each input's terminal response (rows of R_T) and its largest
-    response over every step and component (r_max).  So every state of
-    every step is bounded by ``max|X| + scale * |z| @ r_max``, and None
-    means that bound reached ``_BOUND_LIMIT`` (or is NaN) for some row.
+    ``affine_map`` is ``(x, max|X|, R, r_max)`` of an affine map
+    ``X + scale * sum_j z_j R_j``: the kept rows x (rows, m) of the base
+    states X and X's largest entry, each input's response on those rows
+    (R, one flat row per input) and its largest response over every step
+    and component (r_max).  So every state of every step is bounded by
+    ``max|X| + scale * |z| @ r_max``, and None means that bound reached
+    ``_BOUND_LIMIT`` (or is NaN) for some row.
     """
-    x_t, x_abs, r_t, r_abs = terminal_map
+    x, x_abs, r, r_abs = affine_map
     with blas.one_thread():
         bound = x_abs + scale * (np.abs(z) @ r_abs)
         if not np.all(bound < _BOUND_LIMIT):
             return None
-        term = z @ r_t
-    term *= scale
-    term += x_t
-    return term[:, None, :]
+        flat = z @ r
+    flat *= scale
+    states = flat.reshape((len(z),) + x.shape)
+    states += x
+    return states
 
 
 class _SkeletonObjective:
@@ -288,14 +293,14 @@ class _SkeletonObjective:
     the skeletons for a whole finite-difference stencil evaluated in one
     batch.  :meth:`map_batch` is the one place that evaluates skeletons.
     For an affine family (``coeffs.affine``) the skeleton states are
-    affine in theta, ``X_free + theta @ G``; the objective builds
-    ``(X_free, G)`` once, from one Euler solve of the zero control and the
-    k = n_ctrl * d unit columns, and every batch is then one GEMM.  With
-    ``terminal`` (g reads only the terminal state) it keeps just G's
-    terminal columns (k x m) and the bound data of :func:`_terminal_states`.
-    Other families run the Euler loop per batch.  ``n_solves`` counts the
-    rows passed to ``solve_increments``, ``n_evals`` the skeletons
-    evaluated.
+    affine in theta, ``X_free + theta @ G``; the objective builds the
+    :func:`_affine_states` map of ``(X_free, G)`` once, from one Euler solve
+    of the zero control and the k = n_ctrl * d unit columns, and every
+    batch is then one GEMM.  With ``terminal`` (g reads only the terminal
+    state) the map keeps just the terminal row of X_free and G's terminal
+    columns (k x m).  Other families run the Euler loop per batch.
+    ``n_solves`` counts the rows passed to ``solve_increments``,
+    ``n_evals`` the skeletons evaluated.
     """
 
     def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig,
@@ -307,16 +312,10 @@ class _SkeletonObjective:
         self.n_params = cfg.n_ctrl * coeffs.d
         self.n_solves = 0
         self.n_evals = 0
-        self.affine_map = self.terminal_map = None
-        if coeffs.affine and terminal:
-            x_free, g = self._affine_map()
-            g = g.reshape(self.n_params, cfg.n_steps + 1, coeffs.m)
-            # copies, so the (k + 1)-row solve is not kept alive
-            self.terminal_map = (x_free[-coeffs.m:].copy(),
-                                 np.abs(x_free).max(), g[:, -1].copy(),
-                                 np.abs(g).max(axis=(1, 2)))
-        elif coeffs.affine:
-            self.affine_map = self._affine_map()
+        self.affine_map = None
+        if coeffs.affine:
+            self.affine_map = self._affine_map(
+                1 if terminal else cfg.n_steps + 1)
 
     def _drivers(self, thetas: np.ndarray) -> np.ndarray:
         """Skeleton driver increments (B, n_steps, d) of block coefficients."""
@@ -327,8 +326,8 @@ class _SkeletonObjective:
         self.n_solves += len(inc)
         return solve_increments(self.x0, self.coeffs, inc)
 
-    def _affine_map(self):
-        """``(X_free, G)``, flat: X_free (N,), G (k, N), N = (n_steps+1) m.
+    def _affine_map(self, rows: int):
+        """The :func:`_affine_states` map of the last ``rows`` steps.
 
         Row 0 of the one solve is the zero control, the free flow X_free;
         row 1 + j is unit column j, so G[j] is its states minus X_free.
@@ -336,8 +335,13 @@ class _SkeletonObjective:
         k = self.n_params
         inc = self._drivers(np.eye(k))
         zero = np.zeros((1,) + inc.shape[1:])
-        states = self._solve(np.concatenate([zero, inc])).reshape(k + 1, -1)
-        return states[0], states[1:] - states[0]
+        states = self._solve(np.concatenate([zero, inc]))
+        x_free = states[0]
+        g = states[1:] - x_free
+        # copies of the kept rows, so the (k + 1)-row solve is not kept
+        # alive; all rows kept, G's reshape is a view
+        return (x_free[-rows:].copy(), np.abs(x_free).max(),
+                g[:, -rows:].reshape(k, -1), np.abs(g).max(axis=(1, 2)))
 
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
@@ -345,25 +349,18 @@ class _SkeletonObjective:
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
         """fn over the skeleton states for each row of thetas.
 
-        On the terminal route this is ``fn(thetas @ G_T + x_T)``, the
-        states a (B, 1, m) terminal slice; a batch that could reach the
-        overflow guard is solved by the Euler loop instead, which raises
-        its own message.  Otherwise fn sees the full (B, n+1, m) states.
+        On an affine family this is ``fn(thetas @ G + X_free)``, the states
+        a (B, 1, m) terminal slice on the terminal route and (B, n+1, m)
+        otherwise; a batch that could reach the overflow guard is solved by
+        the Euler loop instead, which raises its own message.  Other
+        families solve every batch by the Euler loop.
         """
         self.n_evals += len(thetas)
-        if self.terminal_map is not None:
-            states = _terminal_states(self.terminal_map, thetas)
+        if self.affine_map is not None:
+            states = _affine_states(self.affine_map, thetas)
             if states is not None:
                 return fn(states)
-        if self.affine_map is None:
-            return fn(self._solve(self._drivers(thetas)))
-        x_free, g = self.affine_map
-        with blas.one_thread():
-            flat = thetas @ g
-        flat += x_free
-        states = flat.reshape(len(thetas), self.cfg.n_steps + 1, self.coeffs.m)
-        _raise_on_overflow(states)
-        return fn(states)
+        return fn(self._solve(self._drivers(thetas)))
 
     def value_and_grad(self, theta: np.ndarray, g, weight: float):
         """Central finite differences of the full objective, batched."""
@@ -543,32 +540,32 @@ def _terminal_response(coeffs: CoefficientSet, x0: np.ndarray,
     ``bm_increments.reshape(P, n d)``, with X the states driven by ``dv``
     alone.  R_c is the Euler response to the fBm increments one unit
     Brownian increment makes, the ``np.diff`` of kernel-table column j in
-    component i, solved in blocks of ``_CHUNK`` cells.  Returns the
-    :func:`_terminal_states` map ``(X_n, max|X|, R_n, max_k |R_c(k)|)``,
-    or None when one of these solves overflows, which sends every chunk
-    down the full-state route.
+    component i: their states minus the zero-increment states, solved in
+    blocks of ``_CHUNK`` cells.  It does not depend on ``dv``.  Returns the
+    :func:`_affine_states` map ``(X_n, max|X|, R_n, max_k |R_c(k)|)``, or
+    None when one of these solves overflows, which sends every chunk down
+    the full-state route.
     """
     n, d = n_steps, coeffs.d
     dk = np.diff(fbm.kernel_table(n, hurst), axis=0)
     r_t, r_abs = [], []
     try:
-        free = solve_increments(
-            x0, coeffs, np.zeros((1, n, d)) if dv is None else dv[None])[0]
+        zero = solve_increments(x0, coeffs, np.zeros((1, n, d)))[0]
+        free = zero if dv is None else \
+            solve_increments(x0, coeffs, dv[None])[0]
         for lo in range(0, n * d, _CHUNK):
             cells = np.arange(lo, min(lo + _CHUNK, n * d))
             inc = np.zeros((cells.size, n, d))
             inc[np.arange(cells.size), :, cells % d] = dk[:, cells // d].T
-            if dv is not None:
-                inc += dv
             resp = solve_increments(x0, coeffs, inc)
             del inc
-            resp -= free
+            resp -= zero
             r_t.append(resp[:, -1].copy())
             r_abs.append(np.abs(resp).max(axis=(1, 2)))
             del resp
     except NumericError:
         return None
-    return free[-1], np.abs(free).max(), np.concatenate(r_t), \
+    return free[-1:].copy(), np.abs(free).max(), np.concatenate(r_t), \
         np.concatenate(r_abs)
 
 
@@ -576,10 +573,14 @@ def _full_states(batch, x0: np.ndarray, coeffs: CoefficientSet, eps: float,
                  dv: np.ndarray | None) -> np.ndarray:
     """Euler states (P, n+1, m) driven by sqrt(eps) dB^H + dv.
 
-    The fBm values are synthesised for the diff alone; the batch does not
-    keep them, so they are not alive while the states are scored.
+    The fBm values are the sampler's kernel product, synthesised here for
+    the diff alone rather than read from ``batch.values``, which would keep
+    them while the states are scored.
     """
-    inc = np.diff(batch.synthesis(), axis=1)
+    values = fbm._synthesise(fbm.kernel_table(batch.n_steps, batch.hurst),
+                             batch.bm_increments)
+    inc = np.diff(values, axis=1)
+    del values
     inc *= math.sqrt(eps)
     if dv is not None:
         inc += dv
@@ -620,7 +621,7 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
                                 first_index=lo)
         states = None
         if route is not None:
-            states = _terminal_states(
+            states = _affine_states(
                 route, batch.bm_increments.reshape(hi - lo, -1),
                 math.sqrt(eps))
         if states is None:

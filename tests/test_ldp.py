@@ -194,7 +194,8 @@ def test_terminal_map_batch_matches_full_states(name, m, d, params, x0):
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients(name, m=m, d=d, **params)
     obj = ldp._SkeletonObjective(co, x0, cfg, terminal=True)
-    assert obj.affine_map is None and obj.terminal_map is not None
+    assert obj.affine_map[0].shape == (1, m)
+    assert obj.affine_map[2].shape == (obj.n_params, m)
     thetas = rng.stream(5, 0).standard_normal((9, obj.n_params))
     full = sde.solve_increments(x0, co, obj._drivers(thetas))
     atol = 1e-12 * np.abs(full).max()
@@ -225,13 +226,14 @@ def test_terminal_map_batch_overflow_names_the_euler_step():
     assert str(err.value) == str(want.value)
 
 
-def test_terminal_map_batch_over_the_bound_takes_the_euler_route():
+@pytest.mark.parametrize("terminal", [True, False], ids=["terminal", "full"])
+def test_affine_map_batch_over_the_bound_takes_the_euler_route(terminal):
     # a bound between the limit and the guard: the Euler loop solves the
     # batch (counted in n_solves) and nothing overflows
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("rotation", m=2, d=2)
-    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
-    g_abs = obj.terminal_map[3]
+    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=terminal)
+    g_abs = obj.affine_map[3]
     thetas = np.zeros((2, obj.n_params))
     thetas[1, 6] = 0.75 * sde._OVERFLOW_GUARD / g_abs[6]
     solves = obj.n_solves
@@ -239,6 +241,20 @@ def test_terminal_map_batch_over_the_bound_takes_the_euler_route():
     assert obj.n_solves == solves + 2
     want = sde.solve_increments(obj.x0, co, obj._drivers(thetas))[:, -1]
     assert np.array_equal(got, want)
+
+
+def test_unregistered_functional_takes_the_full_route():
+    # terminal follows from the registry name; any other name, even one
+    # whose fn reads only X_1, is handed the full states
+    h = ldp.BoundedFunctional(
+        name="custom", fn=lambda states, x0: states[:, 1:, 0].max(axis=1),
+        inf_h=0.0, sup_h=1.0, params={})
+    assert not h.terminal
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("constant")
+    obj = ldp._SkeletonObjective(co, [0.0], cfg, terminal=h.terminal)
+    assert obj.map_batch(np.zeros((1, obj.n_params)),
+                         lambda states: states).shape == (1, 65, 1)
 
 
 @pytest.mark.parametrize("family", ["constant", "tanh"])
