@@ -291,17 +291,6 @@ def test_volterra_values_synthesised_on_first_read(monkeypatch):
                                              batch.bm_increments))
 
 
-def test_cholesky_values_are_kept_from_the_draw(monkeypatch):
-    # the Cholesky values come from the factor, not from bm_increments;
-    # reading them synthesises nothing
-    volterra = fbm.sample_volterra(32, 0.7, 2, 5, seed=4).values
-    batch = fbm.sample_cholesky(32, 0.7, 2, 5, seed=4)
-    monkeypatch.setattr(fbm, "_synthesise", None)
-    assert isinstance(batch, fbm.FbmBatch) and batch.sampler == "cholesky"
-    assert batch.values.shape == (5, 33, 2) and batch.n_paths == 5
-    assert not np.array_equal(batch.values[:, 1:], volterra[:, 1:])
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_volterra_first_index_selects_rows(dim):
     n, hurst, seed = 32, 0.65, 21

@@ -161,19 +161,21 @@ def test_affine_map_batch_matches_euler(name, m, d, params, x0):
 
 
 def test_affine_map_batch_overflow_names_the_euler_step():
+    # on the full route and on the terminal one (a terminal fn) alike, the
+    # bound sends the batch to the Euler loop, which raises its own message
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("rotation", m=2, d=2)   # Euler loop: not state-free
-    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg)
-    thetas = np.zeros((2, obj.n_params))
+    thetas = np.zeros((2, cfg.n_ctrl * 2))
     thetas[1, 2 * 3] = 1e16                  # block 3, first component
     messages = []
-    for solve in (lambda: obj.map_batch(thetas, lambda states: states),
-                  lambda: sde.solve_increments(obj.x0, co,
-                                               obj._drivers(thetas))):
+    for terminal in (False, True):
+        obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=terminal)
         with pytest.raises(NumericError, match="step") as err:
-            solve()
+            obj.map_batch(thetas, lambda states: states[:, -1, 0])
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    with pytest.raises(NumericError) as err:
+        sde.solve_increments(obj.x0, co, obj._drivers(thetas))
+    assert messages == [str(err.value)] * 2
 
 
 def test_event_and_functional_terminal_flags():
@@ -209,21 +211,6 @@ def test_terminal_map_batch_matches_full_states(name, m, d, params, x0):
         np.testing.assert_allclose(obj.map_batch(thetas, fn), fn(full),
                                    rtol=0, atol=atol)
     assert (obj.n_solves, obj.n_evals) == (obj.n_params + 1, 27)
-
-
-def test_terminal_map_batch_overflow_names_the_euler_step():
-    # the 1e16 theta of the full-state test, with a terminal fn: the bound
-    # sends the batch to the Euler loop, which raises its own message
-    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
-    co = sde.get_coefficients("rotation", m=2, d=2)
-    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
-    thetas = np.zeros((2, obj.n_params))
-    thetas[1, 2 * 3] = 1e16
-    with pytest.raises(NumericError, match="step") as err:
-        obj.map_batch(thetas, lambda states: states[:, -1, 0])
-    with pytest.raises(NumericError) as want:
-        sde.solve_increments(obj.x0, co, obj._drivers(thetas))
-    assert str(err.value) == str(want.value)
 
 
 @pytest.mark.parametrize("terminal", [True, False], ids=["terminal", "full"])
