@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +56,11 @@ class ExperimentConfig:
     n_paths: int = 100
     coefficient: str = "constant"
     coefficient_params: dict = dataclasses.field(default_factory=dict)
-    x0: list = dataclasses.field(default_factory=lambda: [0.0])
+    x0: list[float] = dataclasses.field(default_factory=lambda: [0.0])
     event: dict = dataclasses.field(default_factory=dict)
     functional: dict = dataclasses.field(default_factory=dict)
     eps: float = 0.25
-    eps_list: list = dataclasses.field(default_factory=list)
+    eps_list: list[float] = dataclasses.field(default_factory=list)
     n_samples: int = 10000
     n_ctrl: int = 32
     alpha: float | None = None
@@ -85,6 +87,11 @@ class ExperimentConfig:
         missing = {"command", "output_dir"} - set(raw)
         if missing:
             raise SchemaError(f"missing required keys: {sorted(missing)}")
+        hints = typing.get_type_hints(ExperimentConfig)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in raw and not _fits(raw[f.name], hints[f.name]):
+                raise SchemaError(
+                    f"{f.name} must be {f.type}, got {raw[f.name]!r}")
         cfg = ExperimentConfig(**raw)
         cfg.validate()
         return cfg
@@ -101,17 +108,21 @@ class ExperimentConfig:
             raise SchemaError("n_steps must be positive")
         if self.sampler not in ("volterra", "cholesky"):
             raise SchemaError("sampler must be 'volterra' or 'cholesky'")
+        if self.command == "sample" and self.sampler == "cholesky" \
+                and self.n_steps > fbm.MAX_CHOLESKY_STEPS:
+            raise SchemaError("the cholesky sampler needs n_steps <= "
+                              f"{fbm.MAX_CHOLESKY_STEPS}")
         if self.n_paths < 1:
             raise SchemaError("n_paths must be >= 1")
         if not 1 <= self.d <= fbm.MAX_DIM:
             raise SchemaError(f"d must lie in 1..{fbm.MAX_DIM}")
-        if self.command == "ldp-scaling" and not self.eps_list:
-            raise SchemaError("ldp-scaling needs a decreasing eps_list")
-        if self.command == "ldp-scaling" and min(self.eps_list) <= 0.0:
-            raise SchemaError("every eps in eps_list must be > 0")
-        for key in ("event", "functional"):
-            if not isinstance(getattr(self, key), dict):
-                raise SchemaError(f"{key} must be a JSON object")
+        if self.command == "ldp-scaling":
+            eps = self.eps_list
+            if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+                raise SchemaError(
+                    "ldp-scaling needs a strictly decreasing eps_list")
+            if eps[-1] <= 0.0:
+                raise SchemaError("every eps in eps_list must be > 0")
         if self.functional and "name" not in self.functional:
             raise SchemaError("functional needs a 'name'")
         if self.command in ("rate", "ldp-scaling") and not self.event:
@@ -159,6 +170,22 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _fits(value, hint) -> bool:
+    """True when a JSON value has the type a field annotation names.
+
+    A bool is no number, an int is a float, and a list annotation checks
+    every entry.
+    """
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 # ---------------------------------------------------------------------------

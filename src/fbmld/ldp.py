@@ -285,6 +285,45 @@ def _affine_states(affine_map, z: np.ndarray, scale: float = 1.0):
     return states
 
 
+def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
+                rows: int, dv: np.ndarray | None = None):
+    """The :func:`_affine_states` map of an affine family's Euler states.
+
+    Input (j, i), row ``j * d + i`` of R, drives component i by
+    ``columns[:, j]``; ``columns`` is (n, k).  The states driven by ``dv +
+    sum_(j, i) z_(j, i) columns[:, j] e_i`` are then ``X + z @ R``, with X
+    the states driven by ``dv`` alone (zero increments if None).  Each
+    input's response is its states minus the zero-increment states,
+    solved in blocks of ``_CHUNK`` inputs; it does not depend on ``dv``.
+    Returns ``(X, max|X|, R, max_k |R(k)|)`` on the last ``rows`` steps,
+    the maxima over every step, or None when one of these solves
+    overflows: every batch then goes through the Euler loop, which raises
+    its own message.
+    """
+    n, d = columns.shape[0], coeffs.d
+    n_inputs = columns.shape[1] * d
+    r_kept, r_abs = [], []
+    try:
+        zero = solve_increments(x0, coeffs, np.zeros((1, n, d)))[0]
+        free = zero if dv is None else \
+            solve_increments(x0, coeffs, dv[None])[0]
+        for lo in range(0, n_inputs, _CHUNK):
+            inputs = np.arange(lo, min(lo + _CHUNK, n_inputs))
+            inc = np.zeros((inputs.size, n, d))
+            inc[np.arange(inputs.size), :, inputs % d] = \
+                columns[:, inputs // d].T
+            resp = solve_increments(x0, coeffs, inc)
+            del inc
+            resp -= zero
+            r_kept.append(resp[:, -rows:].reshape(inputs.size, -1))
+            r_abs.append(np.abs(resp).max(axis=(1, 2)))
+            del resp
+    except NumericError:
+        return None
+    return free[-rows:].copy(), np.abs(free).max(), np.concatenate(r_kept), \
+        np.concatenate(r_abs)
+
+
 class _SkeletonObjective:
     """Batched objective evaluations over the block-control family.
 
@@ -294,11 +333,10 @@ class _SkeletonObjective:
     batch.  :meth:`map_batch` is the one place that evaluates skeletons.
     For an affine family (``coeffs.affine``) the skeleton states are
     affine in theta, ``X_free + theta @ G``; the objective builds the
-    :func:`_affine_states` map of ``(X_free, G)`` once, from one Euler solve
-    of the zero control and the k = n_ctrl * d unit columns, and every
-    batch is then one GEMM.  With ``terminal`` (g reads only the terminal
-    state) the map keeps just the terminal row of X_free and G's terminal
-    columns (k x m).  Other families run the Euler loop per batch.
+    :func:`_affine_map` of the block increment map once, keeping every
+    step, or with ``terminal`` (g reads only the terminal state) just the
+    terminal one, and every batch is then one GEMM.  Other families, and
+    an affine one whose build overflows, run the Euler loop per batch.
     ``n_solves`` counts the rows passed to ``solve_increments``,
     ``n_evals`` the skeletons evaluated.
     """
@@ -314,7 +352,9 @@ class _SkeletonObjective:
         self.n_evals = 0
         self.affine_map = None
         if coeffs.affine:
-            self.affine_map = self._affine_map(
+            self.n_solves += self.n_params + 1
+            self.affine_map = _affine_map(
+                coeffs, self.x0, self.inc_map,
                 1 if terminal else cfg.n_steps + 1)
 
     def _drivers(self, thetas: np.ndarray) -> np.ndarray:
@@ -326,34 +366,17 @@ class _SkeletonObjective:
         self.n_solves += len(inc)
         return solve_increments(self.x0, self.coeffs, inc)
 
-    def _affine_map(self, rows: int):
-        """The :func:`_affine_states` map of the last ``rows`` steps.
-
-        Row 0 of the one solve is the zero control, the free flow X_free;
-        row 1 + j is unit column j, so G[j] is its states minus X_free.
-        """
-        k = self.n_params
-        inc = self._drivers(np.eye(k))
-        zero = np.zeros((1,) + inc.shape[1:])
-        states = self._solve(np.concatenate([zero, inc]))
-        x_free = states[0]
-        g = states[1:] - x_free
-        # copies of the kept rows, so the (k + 1)-row solve is not kept
-        # alive; all rows kept, G's reshape is a view
-        return (x_free[-rows:].copy(), np.abs(x_free).max(),
-                g[:, -rows:].reshape(k, -1), np.abs(g).max(axis=(1, 2)))
-
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
 
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
         """fn over the skeleton states for each row of thetas.
 
-        On an affine family this is ``fn(thetas @ G + X_free)``, the states
+        With an affine map this is ``fn(thetas @ G + X_free)``, the states
         a (B, 1, m) terminal slice on the terminal route and (B, n+1, m)
         otherwise; a batch that could reach the overflow guard is solved by
-        the Euler loop instead, which raises its own message.  Other
-        families solve every batch by the Euler loop.
+        the Euler loop instead, which raises its own message.  Without one
+        every batch is solved by the Euler loop.
         """
         self.n_evals += len(thetas)
         if self.affine_map is not None:
@@ -524,49 +547,12 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
 # Monte Carlo side
 # ---------------------------------------------------------------------------
 
-# Paths per Monte Carlo chunk: estimator memory scales with this, not with
-# n_samples.  A constant rather than a setting, so the chunk boundaries (and
-# with them every result bit) never depend on how a run is configured.
+# Paths per Monte Carlo chunk, and inputs per block of an affine-map build:
+# memory scales with this, not with n_samples.  A constant rather than a
+# setting, so the chunk boundaries (and with them every result bit) never
+# depend on how a run is configured.
 _CHUNK = 2048
 LAPLACE_MIN_SAMPLES = 1000
-
-
-def _terminal_response(coeffs: CoefficientSet, x0: np.ndarray,
-                       hurst: float, n_steps: int, dv: np.ndarray | None):
-    """The terminal map of the Monte Carlo states of an affine family.
-
-    The states driven by ``dv + sqrt(eps) * dB^H`` are ``X + sqrt(eps)
-    sum_c R_c dB_c`` over the Brownian cells c = (j, i) of
-    ``bm_increments.reshape(P, n d)``, with X the states driven by ``dv``
-    alone.  R_c is the Euler response to the fBm increments one unit
-    Brownian increment makes, the ``np.diff`` of kernel-table column j in
-    component i: their states minus the zero-increment states, solved in
-    blocks of ``_CHUNK`` cells.  It does not depend on ``dv``.  Returns the
-    :func:`_affine_states` map ``(X_n, max|X|, R_n, max_k |R_c(k)|)``, or
-    None when one of these solves overflows, which sends every chunk down
-    the full-state route.
-    """
-    n, d = n_steps, coeffs.d
-    dk = np.diff(fbm.kernel_table(n, hurst), axis=0)
-    r_t, r_abs = [], []
-    try:
-        zero = solve_increments(x0, coeffs, np.zeros((1, n, d)))[0]
-        free = zero if dv is None else \
-            solve_increments(x0, coeffs, dv[None])[0]
-        for lo in range(0, n * d, _CHUNK):
-            cells = np.arange(lo, min(lo + _CHUNK, n * d))
-            inc = np.zeros((cells.size, n, d))
-            inc[np.arange(cells.size), :, cells % d] = dk[:, cells // d].T
-            resp = solve_increments(x0, coeffs, inc)
-            del inc
-            resp -= zero
-            r_t.append(resp[:, -1].copy())
-            r_abs.append(np.abs(resp).max(axis=(1, 2)))
-            del resp
-    except NumericError:
-        return None
-    return free[-1:].copy(), np.abs(free).max(), np.concatenate(r_t), \
-        np.concatenate(r_abs)
 
 
 def _full_states(batch, x0: np.ndarray, coeffs: CoefficientSet, eps: float,
@@ -602,18 +588,21 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
 
     With ``terminal`` (log_y reads only the terminal state) and an affine
     family, the terminal states are linear in the Brownian increments:
-    each chunk is one product ``bm_increments.reshape(P, n d) @ R_n`` on
-    the map of :func:`_terminal_response`, built once per call, and
-    ``log_y`` gets the (P, 1, m) terminal slice.  The fBm values are then
-    never synthesised.  A chunk whose bound could reach the overflow
-    guard, and every chunk of other families and events, is solved in
-    full by the Euler loop.
+    each chunk is one product ``bm_increments.reshape(P, n d) @ R`` on the
+    terminal :func:`_affine_map` of the kernel table's ``np.diff``, the
+    fBm increments one unit Brownian increment makes, built once per call,
+    and ``log_y`` gets the (P, 1, m) terminal slice.  The fBm values are
+    then never synthesised.  A chunk whose bound could reach the overflow
+    guard, every chunk when the map build overflows, and every chunk of
+    other families and events, is solved in full by the Euler loop.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     route = None
     if terminal and coeffs.affine:
-        route = _terminal_response(coeffs, x0, hurst, n_steps, dv)
+        route = _affine_map(
+            coeffs, x0, np.diff(fbm.kernel_table(n_steps, hurst), axis=0), 1,
+            dv)
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)

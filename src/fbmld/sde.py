@@ -193,15 +193,15 @@ class SolvedPath:
     config: dict
 
 
-# the Euler solver aborts once any state component exceeds this magnitude
+# the Euler solver raises once any state component exceeds this magnitude
 _OVERFLOW_GUARD = 1e12
 
 
 def _raise_on_overflow(states: np.ndarray) -> None:
     """Raise NumericError if a state of steps 1..n leaves the overflow guard.
 
-    ``states`` is (P, n+1, m); the message names the first offending step,
-    as the Euler loop's own check does.  NaN counts as an overflow.
+    ``states`` is (P, n+1, m); the message names the first offending step.
+    NaN counts as an overflow.
     """
     # axis 0 first: one reduction over (0, 2) walks the array far slower;
     # the initial values let a batch of no paths pass
@@ -223,7 +223,8 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     coefficients never depend on t) every Euler step b dt + s dg is known
     up front, and the states are their running sum from x0, one
     ``np.cumsum`` in the loop's order of additions, so bitwise the loop's
-    states.
+    states.  Either way the states run to the end, inf and NaN included,
+    and one :func:`_raise_on_overflow` check names the first bad step.
     """
     n_paths, n, d = increments.shape
     if d != coeffs.d:
@@ -234,30 +235,25 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     dt = 1.0 / n
     r = min(coeffs.m, d)
     out = np.empty((n_paths, n + 1, coeffs.m))
-    if coeffs.lipschitz_drift == 0.0 and coeffs.lipschitz_sigma == 0.0:
-        x = x0[None]
-        b_dt = coeffs.drift(0.0, x) * dt
-        out[:, 0] = x0
-        # s dg + b dt in place: no (P, n, m) temporary
-        np.multiply(coeffs.diffusion(0.0, x), increments[:, :, :r],
-                    out=out[:, 1:, :r])
-        out[:, 1:, :r] += b_dt[:, :r]
-        out[:, 1:, r:] = b_dt[:, r:]
-        np.cumsum(out, axis=1, out=out)
-        _raise_on_overflow(out)
-        return out
-    x = np.broadcast_to(x0, (n_paths, coeffs.m)).copy()
-    out[:, 0] = x
-    for k in range(n):
-        t = k * dt
-        step = coeffs.drift(t, x) * dt
-        step[:, :r] += coeffs.diffusion(t, x) * increments[:, k, :r]
-        x = x + step
-        if not np.all(np.abs(x) <= _OVERFLOW_GUARD):
-            raise NumericError(
-                f"state overflow beyond {_OVERFLOW_GUARD:g} at step {k + 1}"
-            )
-        out[:, k + 1] = x
+    out[:, 0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if coeffs.lipschitz_drift == 0.0 and coeffs.lipschitz_sigma == 0.0:
+            b_dt = coeffs.drift(0.0, x0[None]) * dt
+            # s dg + b dt in place: no (P, n, m) temporary
+            np.multiply(coeffs.diffusion(0.0, x0[None]), increments[:, :, :r],
+                        out=out[:, 1:, :r])
+            out[:, 1:, :r] += b_dt[:, :r]
+            out[:, 1:, r:] = b_dt[:, r:]
+            np.cumsum(out, axis=1, out=out)
+        else:
+            x = np.broadcast_to(x0, (n_paths, coeffs.m)).copy()
+            for k in range(n):
+                t = k * dt
+                step = coeffs.drift(t, x) * dt
+                step[:, :r] += coeffs.diffusion(t, x) * increments[:, k, :r]
+                x = x + step
+                out[:, k + 1] = x
+    _raise_on_overflow(out)
     return out
 
 

@@ -122,13 +122,34 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"command": "sample", "d": 5}, "d must lie in 1..4"),
     ({"command": "solve", "coefficient": "tanh", "alpha": 0.9}, "alpha=0.9"),
     ({"command": "solve", "coefficient": "tanh", "delta": -1.0}, "delta=-1.0"),
+    ({"n_steps": "64"}, "n_steps must be int"),
+    ({"hurst": None}, "hurst must be float"),
+    ({"n_paths": 2.5}, "n_paths must be int"),
+    ({"d": 1.5}, "d must be int"),
+    ({"seed": "x"}, "seed must be int"),
+    ({"n_paths": True}, "n_paths must be int"),
+    ({"command": "solve", "x0": ["a"]}, "x0 must be list[float]"),
+    ({"command": "ldp-scaling", "eps_list": "0.1",
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "eps_list must be list[float]"),
+    ({"command": "ldp-scaling", "eps_list": [0.5], "n_samples": 2000.5,
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "n_samples must be int"),
+    ({"n_workers": 1.5}, "n_workers must be int"),
+    ({"command": "ldp-scaling", "eps_list": [0.1, 0.5],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "strictly decreasing eps_list"),
+    ({"sampler": "cholesky", "n_steps": 4097}, "n_steps <= 4096"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
         "laplace_eps_above_one", "laplace_eps_zero", "laplace_few_samples",
         "misspelled_coefficient_key", "unknown_functional", "tanh_m_not_d",
         "x0_wrong_length", "d_above_max", "solve_alpha_outside",
-        "solve_delta_outside"])
+        "solve_delta_outside", "n_steps_string", "hurst_null",
+        "n_paths_fraction", "d_fraction", "seed_string", "n_paths_bool",
+        "x0_strings", "eps_list_string", "n_samples_fraction",
+        "n_workers_fraction", "eps_list_increasing", "cholesky_over_budget"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}

@@ -178,6 +178,20 @@ def test_affine_map_batch_overflow_names_the_euler_step():
     assert messages == [str(err.value)] * 2
 
 
+@pytest.mark.parametrize("terminal", [True, False], ids=["terminal", "full"])
+def test_affine_map_build_overflow_takes_the_euler_route(terminal):
+    # rate -42: the unit responses of the early blocks pass the guard, so
+    # there is no map, and a batch the loop solves cleanly still gets solved
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("linear_drift", rate=-42.0, scale=1.0)
+    obj = ldp._SkeletonObjective(co, [0.0], cfg, terminal=terminal)
+    assert obj.affine_map is None
+    thetas = 1e-3 * np.eye(obj.n_params)[3:4]
+    got = obj.map_batch(thetas, lambda states: states)
+    want = sde.solve_increments(obj.x0, co, obj._drivers(thetas))
+    assert np.array_equal(got, want)
+
+
 def test_event_and_functional_terminal_flags():
     assert ldp.EventSpec("terminal_exceedance", a=1.0).terminal
     assert ldp.EventSpec("terminal_target", y=1.0, r=0.1).terminal
@@ -663,7 +677,7 @@ def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
         return est, lap
 
     got = run()
-    monkeypatch.setattr(ldp, "_terminal_response", lambda *args: None)
+    monkeypatch.setattr(ldp, "_affine_map", lambda *args: None)
     want = run()
     assert got[0].n_hits == want[0].n_hits
     assert 0 < got[0].n_hits < n_samples or name == "zero"
@@ -681,12 +695,13 @@ def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
     co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
     ev = ldp.EventSpec("terminal_exceedance", a=1.0)
     ctrl = cm.zero_control(HURST, n)
-    built = ldp._terminal_response(co, np.zeros(1), HURST, n, None)
+    built = ldp._affine_map(co, np.zeros(1),
+                            np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
     assert (built is None) == (rate == -40.0)
     messages = []
     for full in (False, True):
         if full:
-            monkeypatch.setattr(ldp, "_terminal_response", lambda *a: None)
+            monkeypatch.setattr(ldp, "_affine_map", lambda *a: None)
         with pytest.raises(NumericError, match="step") as err:
             ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1, ctrl=ctrl,
                                hurst=HURST, n_steps=n)

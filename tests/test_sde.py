@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ def test_state_free_cumsum_overflow_names_the_loop_step():
             sde.solve_increments([0.0], coeffs, inc)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name, m", [("linear_sigma", 1), ("rotation", 2),
+                                     ("tanh", 1)])
+def test_diverging_loop_batch_names_the_first_step(name, m):
+    # increments of +-1e80 from step 10 take one row past the guard at step
+    # 11; the loop runs on (linear_sigma's states reach inf, then NaN)
+    # without a warning, and the one check after it names step 11
+    co = sde.get_coefficients(name, m=m, d=m)
+    inc = np.zeros((2, 64, m))
+    inc[1, 10:] = 1e80 * (-1.0) ** np.arange(54)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="at step 11$"):
+            sde.solve_increments(np.ones(m), co, inc)
 
 
 # ---------------------------------------------------------------------------
