@@ -92,6 +92,13 @@ class ExperimentConfig:
             if f.name in raw and not _fits(raw[f.name], hints[f.name]):
                 raise SchemaError(
                     f"{f.name} must be {f.type}, got {raw[f.name]!r}")
+        for group in ("coefficient_params", "event", "functional"):
+            for key, value in raw.get(group, {}).items():
+                hint = _NESTED_HINTS.get((group, key), float)
+                if not _fits(value, hint):
+                    raise SchemaError(f"{group}[{key!r}] must be "
+                                      f"{getattr(hint, '__name__', hint)}, "
+                                      f"got {value!r}")
         cfg = ExperimentConfig(**raw)
         cfg.validate()
         return cfg
@@ -170,6 +177,11 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+# nested config values are numbers unless named here
+_NESTED_HINTS = {("event", "kind"): str, ("event", "y"): float | list[float],
+                 ("functional", "name"): str}
 
 
 def _fits(value, hint) -> bool:

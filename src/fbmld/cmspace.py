@@ -12,14 +12,15 @@ cell masks.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .fbm import _synthesise, kernel_table, volterra_c
-from .fracops import _convolve_lags, _frac_moments, _weyl_left_core
+from .fracops import _cell_moments, _convolve_lags, _weyl_left_core
 from .gridfn import GridFn
 
 __all__ = [
@@ -44,13 +45,12 @@ class CmControl:
     """A Cameron-Martin element h = K_H v' stored by its L^2 density v'.
 
     ``density`` is in cell layout (see module docstring).  The materialized
-    path is computed lazily through the kernel quadrature and cached under a
-    write-once discipline; instances stay immutable afterwards.
+    path is computed lazily through the kernel quadrature and cached;
+    equality compares ``hurst`` and ``density`` only.
     """
 
     hurst: float
     density: GridFn
-    _cached_path: GridFn | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
@@ -68,17 +68,14 @@ class CmControl:
         """Density samples v'(s_j) at the cell midpoints, shape (n, dim)."""
         return self.density.values[:-1]
 
-    @property
+    @functools.cached_property
     def path(self) -> GridFn:
         """Materialized path K_H v' (kernel quadrature route), cached.
 
         Its increments are the control's dv wherever a solver consumes one:
         the skeleton, the rate searches and the importance-sampling tilt.
         """
-        if self._cached_path is None:
-            object.__setattr__(self, "_cached_path",
-                               apply_kh(self.density, self.hurst))
-        return self._cached_path
+        return apply_kh(self.density, self.hurst)
 
 
 def control_from_cells(hurst: float, cells: np.ndarray) -> CmControl:
@@ -161,7 +158,7 @@ def _derivative_nodes(cells: np.ndarray, n: int, hurst: float) -> np.ndarray:
     order = hurst - 0.5
     s = (np.arange(n) + 0.5) / n
     weighted = s[:, None] ** (-order) * cells
-    out = _convolve_lags(_frac_moments(n, order), weighted)
+    out = _convolve_lags(_cell_moments(n, order), weighted)
     t = np.arange(n + 1) / n
     pref = volterra_c(hurst) / math.gamma(order)
     return pref * t[:, None] ** order * out

@@ -104,34 +104,34 @@ def _convolve_lags(coeff: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frac_moments(n: int, order: float) -> np.ndarray:
-    """Exact cell integrals of (t - s)^(order-1) by lag, order in (0, 1].
+def _cell_moments(n: int, power: float, offset: float = 0.0) -> np.ndarray:
+    """Exact cell integrals of (tau - s)^(power-1) by lag, power in (0, 1].
 
-    ``m[l] = integral over the cell at lag l of (t - s)^(order-1) ds`` with t
-    on the node grid; m[0] = 0.
+    ``m[l] = integral over the cell at lag l of (tau - s)^(power-1) ds`` where
+    tau sits ``offset`` cells past the cell's right node (offset=0: tau on the
+    node grid; offset=1/2: tau at cell midpoints); m[0] = 0.  The closed form
+    handles the cell touching tau.
     """
     dt = 1.0 / n
     ell = np.arange(n + 1, dtype=float)
-    m = dt ** order * (ell ** order - np.maximum(ell - 1.0, 0.0) ** order) / order
+    upper = np.maximum(ell + offset, 0.0) ** power
+    lower = np.maximum(ell - 1.0 + offset, 0.0) ** power
+    m = dt ** power * (upper - lower) / power
     m[0] = 0.0
     return m
 
 
-def _riesz_moments(n: int, alpha: float, offset: float) -> np.ndarray:
-    """Exact cell integrals of (tau - s)^(-alpha) by lag.
+def _quotient_weights(n: int, alpha: float, offset: float) -> np.ndarray:
+    """Cell weights of the difference quotient against (tau - s)^(-alpha).
 
-    ``m[l] = integral over the cell at lag l of (tau - s)^(-alpha) ds`` where
-    the evaluation point sits ``offset`` cells past the cell's right node
-    (offset=0: tau on the node grid; offset=1/2: tau at cell midpoints).
-    Valid for alpha < 1; the closed form handles the cell touching tau.
+    Each lag's moment divided by the distance (l - 1/2 + offset) dt from tau
+    to that cell's midpoint, where the quotient (f(tau) - f(s)) / (tau - s)
+    is frozen; w[0] = 0.
     """
     dt = 1.0 / n
-    ell = np.arange(n + 1, dtype=float)
-    upper = np.maximum(ell + offset, 0.0) ** (1.0 - alpha)
-    lower = np.maximum(ell - 1.0 + offset, 0.0) ** (1.0 - alpha)
-    m = dt ** (1.0 - alpha) * (upper - lower) / (1.0 - alpha)
-    m[0] = 0.0
-    return m
+    w = _cell_moments(n, 1.0 - alpha, offset)
+    w[1:] /= (np.arange(1, n + 1) - 0.5 + offset) * dt
+    return w
 
 
 def _weyl_left_core(values: np.ndarray, n: int, alpha: float,
@@ -140,50 +140,22 @@ def _weyl_left_core(values: np.ndarray, n: int, alpha: float,
 
     ``values`` is the (n+1, dim) node array.  Returns the derivative at the
     interior nodes t_1..t_n (``at_midpoints=False``, shape (n, dim)) or at
-    all cell midpoints (``at_midpoints=True``, shape (n, dim)).  The frozen
-    factor is the difference quotient (f(tau) - f(s)) / (tau - s) at each
-    cell midpoint; (tau - s)^(-alpha) is integrated exactly per cell.
+    all cell midpoints (``at_midpoints=True``, shape (n, dim)).  Evaluation
+    point k sees the full cells at lags 1..k through
+    :func:`_quotient_weights`; a midpoint also sees its half cell.
     """
     dt = 1.0 / n
     f_mid = 0.5 * (values[:-1] + values[1:])
-    lags = np.arange(n + 1, dtype=float)
-
-    if not at_midpoints:
-        # evaluation points t_k, k = 1..n; full cells at lags 1..k, midpoint
-        # of the lag-l cell sits (l - 1/2) dt away from t_k
-        moments = _riesz_moments(n, alpha, offset=0.0)
-        coeff = np.zeros(n + 1)
-        coeff[1:] = moments[1:] / ((lags[1:] - 0.5) * dt)
-        conv = _convolve_lags(coeff, f_mid)
-        csum = np.cumsum(coeff)
-        pts = values[1:]                                    # f(t_k), k=1..n
-        integral = pts * csum[1 : n + 1, None] - conv[1 : n + 1]
-        tau = np.arange(1, n + 1) * dt
-        boundary = pts / tau[:, None] ** alpha
-        return (boundary + alpha * integral) / math.gamma(1.0 - alpha)
-
-    # evaluation points tau_k = (k + 1/2) dt, k = 0..n-1; full cells at lags
-    # 1..k (midpoint distance l*dt) plus the half cell [t_k, tau_k)
-    moments = _riesz_moments(n, alpha, offset=0.5)
-    coeff = np.zeros(n + 1)
-    coeff[1:] = moments[1:] / (lags[1:] * dt)
-    conv = _convolve_lags(coeff, f_mid)
-    csum = np.cumsum(coeff)
-    pts = f_mid                                             # f(tau_k)
-    integral = pts * csum[:n, None] - conv[:n]
-    slope = (values[1:] - values[:-1]) / dt
-    half_moment = (0.5 * dt) ** (1.0 - alpha) / (1.0 - alpha)
-    integral += slope * half_moment
-    tau = (np.arange(n) + 0.5) * dt
-    boundary = pts / tau[:, None] ** alpha
-    return (boundary + alpha * integral) / math.gamma(1.0 - alpha)
-
-
-def _weyl_right_core(values: np.ndarray, n: int, alpha: float,
-                     at_midpoints: bool) -> np.ndarray:
-    """Right-sided mirror of :func:`_weyl_left_core` (real convention)."""
-    out = _weyl_left_core(values[::-1], n, alpha, at_midpoints)
-    return out[::-1]
+    # points tau_k = (k + offset) dt: nodes k = 1..n, or midpoints k = 0..n-1
+    offset, first, pts = (0.5, 0, f_mid) if at_midpoints else (0.0, 1, values[1:])
+    coeff = _quotient_weights(n, alpha, offset)
+    rows = slice(first, first + n)
+    integral = pts * np.cumsum(coeff)[rows, None] - _convolve_lags(coeff, f_mid)[rows]
+    if at_midpoints:                                     # half cell [t_k, tau_k)
+        slope = (values[1:] - values[:-1]) / dt
+        integral += slope * ((0.5 * dt) ** (1.0 - alpha) / (1.0 - alpha))
+    tau = (np.arange(first, first + n) + offset) * dt
+    return (pts / tau[:, None] ** alpha + alpha * integral) / math.gamma(1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +178,7 @@ def frac_integral(f: GridFn, alpha: float, side: str = "left") -> GridFn:
     n = f.n_steps
     vals = f.values if side == "left" else f.values[::-1]
     f_mid = 0.5 * (vals[:-1] + vals[1:])
-    out = _convolve_lags(_frac_moments(n, alpha), f_mid) / math.gamma(alpha)
+    out = _convolve_lags(_cell_moments(n, alpha), f_mid) / math.gamma(alpha)
     if side == "right":
         out = out[::-1]
     return GridFn(n, out)
@@ -235,12 +207,11 @@ def weyl_derivative(f: GridFn, alpha: float, side: str = "left") -> GridFn:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
     n = f.n_steps
-    if side == "left":
-        interior = _weyl_left_core(f.values, n, alpha, at_midpoints=False)
-        out = np.vstack([interior[:1], interior])        # node 0 continued
-    else:
-        interior = _weyl_right_core(f.values, n, alpha, at_midpoints=False)
-        out = np.vstack([interior, interior[-1:]])       # node n continued
+    vals = f.values if side == "left" else f.values[::-1]
+    interior = _weyl_left_core(vals, n, alpha, at_midpoints=False)
+    out = np.vstack([interior[:1], interior])            # flagged node continued
+    if side == "right":
+        out = out[::-1]
     return GridFn(n, out)
 
 
@@ -336,7 +307,7 @@ def young_frac(f: GridFn, g: GridFn, alpha: float) -> float:
     n = f.n_steps
     g_shift = g.values - g.values[-1]
     dl = _weyl_left_core(f.values, n, alpha, at_midpoints=True)
-    dr = _weyl_right_core(g_shift, n, 1.0 - alpha, at_midpoints=True)
+    dr = _weyl_left_core(g_shift[::-1], n, 1.0 - alpha, at_midpoints=True)[::-1]
 
     tau = (np.arange(n) + 0.5) / n
     nodes = np.arange(n + 1) / n
@@ -394,10 +365,7 @@ def norms(f: GridFn, lam: float, alpha: float) -> HolderReport:
 
     # W^{alpha,infty}: sup_t |f(t)| + int_0^t |f(t)-f(s)| (t-s)^(-alpha-1) ds
     f_mid = 0.5 * (vals[:-1] + vals[1:])
-    moments = _riesz_moments(n, alpha, offset=0.0)
-    lags = np.arange(n + 1, dtype=float)
-    coeff = np.zeros(n + 1)
-    coeff[1:] = moments[1:] / ((lags[1:] - 0.5) * dt)
+    coeff = _quotient_weights(n, alpha, 0.0)
     w_best = float(np.linalg.norm(vals[0]))
     acc = np.zeros(n)                                    # integral at t_k, k=1..n
     for ell in range(1, n + 1):

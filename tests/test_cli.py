@@ -140,6 +140,36 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
       "event": {"kind": "terminal_exceedance", "a": 1.0}},
      "strictly decreasing eps_list"),
     ({"sampler": "cholesky", "n_steps": 4097}, "n_steps <= 4096"),
+    ({"command": "rate", "event": {"kind": "terminal_exceedance", "a": "x"}},
+     "event['a'] must be float"),
+    ({"command": "rate",
+      "event": {"kind": "terminal_exceedance", "a": [1.0, 2.0]}},
+     "event['a'] must be float"),
+    ({"command": "rate", "event": {"kind": "terminal_exceedance", "a": True}},
+     "event['a'] must be float"),
+    ({"command": "rate", "coefficient": "rotation", "m": 2, "d": 2,
+      "x0": [0.0, 0.0],
+      "event": {"kind": "terminal_target", "y": ["a", "b"], "r": 0.1}},
+     "event['y'] must be float | list[float]"),
+    ({"command": "rate",
+      "event": {"kind": "terminal_target", "y": None, "r": 0.1}},
+     "event['y'] must be float | list[float]"),
+    ({"command": "rate", "event": {"kind": 1}}, "event['kind'] must be str"),
+    ({"command": "solve", "coefficient_params": {"scale": "x"}},
+     "coefficient_params['scale'] must be float"),
+    ({"command": "solve", "coefficient_params": {"scale": None}},
+     "coefficient_params['scale'] must be float"),
+    ({"command": "solve", "coefficient": "rotation", "m": 2, "d": 2,
+      "x0": [0.0, 0.0], "coefficient_params": {"omega": True}},
+     "coefficient_params['omega'] must be float"),
+    ({"command": "laplace-check",
+      "functional": {"name": "terminal_shortfall", "cap": "x"}},
+     "functional['cap'] must be float"),
+    ({"command": "laplace-check",
+      "functional": {"name": "terminal_shortfall", "target": [1.0]}},
+     "functional['target'] must be float"),
+    ({"command": "laplace-check", "functional": {"name": 3}},
+     "functional['name'] must be str"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
@@ -149,7 +179,12 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "solve_delta_outside", "n_steps_string", "hurst_null",
         "n_paths_fraction", "d_fraction", "seed_string", "n_paths_bool",
         "x0_strings", "eps_list_string", "n_samples_fraction",
-        "n_workers_fraction", "eps_list_increasing", "cholesky_over_budget"])
+        "n_workers_fraction", "eps_list_increasing", "cholesky_over_budget",
+        "event_a_string", "event_a_list", "event_a_bool", "event_y_strings",
+        "event_y_null", "event_kind_number", "coefficient_scale_string",
+        "coefficient_scale_null", "rotation_omega_bool",
+        "functional_cap_string", "shortfall_target_list",
+        "functional_name_number"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}

@@ -132,6 +132,18 @@ def test_frac_integral_alpha_range():
 # weyl_derivative
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("power", [0.1, 0.3, 0.55, 0.8, 1.0])
+def test_cell_moments_sum_to_the_exact_integral(power, offset):
+    # lags 1..k cover [0, t_k], and tau = t_k + offset dt
+    n = 64
+    partial = np.cumsum(fo._cell_moments(n, power, offset))
+    k = np.arange(n + 1)
+    exact = (((k + offset) / n) ** power - (offset / n) ** power) / power
+    assert partial[0] == 0.0
+    np.testing.assert_allclose(partial[1:], exact[1:], rtol=1e-12, atol=0.0)
+
+
 def test_weyl_constant_closed_form():
     n, alpha, c = 512, 0.3, 2.5
     f = grid_const(c, n=n)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from fbmld import cmspace as cm
 from fbmld import fbm, ldp, rng, sde
@@ -386,6 +387,61 @@ def test_rate_minimize_n_ctrl_override():
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev,
                             cfg=dataclasses.replace(SMALL_CFG, n_ctrl=8))
     assert res.block_values.shape == (8, 1)
+
+
+# ---------------------------------------------------------------------------
+# multiplicative noise: geometric fBm against an exact discrete oracle
+# ---------------------------------------------------------------------------
+
+GEOMETRIC_LEVEL = 0.5          # the event X_1 >= x0 e^0.5 with x0 = 1
+GEOMETRIC_GRIDS = [(64, 8), (128, 16), (256, 32)]
+
+
+def geometric_oracle(cfg):
+    """Discrete rate of X_1 >= e^level for dX = X dB^H, x0 = 1, by SLSQP.
+
+    The Euler skeleton is X_n = prod_k (1 + dv_k) with dv = M theta, so the
+    event is sum_k log(1 + (M theta)_k) >= level; the problem is smooth and
+    settled independently of the penalty search.
+    """
+    M = ldp._block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
+    nc = cfg.n_ctrl
+    res = optimize.minimize(
+        lambda th: 0.5 * th @ th / nc, np.full(nc, GEOMETRIC_LEVEL / M.sum()),
+        jac=lambda th: th / nc, method="SLSQP",
+        options={"ftol": 1e-15, "maxiter": 1000},
+        constraints=[{"type": "ineq",
+                      "fun": lambda th: np.sum(np.log1p(M @ th)) - GEOMETRIC_LEVEL,
+                      "jac": lambda th: M.T @ (1.0 / (1.0 + M @ th))}])
+    assert res.success
+    return res.fun
+
+
+@pytest.fixture(scope="module")
+def geometric_rates():
+    """(rate_minimize value, oracle value) on each grid of GEOMETRIC_GRIDS."""
+    co = sde.get_coefficients("linear_sigma")
+    ev = ldp.EventSpec("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
+    out = []
+    for n, nc in GEOMETRIC_GRIDS:
+        cfg = ldp.RateConfig(hurst=0.7, n_steps=n, n_ctrl=nc, seed=0)
+        res = ldp.rate_minimize(co, [1.0], ev, cfg)
+        assert res.feasible
+        out.append((res.value, geometric_oracle(cfg)))
+    return out
+
+
+def test_geometric_rate_matches_the_discrete_oracle(geometric_rates):
+    for value, oracle in geometric_rates:
+        assert value == pytest.approx(oracle, rel=1e-8)
+
+
+def test_geometric_rates_fall_toward_the_continuum_value(geometric_rates):
+    # X_1 = x0 exp(B^H_1) in the continuum and Var B^H_1 = 1, so the rate
+    # tends to level^2 / 2 = 0.125 from above as the grid refines
+    values = [value for value, _ in geometric_rates]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert values[-1] > GEOMETRIC_LEVEL ** 2 / 2
 
 
 # ---------------------------------------------------------------------------
