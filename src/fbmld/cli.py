@@ -26,15 +26,12 @@ import numpy as np
 
 from . import __version__, cmspace, fbm, fracops, ldp, rng, sde
 from .errors import DomainError, FbmldError, NumericError
-from .gridfn import GridFn
+from .gridfn import GridFn, write_csv
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
-
-_COMMANDS = ("sample", "solve", "rate", "ldp-scaling", "laplace-check",
-             "validate-ops")
 
 
 class SchemaError(DomainError):
@@ -59,13 +56,11 @@ class ExperimentConfig:
     x0: list[float] = dataclasses.field(default_factory=lambda: [0.0])
     event: dict = dataclasses.field(default_factory=dict)
     functional: dict = dataclasses.field(default_factory=dict)
-    eps: float = 0.25
     eps_list: list[float] = dataclasses.field(default_factory=list)
     n_samples: int = 10000
     n_ctrl: int = 32
     alpha: float | None = None
     delta: float | None = None
-    n_workers: int = 1            # accepted and validated; currently unused
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -104,13 +99,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise SchemaError(f"command must be one of {_COMMANDS}")
+        if self.command not in _WORKFLOWS:
+            raise SchemaError(f"command must be one of {tuple(_WORKFLOWS)}")
         if not 0.0 < self.hurst < 1.0:
             raise SchemaError("hurst must lie in (0, 1)")
-        if self.command in ("solve", "rate", "ldp-scaling", "laplace-check") \
-                and not 0.5 < self.hurst < 1.0:
-            raise SchemaError(f"{self.command} requires hurst in (1/2, 1)")
+        if self.command == "solve" and not 0.5 < self.hurst < 1.0:
+            raise SchemaError("solve requires hurst in (1/2, 1)")
+        if self.command in ("rate", "ldp-scaling", "laplace-check"):
+            try:
+                _rate_cfg(self)
+            except DomainError as exc:
+                raise SchemaError(str(exc)) from exc
         if self.n_steps < 1:
             raise SchemaError("n_steps must be positive")
         if self.sampler not in ("volterra", "cholesky"):
@@ -123,6 +122,8 @@ class ExperimentConfig:
             raise SchemaError("n_paths must be >= 1")
         if not 1 <= self.d <= fbm.MAX_DIM:
             raise SchemaError(f"d must lie in 1..{fbm.MAX_DIM}")
+        if self.m < 1:
+            raise SchemaError("m must be >= 1")
         if self.command == "ldp-scaling":
             eps = self.eps_list
             if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -153,17 +154,10 @@ class ExperimentConfig:
             if self.n_samples < ldp.LAPLACE_MIN_SAMPLES:
                 raise SchemaError("laplace-check needs n_samples >= "
                                   f"{ldp.LAPLACE_MIN_SAMPLES}")
-            eps_values = self.eps_list or [self.eps]
-            if not all(0.0 < e <= 1.0 for e in eps_values):
-                raise SchemaError("laplace-check eps must lie in (0, 1], "
-                                  f"got {eps_values}")
-        if self.command in ("rate", "ldp-scaling", "laplace-check"):
-            if not 1 <= self.n_ctrl <= 64:
-                raise SchemaError("n_ctrl must lie in 1..64")
-            if self.n_steps % self.n_ctrl != 0:
-                raise SchemaError("n_steps must be a multiple of n_ctrl")
-        if self.n_workers < 1:
-            raise SchemaError("n_workers must be >= 1")
+            if not self.eps_list or not all(0.0 < e <= 1.0
+                                            for e in self.eps_list):
+                raise SchemaError("laplace-check needs an eps_list in (0, 1], "
+                                  f"got {self.eps_list}")
 
     def resolved_output_dir(self) -> Path:
         out = Path(self.output_dir)
@@ -187,8 +181,8 @@ _NESTED_HINTS = {("event", "kind"): str, ("event", "y"): float | list[float],
 def _fits(value, hint) -> bool:
     """True when a JSON value has the type a field annotation names.
 
-    A bool is no number, an int is a float, and a list annotation checks
-    every entry.
+    A bool is no number, a number for a float must be finite (an int
+    counts), and a list annotation checks every entry.
     """
     if isinstance(hint, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
@@ -197,7 +191,10 @@ def _fits(value, hint) -> bool:
             _fits(v, typing.get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:       # a huge int compares exactly; NaN compares False
+        return isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +207,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+def _write_table(out: Path, stem: str, header: list[str], rows: list[dict],
+                 **extra) -> list[str]:
+    """Result rows as ``stem.csv`` (the ``header`` columns) and ``stem.json``
+    (every key, plus ``extra``); returns the two artifact names."""
+    with open(out / f"{stem}.csv", "w") as fh:
+        write_csv(fh, [[r[k] for k in header] for r in rows], header)
+    _write_json(out / f"{stem}.json", {**extra, "rows": rows})
+    return [f"{stem}.csv", f"{stem}.json"]
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, t0: float,
@@ -276,14 +274,7 @@ def _solve_exponents(cfg: ExperimentConfig,
 
 
 def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
-    """Control-search config on a grid of at most 512 steps.
-
-    The finite-difference search solves on the largest multiple of n_ctrl
-    not above min(n_steps, 512); the rate diagnostics record that grid.
-    """
-    n_steps = min(cfg.n_steps, 512) // cfg.n_ctrl * cfg.n_ctrl
-    return ldp.RateConfig(hurst=cfg.hurst, n_steps=n_steps,
-                          n_ctrl=cfg.n_ctrl, seed=cfg.seed)
+    return ldp.RateConfig(cfg.hurst, cfg.n_steps, cfg.n_ctrl, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +299,9 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
     alpha, delta = _solve_exponents(cfg, coeffs)
     report = sde.norm_report(sol, alpha, delta, coeffs, hurst=cfg.hurst,
                              driver=driver)
-    t = driver.times
-    _write_csv(out / "solution.csv",
-               ["t"] + [f"x{i}" for i in range(coeffs.m)],
-               (tuple([float(t[k])] + [float(v) for v in sol.path.values[k]])
-                for k in range(cfg.n_steps + 1)))
+    with open(out / "solution.csv", "w") as fh:
+        write_csv(fh, np.column_stack([driver.times, sol.path.values]),
+                  ["t"] + [f"x{i}" for i in range(coeffs.m)])
     _write_json(out / "norm_report.json", {
         "alpha": alpha, "delta": delta, "hurst": cfg.hurst,
         "sup_norm": report.solution.sup_norm,
@@ -349,32 +338,26 @@ def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
     rows = ldp.scaling_table(coeffs, cfg.x0, event, cfg.eps_list,
                              cfg.n_samples, cfg.seed, n_steps=cfg.n_steps,
                              cfg=_rate_cfg(cfg))
-    header = ["eps", "p_hat", "std_err", "neg_eps_log_p", "rate_value", "gap"]
-    _write_csv(out / "scaling.csv", header,
-               (tuple(r[k] for k in header) for r in rows))
-    _write_json(out / "scaling.json", {"rows": rows})
-    return ["scaling.csv", "scaling.json"]
+    return _write_table(out, "scaling", ["eps", "p_hat", "std_err",
+                                         "neg_eps_log_p", "rate_value", "gap"],
+                        rows)
 
 
 def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
     h = _functional_from_config(cfg)
     variational = ldp.laplace_variational(coeffs, cfg.x0, h, _rate_cfg(cfg))
-    eps_list = cfg.eps_list or [cfg.eps]
     rows = []
-    for i, eps in enumerate(eps_list):
+    for i, eps in enumerate(cfg.eps_list):
         r = ldp.laplace_mc(coeffs, cfg.x0, h, eps, cfg.n_samples,
                            rng.mix64(cfg.seed, i), hurst=cfg.hurst,
                            n_steps=cfg.n_steps)
         rows.append({"eps": eps, "value": r.value, "std_err": r.std_err,
                      "variational": variational, "h_inf": h.inf_h,
                      "h_sup": h.sup_h})
-    header = ["eps", "value", "std_err", "variational", "h_inf", "h_sup"]
-    _write_csv(out / "laplace.csv", header,
-               (tuple(r[k] for k in header) for r in rows))
-    _write_json(out / "laplace.json",
-                {"functional": {"name": h.name, **h.params}, "rows": rows})
-    return ["laplace.csv", "laplace.json"]
+    return _write_table(out, "laplace", ["eps", "value", "std_err",
+                                         "variational", "h_inf", "h_sup"],
+                        rows, functional={"name": h.name, **h.params})
 
 
 def _validate_ops_checks(cfg: ExperimentConfig):
@@ -439,12 +422,12 @@ def _validate_ops_checks(cfg: ExperimentConfig):
 
 
 def _run_validate_ops(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rows = []
+    rows = [("check", "status", "detail")]
     failures = 0
     for name, passed, detail in _validate_ops_checks(cfg):
         rows.append((name, "pass" if passed else "FAIL", detail))
         failures += 0 if passed else 1
-    _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
+    (out / "validate.csv").write_text("".join(",".join(r) + "\n" for r in rows))
     if failures:
         raise NumericError(f"{failures} validate-ops checks failed")
     return ["validate.csv"]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .fbm import _synthesise, kernel_table, volterra_c
 from .fracops import _cell_moments, _convolve_lags, _weyl_left_core
-from .gridfn import GridFn
+from .gridfn import GridFn, write_csv
 
 __all__ = [
     "CmControl",
@@ -204,12 +204,11 @@ def inverse_kh(path: GridFn, hurst: float) -> np.ndarray:
 
 def export_control_csv(ctrl: CmControl, fh) -> None:
     """Rows (s_mid, v' components); header records hurst and n_steps."""
-    fh.write(f"# fbmld-control v{CSV_VERSION}\n")
-    fh.write(f"# hurst={ctrl.hurst!r} n_steps={ctrl.n_steps} dim={ctrl.dim}\n")
-    fh.write(",".join(["s_mid"] + [f"vdot_c{i}" for i in range(ctrl.dim)]) + "\n")
     mids = (np.arange(ctrl.n_steps) + 0.5) / ctrl.n_steps
-    for j, row in enumerate(ctrl.cell_values()):
-        fh.write(",".join([f"{mids[j]:.17g}"] + [f"{v:.17g}" for v in row]) + "\n")
+    write_csv(fh, np.column_stack([mids, ctrl.cell_values()]),
+              ["s_mid"] + [f"vdot_c{i}" for i in range(ctrl.dim)],
+              comments=(f"fbmld-control v{CSV_VERSION}",
+                        f"hurst={ctrl.hurst!r} n_steps={ctrl.n_steps} dim={ctrl.dim}"))
 
 
 def import_control_csv(fh) -> CmControl:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import blas, rng
 from .errors import DomainError, NumericError
-from .gridfn import GridFn
+from .gridfn import GridFn, write_csv
 
 __all__ = [
     "FbmBatch",
@@ -407,20 +407,15 @@ def export_paths_csv(batch: FbmBatch, fh) -> None:
     The two leading comment lines carry the format version and the batch
     metadata needed to regenerate the file.
     """
-    fh.write(f"# fbmld-paths v{FORMAT_VERSION}\n")
-    fh.write(
-        f"# sampler={batch.sampler} hurst={batch.hurst!r} n_steps={batch.n_steps} "
-        f"dim={batch.dim} n_paths={batch.n_paths} seed={batch.seed}\n"
-    )
     cols = ["t"] + [
         f"path{p}_c{i}" for p in range(batch.n_paths) for i in range(batch.dim)
     ]
-    fh.write(",".join(cols) + "\n")
     t = np.arange(batch.n_steps + 1) / batch.n_steps
     flat = batch.values.transpose(1, 0, 2).reshape(batch.n_steps + 1, -1)
-    for k in range(batch.n_steps + 1):
-        row = [f"{t[k]:.17g}"] + [f"{v:.17g}" for v in flat[k]]
-        fh.write(",".join(row) + "\n")
+    write_csv(fh, np.column_stack([t, flat]), cols, comments=(
+        f"fbmld-paths v{FORMAT_VERSION}",
+        f"sampler={batch.sampler} hurst={batch.hurst!r} n_steps={batch.n_steps} "
+        f"dim={batch.dim} n_paths={batch.n_paths} seed={batch.seed}"))
 
 
 def export_increments(batch: FbmBatch, path: str) -> None:

@@ -104,3 +104,15 @@ class GridFn:
 
     def component(self, i: int) -> GridFn:
         return GridFn(self.n_steps, self.values[:, i : i + 1])
+
+
+def write_csv(fh, table, columns, comments=()) -> None:
+    """``# `` comment lines, the column header, then one row per line.
+
+    Every value is written with 17 significant digits, so ``float()`` reads
+    back each float64 bit for bit.
+    """
+    for line in comments:
+        fh.write(f"# {line}\n")
+    np.savetxt(fh, np.asarray(table, dtype=float), fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="")

