@@ -294,8 +294,9 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
     assert (tmp_path / "out2" / "error.json").exists()
 
 
-def test_rate_workflow_searches_the_configured_grid(tmp_path):
-    # the search runs on all n_steps, not on a coarser grid below it
+def test_rate_workflow_grid_not_multiple_of_512(tmp_path):
+    # 960 steps is no multiple of 512: the search still runs on all of
+    # n_steps, not on a coarser grid below it
     path, _ = write_config(
         tmp_path, command="rate", hurst=0.6, n_steps=960, n_ctrl=60,
         coefficient="constant", x0=[0.0],
