@@ -110,6 +110,8 @@ class ExperimentConfig:
                 _rate_cfg(self)
             except DomainError as exc:
                 raise SchemaError(str(exc)) from exc
+        if not 0 <= self.seed <= rng._MASK:
+            raise SchemaError("seed must lie in 0..2^64-1")
         if self.n_steps < 1:
             raise SchemaError("n_steps must be positive")
         if self.sampler not in ("volterra", "cholesky"):

@@ -80,30 +80,71 @@ class EventSpec:
         """True when the event reads the terminal state X_1 alone."""
         return self.kind in ("terminal_exceedance", "terminal_target")
 
-    def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int):
+    def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int,
+                     grad: bool = False):
         """Batch map from solved states (B, n+1, m) to constraint violations.
 
         Violations are in the event's natural units; values <= 0 mean the
         event holds.  A :attr:`terminal` event reads only ``states[:, -1]``,
         so it also takes the terminal slice (B, 1, m).  ``sup_exceedance``
-        solves the zero-noise flow once, here, on zero increments.
+        solves the zero-noise flow once, here, on zero increments.  Each
+        row's violation reads one state: the last one, or the first step of
+        largest deviation for ``sup_exceedance``.  With ``grad`` the map
+        returns ``(values, steps, c)``: that state's index in ``states``
+        (B,) and the violation's derivative with respect to it (B, m), 0
+        where a norm is 0.
         """
         if self.kind == "terminal_exceedance":
-            return lambda states: self.a - states[:, -1, 0]
-        if self.kind == "terminal_target":
+            def local(states):
+                return (self.a - states[:, -1, 0], _last(states),
+                        _first_component(states, -1.0))
+        elif self.kind == "terminal_target":
             y = np.atleast_1d(np.asarray(self.y, dtype=float))
-            return lambda states: np.linalg.norm(
-                states[:, -1, :] - y, axis=1) - self.r
-        phi = solve_increments(x0, coeffs, np.zeros((1, n_steps, coeffs.d)))[0]
 
-        def sup_violation(states):
-            # np.linalg.norm(states - phi, axis=2).max(axis=1) bitwise, with
-            # one temporary: the square root commutes with the max
-            dev = states - phi
-            dev *= dev
-            return self.a - np.sqrt(dev.sum(axis=2).max(axis=1))
+            def local(states):
+                dev = states[:, -1, :] - y
+                norm = np.linalg.norm(dev, axis=1)
+                return norm - self.r, _last(states), _unit(dev, norm)
+        else:
+            phi = solve_increments(x0, coeffs,
+                                   np.zeros((1, n_steps, coeffs.d)))[0]
 
-        return sup_violation
+            def local(states):
+                # np.linalg.norm(states - phi, axis=2).max(axis=1) bitwise,
+                # with one temporary: the square root commutes with the max
+                dev = states - phi
+                dev *= dev
+                rows, steps, top = _largest(dev.sum(axis=2))
+                return (self.a - top, steps,
+                        -_unit(states[rows, steps] - phi[steps], top))
+        return local if grad else lambda states: local(states)[0]
+
+
+def _last(states: np.ndarray) -> np.ndarray:
+    """The index of the last state, for each row of ``states``."""
+    return np.full(len(states), states.shape[1] - 1)
+
+
+def _first_component(states: np.ndarray, slope) -> np.ndarray:
+    """Derivatives (B, m) that are ``slope`` on component 0 and 0 elsewhere."""
+    c = np.zeros((len(states), states.shape[2]))
+    c[:, 0] = slope
+    return c
+
+
+def _unit(v: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """``v / norm`` row by row, and 0 where the norm is 0."""
+    out = np.zeros_like(v)
+    np.divide(v, norm[:, None], out=out, where=norm[:, None] > 0.0)
+    return out
+
+
+def _largest(sq: np.ndarray):
+    """``(rows, steps, sqrt(max))`` of squared norms (B, n+1): the first
+    step of each row's largest entry, ties to the first, and its root."""
+    rows = np.arange(len(sq))
+    steps = sq.argmax(axis=1)
+    return rows, steps, np.sqrt(sq[rows, steps])
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +153,21 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class BoundedFunctional:
-    """A bounded path functional h with recorded bounds."""
+    """A bounded path functional h with recorded bounds.
+
+    ``fn_grad``, set for the registry functionals, maps ``(states, x0)`` to
+    ``(values, steps, c)`` as ``EventSpec.violation_fn(grad=True)`` does;
+    :func:`laplace_variational` needs it.  At a clip it takes the interior
+    side: the unclipped branch's derivative on the closed interval
+    [0, cap], so a search that starts on the cap moves off it.
+    """
 
     name: str
     fn: callable                   # (states (B, n+1, m), x0) -> (B,)
     inf_h: float
     sup_h: float
     params: dict
+    fn_grad: callable | None = None
 
     @property
     def terminal(self) -> bool:
@@ -129,38 +178,48 @@ class BoundedFunctional:
 
 def _h_sup_norm_capped(params):
     cap = params.setdefault("cap", 1.0)
-    return dict(
+
+    def fn_grad(states, x0):
         # np.linalg.norm(states, axis=2).max(axis=1), square root last
-        fn=lambda states, x0: np.minimum(
-            np.sqrt(np.square(states).sum(axis=2).max(axis=1)), cap),
-        inf_h=0.0, sup_h=cap,
-    )
+        rows, steps, top = _largest(np.square(states).sum(axis=2))
+        c = _unit(states[rows, steps], top) * (top <= cap)[:, None]
+        return np.minimum(top, cap), steps, c
+
+    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
 
 
 def _h_terminal_rise_capped(params):
     cap = params.setdefault("cap", 1.0)
-    return dict(
-        fn=lambda states, x0: np.clip(states[:, -1, 0] - x0[0], 0.0, cap),
-        inf_h=0.0, sup_h=cap,
-    )
+
+    def fn_grad(states, x0):
+        rise = states[:, -1, 0] - x0[0]
+        return (np.clip(rise, 0.0, cap), _last(states),
+                _first_component(states, (rise >= 0.0) & (rise <= cap)))
+
+    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
 
 
 def _h_terminal_shortfall(params):
     cap = params.setdefault("cap", 1.0)
     target = params.setdefault("target", 1.0)
-    return dict(
-        fn=lambda states, x0: np.clip(
-            target - (states[:, -1, 0] - x0[0]), 0.0, cap),
-        inf_h=0.0, sup_h=cap,
-    )
+
+    def fn_grad(states, x0):
+        short = target - (states[:, -1, 0] - x0[0])
+        return (np.clip(short, 0.0, cap), _last(states),
+                _first_component(states, np.where(
+                    (short >= 0.0) & (short <= cap), -1.0, 0.0)))
+
+    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
 
 
 def _h_constant(params):
     level = params.setdefault("level", 1.0)
-    return dict(
-        fn=lambda states, x0: np.full(states.shape[0], level),
-        inf_h=level, sup_h=level,
-    )
+
+    def fn_grad(states, x0):
+        return (np.full(len(states), level), _last(states),
+                _first_component(states, 0.0))
+
+    return dict(fn_grad=fn_grad, inf_h=level, sup_h=level)
 
 
 _FUNCTIONALS = {
@@ -188,7 +247,10 @@ def get_functional(name: str, **params) -> BoundedFunctional:
         raise DomainError(f"functional {name!r} takes no parameter {unread}; "
                           f"it reads {sorted(defaults)}")
     spec = _FUNCTIONALS[name](params)
-    return BoundedFunctional(name=name, params=params, **spec)
+    fn_grad = spec["fn_grad"]
+    return BoundedFunctional(
+        name=name, params=params,
+        fn=lambda states, x0: fn_grad(states, x0)[0], **spec)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +260,6 @@ def get_functional(name: str, **params) -> BoundedFunctional:
 # Optimizer constants of the control-space searches.
 _PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS-B stage per weight
 _MAXITER = 150              # L-BFGS-B iterations per stage (per start)
-_FD_STEP = 1e-5             # relative central-difference step
 _FEASIBILITY_TOL = 1e-3     # largest residual a feasible result may keep
 # Feasibility polish: one ladder of scales, then rounds that each split the
 # bracket at 31 interior scales; 32^8 = 2^40 shrinks it to 2^-40 of its width.
@@ -325,12 +386,12 @@ def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
 
 
 class _SkeletonObjective:
-    """Batched objective evaluations over the block-control family.
+    """Objective evaluations over the block-control family.
 
     Evaluates ``0.5 ||vdot||^2 + weight * g(theta)`` where g is either the
     squared positive violation (penalty mode) or a bounded functional, with
-    the skeletons for a whole finite-difference stencil evaluated in one
-    batch.  :meth:`map_batch` is the one place that evaluates skeletons.
+    its exact gradient, from one skeleton per evaluation.  :meth:`map_batch`
+    is the one place that evaluates skeletons.
     For an affine family (``coeffs.affine``) the skeleton states are
     affine in theta, ``X_free + theta @ G``; the objective builds the
     :func:`_affine_map` of the block increment map once, keeping every
@@ -386,16 +447,56 @@ class _SkeletonObjective:
         return fn(self._solve(self._drivers(thetas)))
 
     def value_and_grad(self, theta: np.ndarray, g, weight: float):
-        """Central finite differences of the full objective, batched."""
-        k = self.n_params
-        h = _FD_STEP * np.maximum(1.0, np.abs(theta))
-        stencil = np.tile(theta, (2 * k + 1, 1))
-        rows = np.arange(k)
-        stencil[1 + rows, rows] += h
-        stencil[1 + k + rows, rows] -= h
-        obj = 0.5 * self.norm_sq(stencil) + weight * self.map_batch(stencil, g)
-        grad = (obj[1 : 1 + k] - obj[1 + k :]) / (2.0 * h)
-        return obj[0], grad
+        """The objective at theta and its exact gradient, from one skeleton.
+
+        ``g`` maps states to ``(values, steps, c)``, as
+        ``EventSpec.violation_fn(grad=True)`` does: g reads the state at
+        one step, and c is its derivative there.  The gradient of g is then
+        that of ``c . X_step``, from :meth:`_state_grad`.
+        """
+        states = self.map_batch(theta[None], lambda states: states)
+        (value,), (step,), (c,) = g(states)
+        # the step on the full grid: a terminal slice holds the last state
+        step += self.cfg.n_steps + 1 - states.shape[1]
+        return (0.5 * self.norm_sq(theta[None])[0] + weight * value,
+                theta / self.cfg.n_ctrl
+                + weight * self._state_grad(theta, states[0], step, c))
+
+    def _state_grad(self, theta: np.ndarray, states: np.ndarray, step: int,
+                    c: np.ndarray) -> np.ndarray:
+        """Gradient in theta of ``c . X_step`` for the skeleton ``states``.
+
+        With an affine map it is the map's response at that step times c,
+        exact whichever route solved the states.  Otherwise it is the
+        adjoint of the Euler recursion, componentwise since sigma is
+        diagonal and ``drift_jac`` acts per component: with
+        ``a_k = 1 + b'(x_k) dt + s'(x_k) dv_k`` and
+        ``lam_k = a_(k+1) ... a_(step-1)``, the gradient is
+        ``M^T (s(x_k) lam_k) * c`` over k < step, M the block increment
+        map.  A family with no ``drift_jac`` (rotation) and no map raises
+        NumericError.
+        """
+        co, n_ctrl = self.coeffs, self.cfg.n_ctrl
+        if self.affine_map is not None:
+            kept, resp = self.affine_map[0], self.affine_map[2]
+            row = step - (self.cfg.n_steps + 1 - len(kept))
+            return resp[:, row * co.m:(row + 1) * co.m] @ c
+        if co.drift_jac is None:
+            raise NumericError(
+                f"{co.name!r} has no elementwise drift Jacobian and its "
+                "affine map overflowed, so the search has no gradient")
+        r = min(co.m, co.d)
+        inc_map = self.inc_map[:step]
+        dv = inc_map @ theta.reshape(n_ctrl, co.d)[:, :r]
+        # registry coefficients never depend on t
+        x = states[:step]
+        a = 1.0 + co.drift_jac(0.0, x[1:])[:, :r] * (1.0 / self.cfg.n_steps) \
+            + co.diffusion_jac(0.0, x[1:]) * dv[1:]
+        lam = np.ones((step, r))
+        lam[:-1] = np.cumprod(a[::-1], axis=0)[::-1]
+        grad = np.zeros((n_ctrl, co.d))
+        grad[:, :r] = inc_map.T @ (co.diffusion(0.0, x) * lam) * c[:r]
+        return grad.ravel()
 
 
 def _starts(cfg: RateConfig, n_params: int, d: int) -> list[np.ndarray]:
@@ -451,11 +552,15 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     """Minimize 0.5 ||vdot||^2 subject to the skeleton hitting the event.
 
     Exterior quadratic penalty with stage-escalated weights and L-BFGS
-    descent on central finite-difference gradients; multi-start (zero,
+    descent on exact gradients (:meth:`_SkeletonObjective.value_and_grad`:
+    the affine map's response, or the adjoint of the Euler recursion),
+    with the penalty's chain rule ``2 max(v, 0) dv``; multi-start (zero,
     random signs, smooth bump).  After the stages a scalar feasibility
     polish rescales the control onto the constraint when that costs little.
     Returns the best feasible candidate, or an infeasibility report with
-    value = inf when no start meets the tolerance.  ``n_solves`` in the
+    value = inf when no start meets the tolerance.  Each entry of the
+    diagnostics' ``starts`` records whether its last L-BFGS-B stage
+    converged, and that stage's message.  ``n_solves`` in the
     diagnostics counts every row passed to ``solve_increments``, the
     zero-noise flow of a ``sup_exceedance`` event included; ``n_evals``
     counts every skeleton the search evaluated.  The two agree, flow
@@ -463,13 +568,15 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     n_ctrl * d + 1 rows of the one affine-map build.
     """
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=event.terminal)
-    viol = event.violation_fn(coeffs, obj.x0, cfg.n_steps)
+    local = event.violation_fn(coeffs, obj.x0, cfg.n_steps, grad=True)
     # violation_fn solved one skeleton row: a sup_exceedance event's flow
     obj.n_solves += int(event.kind == "sup_exceedance")
 
+    def viol(states):
+        return local(states)[0]
+
     per_start, thetas = [], []
-    runs = _descend(obj, lambda states: np.maximum(viol(states), 0.0) ** 2,
-                    _PENALTY_WEIGHTS)
+    runs = _descend(obj, _penalty(local), _PENALTY_WEIGHTS)
     for start_idx, (res, iters) in enumerate(runs):
         theta, residual = _feasibility_polish(obj, viol, res.x)
         thetas.append(theta)
@@ -478,6 +585,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
             "value": float(0.5 * obj.norm_sq(theta[None])[0]),
             "residual": float(residual), "iterations": iters,
             "feasible": bool(residual <= _FEASIBILITY_TOL),
+            "converged": bool(res.success), "message": str(res.message),
         })
 
     diag = {
@@ -499,6 +607,17 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
         block_values=theta.reshape(cfg.n_ctrl, coeffs.d),
         residual=chosen["residual"], feasible=bool(feas), diagnostics=diag,
     )
+
+
+def _penalty(local):
+    """The squared positive violation of a ``violation_fn(grad=True)`` map,
+    in the same form, with the chain rule ``2 max(v, 0) dv``."""
+    def penalty(states):
+        v, steps, c = local(states)
+        pos = np.maximum(v, 0.0)
+        return pos ** 2, steps, 2.0 * pos[:, None] * c
+
+    return penalty
 
 
 def _feasibility_polish(obj, viol, theta):
@@ -531,12 +650,15 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
     """Deterministic side of the variational representation.
 
     Minimizes ``h(skeleton(v)) + 0.5 ||vdot||^2`` over the block-control
-    family.  Restricting to deterministic controls makes this an upper bound
-    for the infimum over adapted controls; non-convergence is flagged via a
-    warning and the best value so far is returned.
+    family on exact gradients, which needs ``h.fn_grad``.  Restricting to
+    deterministic controls makes this an upper bound for the infimum over
+    adapted controls; non-convergence is flagged via a warning and the best
+    value so far is returned.
     """
+    if h.fn_grad is None:
+        raise DomainError(f"functional {h.name!r} has no fn_grad to search on")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
-    runs = _descend(obj, lambda states: h.fn(states, obj.x0), (1.0,))
+    runs = _descend(obj, lambda states: h.fn_grad(states, obj.x0), (1.0,))
     if not any(res.success for res, _ in runs):
         warnings.warn("laplace_variational: optimizer did not converge; "
                       "returning best value so far", stacklevel=2)

@@ -59,7 +59,11 @@ class CoefficientSet:
     whose diffusion does not depend on x: their Euler states are affine in
     the driver increments, which lets the control searches evaluate
     skeletons by one cached linear map (``ldp._SkeletonObjective``).
-    Registry families do not depend on t.
+    ``drift_jac`` and ``diffusion_jac`` are the elementwise derivatives
+    db_i/dx_i and ds_i/dx_i, shaped like ``drift`` and ``diffusion``, of
+    families whose drift acts per component; the control searches' adjoint
+    gradients read them.  They are None for a drift that mixes components
+    (``rotation``).  Registry families do not depend on t.
     """
 
     name: str
@@ -72,6 +76,8 @@ class CoefficientSet:
     time_holder: float
     grad_holder: float
     affine: bool = False
+    drift_jac: callable | None = None
+    diffusion_jac: callable | None = None
     params: dict = field(default_factory=dict)
 
     def admissible_alpha(self, hurst: float) -> tuple[float, float]:
@@ -86,6 +92,8 @@ def _entry_zero(m, d, params):
     return dict(
         drift=lambda t, x: np.zeros_like(x),
         diffusion=lambda t, x: 0.0,
+        drift_jac=lambda t, x: np.zeros_like(x),
+        diffusion_jac=lambda t, x: 0.0,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
         affine=True,
     )
@@ -97,6 +105,8 @@ def _entry_constant(m, d, params):
     return dict(
         drift=lambda t, x: np.full_like(x, b0),
         diffusion=lambda t, x: scale,
+        drift_jac=lambda t, x: np.zeros_like(x),
+        diffusion_jac=lambda t, x: 0.0,
         lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
         affine=True,
     )
@@ -108,6 +118,8 @@ def _entry_linear_drift(m, d, params):
     return dict(
         drift=lambda t, x: -rate * x,
         diffusion=lambda t, x: scale,
+        drift_jac=lambda t, x: np.full_like(x, -rate),
+        diffusion_jac=lambda t, x: 0.0,
         lipschitz_drift=abs(rate), lipschitz_sigma=0.0,
         time_holder=1.0, grad_holder=1.0, affine=True,
     )
@@ -119,6 +131,8 @@ def _entry_linear_sigma(m, d, params):
     return dict(
         drift=lambda t, x: np.zeros_like(x),
         diffusion=lambda t, x: x,
+        drift_jac=lambda t, x: np.zeros_like(x),
+        diffusion_jac=lambda t, x: np.ones_like(x),
         lipschitz_drift=0.0, lipschitz_sigma=1.0, time_holder=1.0, grad_holder=1.0,
     )
 
@@ -132,6 +146,8 @@ def _entry_tanh(m, d, params):
     return dict(
         drift=lambda t, x: b_scale * np.tanh(x),
         diffusion=lambda t, x: s0 + s1 * np.tanh(x),
+        drift_jac=lambda t, x: b_scale * (1.0 - np.tanh(x) ** 2),
+        diffusion_jac=lambda t, x: s1 * (1.0 - np.tanh(x) ** 2),
         lipschitz_drift=abs(b_scale), lipschitz_sigma=abs(s1),
         time_holder=1.0, grad_holder=1.0,
     )
@@ -218,7 +234,7 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     """Batched Euler core: increments (P, n, d) -> states (P, n+1, m).
 
     Pure function; the batch axis vectorises Monte Carlo samples and
-    finite-difference stencils alike.  When neither coefficient depends on
+    control-search batches alike.  When neither coefficient depends on
     the state (Lipschitz constants 0: ``zero`` and ``constant``; registry
     coefficients never depend on t) every Euler step b dt + s dg is known
     up front, and the states are their running sum from x0, one

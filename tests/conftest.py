@@ -29,3 +29,19 @@ def random_gridfn(seed: int, n_steps: int, dim: int = 1,
     steps = gen.standard_normal((n_steps, dim)) / np.sqrt(n_steps)
     vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
     return GridFn(n_steps, vals)
+
+
+def central_difference(f, x) -> np.ndarray:
+    """Central-difference gradient of a scalar function f at the vector x.
+
+    The test suite's one finite-difference oracle: coordinate i moves by
+    ``1e-6 * max(1, |x_i|)`` each way.
+    """
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
+    return grad

@@ -197,6 +197,9 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"command": "solve", "m": 0, "x0": []}, "m must be >= 1"),
     ({"command": "rate", "m": 0, "x0": [],
       "event": {"kind": "terminal_exceedance", "a": 1.0}}, "m must be >= 1"),
+    ({"seed": 2 ** 70}, "seed must lie in 0..2^64-1"),
+    ({"seed": 2 ** 64}, "seed must lie in 0..2^64-1"),
+    ({"seed": -1}, "seed must lie in 0..2^64-1"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
@@ -214,7 +217,8 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "functional_name_number", "eps_unknown", "laplace_no_eps_list",
         "x0_nan", "coefficient_scale_nan", "event_a_nan", "x0_infinity",
         "event_y_nan_entry", "eps_list_nan", "functional_cap_infinity",
-        "x0_huge_int", "solve_m_zero", "rate_m_zero"])
+        "x0_huge_int", "solve_m_zero", "rate_m_zero", "seed_2_to_70",
+        "seed_2_to_64", "seed_negative"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}
@@ -384,6 +388,20 @@ def test_seed_override_changes_results_and_is_recorded(tmp_path):
     assert manifest["seed"] == 999
     assert read_artifacts(tmp_path / "a")["paths.csv"] != \
         read_artifacts(tmp_path / "b")["paths.csv"]
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+def test_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
+    # seeds used to wrap modulo 2^64: 2^70 wrote the same paths as 0
+    path, _ = write_config(tmp_path)
+    assert cli.run(str(path), seed_override=seed) == cli.EXIT_SCHEMA
+    assert "seed must lie in 0..2^64-1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    path, _ = write_config(tmp_path, seed=2 ** 64 - 1)
+    assert cli.run(str(path)) == cli.EXIT_OK
 
 
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):

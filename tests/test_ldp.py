@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from conftest import central_difference
 from fbmld import cmspace as cm
 from fbmld import fbm, ldp, rng, sde
 from fbmld.errors import DimensionError, DomainError, NumericError
@@ -390,6 +391,197 @@ def test_rate_minimize_n_ctrl_override():
 
 
 # ---------------------------------------------------------------------------
+# exact gradients
+# ---------------------------------------------------------------------------
+
+GRAD_CASES = AFFINE_CASES + [
+    ("linear_drift", 3, 2, {"rate": -1.5, "scale": 0.9}, [0.2, 0.1, -0.3]),
+    ("linear_sigma", 2, 2, {}, [1.0, 0.5]),
+    ("tanh", 2, 2, {"drift_scale": 1.2, "sigma_scale": 0.6}, [0.2, -0.4]),
+]
+GRAD_IDS = ["zero", "constant", "linear_drift", "rotation", "linear_drift_m3",
+            "linear_sigma", "tanh"]
+GRAD_TARGETS = ["terminal_exceedance", "terminal_target", "sup_exceedance",
+                "sup_norm_capped", "terminal_rise_capped",
+                "terminal_shortfall", "constant"]
+# each case on every route it has: the terminal map (terminal targets only)
+# and the full map of an affine family, and the Euler route (the map forced
+# to None) for every family with a drift_jac
+GRAD_RUNS = [
+    pytest.param(case, route, target, id=f"{case_id}-{route}-{target}")
+    for case, case_id in zip(GRAD_CASES, GRAD_IDS)
+    for route in ("terminal", "full", "euler")
+    for target in GRAD_TARGETS
+    if (sde.get_coefficients(case[0], m=case[1], d=case[2]).affine
+        or route == "euler")
+    and not (case[0] == "rotation" and route == "euler")
+    and not (route == "terminal" and target.startswith("sup_"))]
+
+
+def _gradient_target(name, co, x0, states, n_steps):
+    """(g, margin) for the skeleton ``states`` (n+1, m).
+
+    Events come in penalty form, as ``rate_minimize`` searches them, and
+    functionals through ``fn_grad``; their parameters are set from the
+    states so that g is smooth near theta, ``margin`` away from its nearest
+    kink (a hinge, a clip, a norm at 0, or an argmax tie).
+    """
+    x1, rise = states[-1], states[-1, 0] - x0[0]
+    if name in ldp.EVENT_READS:
+        phi = sde.solve_increments(x0, co, np.zeros((1, n_steps, co.d)))[0]
+        dev = np.sort(np.linalg.norm(states - phi, axis=1))
+        event, margin = {
+            "terminal_exceedance": (
+                ldp.EventSpec("terminal_exceedance", a=x1[0] + 1.0), 1.0),
+            "terminal_target": (
+                ldp.EventSpec("terminal_target", y=x1 + 1.0, r=0.5), 0.5),
+            "sup_exceedance": (
+                ldp.EventSpec("sup_exceedance", a=dev[-1] + 1.0),
+                dev[-1] - dev[-2]),
+        }[name]
+        g = ldp._penalty(event.violation_fn(co, x0, n_steps, grad=True))
+        return g, margin
+    norms = np.sort(np.linalg.norm(states, axis=1))
+    h, margin = {
+        "sup_norm_capped": (dict(cap=norms[-1] + 1.0), norms[-1] - norms[-2]),
+        "terminal_rise_capped": (dict(cap=abs(rise) + 1.0), abs(rise)),
+        "terminal_shortfall": (dict(target=rise + 0.5, cap=1.0), 0.5),
+        "constant": (dict(level=0.7), 1.0),
+    }[name]
+    h = ldp.get_functional(name, **h)
+    return (lambda s: h.fn_grad(s, x0)), margin
+
+
+@pytest.mark.parametrize("case, route, target", GRAD_RUNS)
+def test_exact_gradient_matches_central_differences(case, route, target):
+    name, m, d, params, x0 = case
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=32, n_ctrl=4)
+    co = sde.get_coefficients(name, m=m, d=d, **params)
+    x0 = np.asarray(x0, dtype=float)
+    theta = 0.6 * rng.stream(23, 0).standard_normal(cfg.n_ctrl * d)
+    probe = ldp._SkeletonObjective(co, x0, cfg)
+    states = sde.solve_increments(x0, co, probe._drivers(theta[None]))[0]
+    g, margin = _gradient_target(target, co, x0, states, cfg.n_steps)
+    # zero's states never move, so its kinks cannot be crossed
+    assert name == "zero" or margin > 1e-3, margin
+    obj = ldp._SkeletonObjective(co, x0, cfg, terminal=route == "terminal")
+    if route == "euler":
+        obj.affine_map = None
+    assert (obj.affine_map is None) == (route == "euler")
+    grad = obj.value_and_grad(theta, g, 3.0)[1]
+    fd = central_difference(lambda th: obj.value_and_grad(th, g, 3.0)[0],
+                            theta)
+    assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_gradient_of_the_affine_map_holds_over_the_bound():
+    # a batch the bound sends to the Euler loop still takes its gradient
+    # from the map's response at the terminal step
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("rotation", m=2, d=2)
+    obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
+    theta = np.zeros(obj.n_params)
+    theta[6] = 0.75 * sde._OVERFLOW_GUARD / obj.affine_map[3][6]
+    g = ldp._penalty(ldp.EventSpec("terminal_target", y=[1.0, 0.5], r=0.05)
+                     .violation_fn(co, obj.x0, cfg.n_steps, grad=True))
+    solves = obj.n_solves
+    value, grad = obj.value_and_grad(theta, g, 1.0)
+    assert obj.n_solves == solves + 1
+    states = sde.solve_increments(obj.x0, co, obj._drivers(theta[None]))
+    v, _, c = g(states)
+    resp = obj.affine_map[2]
+    assert value == 0.5 * obj.norm_sq(theta[None])[0] + v[0]
+    np.testing.assert_allclose(grad, theta / cfg.n_ctrl + resp @ c[0],
+                               rtol=1e-12)
+
+
+def test_rotation_without_a_map_has_no_gradient():
+    # rotation's drift mixes components: no drift_jac, so its gradient
+    # needs the map, which a scale of 1e13 overflows in the build here
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
+    co = sde.get_coefficients("rotation", m=2, d=2, scale=1e13)
+    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    assert ldp._SkeletonObjective(co, [0.0, 0.0], cfg).affine_map is None
+    with pytest.raises(NumericError, match="rotation.*no gradient"):
+        ldp.rate_minimize(co, [0.0, 0.0], ev, cfg)
+
+
+def test_kinks_take_the_interior_side():
+    # a clip uses the unclipped branch on the closed interval [0, cap]
+    x0 = np.zeros(1)
+    cap = 0.5
+    for name, slope, terminal_state in [
+            ("terminal_shortfall", -1.0, lambda v: 1.0 - v),
+            ("terminal_rise_capped", 1.0, lambda v: v)]:
+        h = ldp.get_functional(name, cap=cap)
+        # states whose clipped quantity sits at 0, at cap, and just outside
+        for q, want in [(0.0, slope), (cap, slope), (-1e-12, 0.0),
+                        (cap + 1e-12, 0.0)]:
+            states = np.array([[[0.0], [terminal_state(q)]]])
+            value, step, c = h.fn_grad(states, x0)
+            assert value[0] == np.clip(q, 0.0, cap) and step[0] == 1
+            assert c[0, 0] == want, (name, q)
+    h = ldp.get_functional("sup_norm_capped", cap=cap)
+    for norm, want in [(cap, 1.0), (cap + 1e-12, 0.0), (0.0, 0.0)]:
+        states = np.array([[[0.0, 0.0], [0.6 * norm, 0.8 * norm],
+                            [0.0, 0.0]]])
+        value, step, c = h.fn_grad(states, x0)
+        assert step[0] == (1 if norm else 0)      # a tie takes the first
+        np.testing.assert_array_equal(c[0], [0.6 * want, 0.8 * want])
+    # argmax ties and zero norms of the events
+    ev = ldp.EventSpec("sup_exceedance", a=1.0).violation_fn(
+        ADDITIVE, [0.0], 3, grad=True)
+    v, step, c = ev(np.array([[[0.0], [2.0], [-2.0], [2.0]]]))
+    assert (v[0], step[0], c[0, 0]) == (-1.0, 1, -1.0)
+    v, step, c = ev(np.zeros((1, 4, 1)))
+    assert (v[0], step[0], c[0, 0]) == (1.0, 0, 0.0)
+    ev = ldp.EventSpec("terminal_target", y=[1.0, 2.0], r=0.5).violation_fn(
+        ADDITIVE, [0.0], 3, grad=True)
+    v, step, c = ev(np.array([[[1.0, 2.0]]]))
+    assert (v[0], step[0]) == (-0.5, 0) and not c.any()
+
+
+def test_zero_start_on_the_cap_moves_off_it():
+    # the laplace_tanh problem's zero start has shortfall exactly cap; its
+    # interior-side gradient pushes every block up, off the cap
+    h = ldp.get_functional("terminal_shortfall", target=1.0)
+    cfg = ldp.RateConfig(hurst=0.75, n_steps=64, n_ctrl=8)
+    obj = ldp._SkeletonObjective(sde.get_coefficients("tanh"), [0.0], cfg,
+                                 terminal=True)
+    value, grad = obj.value_and_grad(np.zeros(obj.n_params),
+                                     lambda s: h.fn_grad(s, obj.x0), 1.0)
+    assert value == 1.0 and np.all(grad < 0.0)
+
+
+@pytest.mark.parametrize("n_steps", [256, 512])
+def test_laplace_tanh_search_converges_from_every_start(n_steps):
+    # on finite differences every start ended "ABNORMAL" at n = 512
+    h = ldp.get_functional("terminal_shortfall", target=1.0)
+    cfg = ldp.RateConfig(hurst=0.75, n_steps=n_steps, n_ctrl=32, seed=7)
+    obj = ldp._SkeletonObjective(sde.get_coefficients("tanh"), [0.0], cfg,
+                                 terminal=True)
+    runs = ldp._descend(obj, lambda s: h.fn_grad(s, obj.x0), (1.0,))
+    assert [res.success for res, _ in runs] == [True] * 3, \
+        [res.message for res, _ in runs]
+
+
+def test_laplace_variational_needs_fn_grad():
+    h = ldp.BoundedFunctional(name="custom", fn=lambda s, x0: s[:, -1, 0],
+                              inf_h=0.0, sup_h=1.0, params={})
+    with pytest.raises(DomainError, match="fn_grad"):
+        ldp.laplace_variational(ADDITIVE, [0.0], h, SMALL_CFG)
+
+
+def test_rate_starts_record_convergence():
+    res = ldp.rate_minimize(ADDITIVE, [0.0],
+                            ldp.EventSpec("terminal_exceedance", a=1.0),
+                            SMALL_CFG)
+    for start in res.diagnostics["starts"]:
+        assert start["converged"] is True
+        assert start["message"].startswith("CONVERGENCE")
+
+
+# ---------------------------------------------------------------------------
 # multiplicative noise: geometric fBm against an exact discrete oracle
 # ---------------------------------------------------------------------------
 
@@ -442,6 +634,41 @@ def test_geometric_rates_fall_toward_the_continuum_value(geometric_rates):
     values = [value for value, _ in geometric_rates]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] > GEOMETRIC_LEVEL ** 2 / 2
+
+
+GEOMETRIC_RATE_128 = 0.1265465     # the discrete rate on the 128/16 grid
+
+
+@pytest.fixture(scope="module")
+def geometric_scaling():
+    """scaling_table rows of X_1 >= e^0.5 for dX = X dB^H at 128/16, and a
+    crude (zero-control) estimate at eps 0.1 on its own seed."""
+    co = sde.get_coefficients("linear_sigma")
+    ev = ldp.EventSpec("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
+    cfg = ldp.RateConfig(hurst=0.7, n_steps=128, n_ctrl=16, seed=0)
+    rows = ldp.scaling_table(co, [1.0], ev, [0.25, 0.1, 0.05], 20_000, 61,
+                             n_steps=128, cfg=cfg)
+    crude = ldp.is_probability(co, [1.0], ev, 0.1, 20_000, 62,
+                               cm.zero_control(0.7, 128), hurst=0.7,
+                               n_steps=128)
+    return rows, crude
+
+
+def test_geometric_tilt_agrees_with_crude_monte_carlo(geometric_scaling):
+    rows, crude = geometric_scaling
+    tilted = rows[1]
+    assert tilted["eps"] == 0.1 and crude.n_hits > 500
+    joint = math.hypot(crude.std_err, tilted["std_err"])
+    assert abs(crude.p_hat - tilted["p_hat"]) <= 3.0 * joint
+
+
+def test_geometric_scaling_falls_toward_the_rate(geometric_scaling):
+    rows, _ = geometric_scaling
+    assert rows[0]["rate_value"] == pytest.approx(GEOMETRIC_RATE_128,
+                                                  rel=1e-6)
+    neg = [r["neg_eps_log_p"] for r in rows]
+    assert all(b < a for a, b in zip(neg, neg[1:])), neg
+    assert all(v > r["rate_value"] for v, r in zip(neg, rows)), neg
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import central_difference
 from fbmld import cmspace as cm
 from fbmld import fbm, rng, sde
 from fbmld.errors import DimensionError, DomainError, NumericError
@@ -57,6 +58,41 @@ def test_registry_lipschitz_metadata_spot_check(name, kwargs):
         gap = np.linalg.norm(x - y)
         assert bgap <= 1.01 * co.lipschitz_drift * gap + 1e-12
         assert sgap <= 1.01 * co.lipschitz_sigma * gap + 1e-12
+
+
+@pytest.mark.parametrize("name, m, d, kwargs", [
+    ("zero", 1, 1, {}),
+    ("constant", 1, 1, {"scale": 1.3, "drift_const": 0.4}),
+    ("linear_drift", 2, 3, {"rate": 2.0, "scale": 0.7}),
+    ("linear_sigma", 2, 2, {}),
+    ("tanh", 2, 2, {"drift_scale": 1.2, "sigma_scale": 0.6}),
+])
+def test_registry_jacobians_match_central_differences(name, m, d, kwargs):
+    # drift_jac and diffusion_jac are the diagonal of each Jacobian, shaped
+    # like drift and diffusion; the off-diagonal entries are 0
+    co = sde.get_coefficients(name, m=m, d=d, **kwargs)
+    gen = rng.stream(17, 0)
+    for _ in range(20):
+        x = gen.standard_normal(m) * 3
+        for fn, jac in ((co.drift, co.drift_jac),
+                        (co.diffusion, co.diffusion_jac)):
+            got = jac(0.0, x[None])
+            assert np.shape(got) == np.shape(fn(0.0, x[None]))
+            diag = np.broadcast_to(got, (1, m))[0]
+            for i in range(m):
+                fd = central_difference(
+                    lambda z: np.broadcast_to(fn(0.0, z[None]), (1, m))[0, i],
+                    x)
+                np.testing.assert_allclose(fd, np.eye(m)[i] * diag[i],
+                                           rtol=1e-6, atol=1e-8)
+
+
+def test_rotation_drift_mixes_components_and_has_no_jacobian():
+    co = sde.get_coefficients("rotation", m=2, d=2, omega=1.5)
+    assert co.drift_jac is None and co.diffusion_jac is None
+    fd = central_difference(lambda z: co.drift(0.0, z[None])[0, 0],
+                            np.array([0.3, -0.7]))
+    np.testing.assert_allclose(fd, [0.0, -1.5], atol=1e-8)
 
 
 def test_affine_flag_marks_affine_drift_and_state_free_sigma():
