@@ -133,12 +133,12 @@ class ExperimentConfig:
                     "ldp-scaling needs a strictly decreasing eps_list")
             if eps[-1] <= 0.0:
                 raise SchemaError("every eps in eps_list must be > 0")
-        if self.functional and "name" not in self.functional:
-            raise SchemaError("functional needs a 'name'")
         if self.command in ("rate", "ldp-scaling") and not self.event:
             raise SchemaError(f"{self.command} needs an event spec")
         if self.event:
-            _event_from_config(self)
+            _registry_entry(self, "event")
+        if self.functional or self.command == "laplace-check":
+            _registry_entry(self, "functional")
         if self.command in ("solve", "rate", "ldp-scaling", "laplace-check"):
             coeffs = _coeffs_from_config(self)
             if np.shape(self.x0) != (self.m,):
@@ -152,7 +152,6 @@ class ExperimentConfig:
         if self.command == "ldp-scaling" and self.n_samples < 1:
             raise SchemaError("ldp-scaling needs n_samples >= 1")
         if self.command == "laplace-check":
-            _functional_from_config(self)
             if self.n_samples < ldp.LAPLACE_MIN_SAMPLES:
                 raise SchemaError("laplace-check needs n_samples >= "
                                   f"{ldp.LAPLACE_MIN_SAMPLES}")
@@ -175,6 +174,8 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+# the key that names a config group's ldp registry entry
+_NAME_KEYS = {"event": "kind", "functional": "name"}
 # nested config values are numbers unless named here
 _NESTED_HINTS = {("event", "kind"): str, ("event", "y"): float | list[float],
                  ("functional", "name"): str}
@@ -232,21 +233,22 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, t0: float,
     })
 
 
-def _event_from_config(cfg: ExperimentConfig) -> ldp.EventSpec:
-    ev = dict(cfg.event)
-    kind = ev.pop("kind", None)
-    if kind is None:
-        raise SchemaError("event spec needs a 'kind'")
+def _registry_entry(cfg: ExperimentConfig, group: str) -> ldp.StateFunctional:
+    """The ``ldp`` registry entry that the ``event`` or ``functional`` group
+    names, by its ``kind`` or ``name``; an empty functional group is
+    ``terminal_shortfall``.  An entry of the other role exits 2."""
+    key = _NAME_KEYS[group]
+    params = dict(getattr(cfg, group)) or {key: "terminal_shortfall"}
+    name = params.pop(key, None)
+    if name is None:
+        raise SchemaError(f"{group} needs a {key!r}")
     try:
-        event = ldp.EventSpec(kind=kind, **ev)
-    except (TypeError, DomainError) as exc:
-        raise SchemaError(f"bad event spec: {exc}") from exc
-    unread = sorted(set(ev) - ldp.EVENT_READS[kind])
-    if unread:
-        raise SchemaError(f"event kind {kind!r} does not read {unread}")
-    if np.ndim(event.y) != 0 and np.shape(event.y) != (cfg.m,):
+        entry = ldp.get_functional(name, role=group, **params)
+    except DomainError as exc:
+        raise SchemaError(f"bad {group}: {exc}") from exc
+    if np.shape(entry.params.get("y", 0.0)) not in ((), (cfg.m,)):
         raise SchemaError(f"event y must be a scalar or hold m={cfg.m} entries")
-    return event
+    return entry
 
 
 def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
@@ -255,14 +257,6 @@ def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
                                     **cfg.coefficient_params)
     except (TypeError, DomainError) as exc:
         raise SchemaError(f"bad coefficient: {exc}") from exc
-
-
-def _functional_from_config(cfg: ExperimentConfig) -> ldp.BoundedFunctional:
-    params = dict(cfg.functional) or {"name": "terminal_shortfall"}
-    try:
-        return ldp.get_functional(**params)
-    except (TypeError, DomainError) as exc:
-        raise SchemaError(f"bad functional: {exc}") from exc
 
 
 def _solve_exponents(cfg: ExperimentConfig,
@@ -318,7 +312,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
-    event = _event_from_config(cfg)
+    event = _registry_entry(cfg, "event")
     result = ldp.rate_minimize(coeffs, cfg.x0, event, _rate_cfg(cfg))
     with open(out / "control.csv", "w") as fh:
         cmspace.export_control_csv(result.control, fh)
@@ -327,7 +321,7 @@ def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
         "residual": result.residual,
         "feasible": result.feasible,
         "diagnostics": result.diagnostics,
-        "event": dataclasses.asdict(event),
+        "event": {"kind": event.name, **event.params},
     })
     if not result.feasible:
         raise _Infeasible("rate problem infeasible at all starts")
@@ -336,7 +330,7 @@ def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
-    event = _event_from_config(cfg)
+    event = _registry_entry(cfg, "event")
     rows = ldp.scaling_table(coeffs, cfg.x0, event, cfg.eps_list,
                              cfg.n_samples, cfg.seed, n_steps=cfg.n_steps,
                              cfg=_rate_cfg(cfg))
@@ -347,7 +341,7 @@ def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     coeffs = _coeffs_from_config(cfg)
-    h = _functional_from_config(cfg)
+    h = _registry_entry(cfg, "functional")
     variational = ldp.laplace_variational(coeffs, cfg.x0, h, _rate_cfg(cfg))
     rows = []
     for i, eps in enumerate(cfg.eps_list):

@@ -23,14 +23,12 @@ from .gridfn import GridFn, write_csv
 
 __all__ = [
     "FbmBatch",
-    "CovMatrix",
     "volterra_c",
     "covariance",
     "kernel_k",
     "kernel_table",
     "covariance_quadrature",
     "volterra_variance_bias",
-    "build_cov_matrix",
     "sample_cholesky",
     "sample_volterra",
     "export_paths_csv",
@@ -239,19 +237,6 @@ def volterra_variance_bias(n_steps: int, hurst: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CovMatrix:
-    """Covariance R_H(t_k, t_j) on the interior nodes t_1..t_n."""
-
-    hurst: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-
 def _cov_entries(n_steps: int, hurst: float) -> np.ndarray:
     """Writable R_H(t_k, t_j) on t_1..t_n, two n x n arrays at the peak.
 
@@ -270,10 +255,6 @@ def _cov_entries(n_steps: int, hurst: float) -> np.ndarray:
     del gap
     out *= 0.5
     return out
-
-
-def build_cov_matrix(n_steps: int, hurst: float) -> CovMatrix:
-    return CovMatrix(hurst=hurst, entries=_cov_entries(n_steps, hurst))
 
 
 @dataclass(frozen=True)
@@ -419,7 +400,9 @@ def export_paths_csv(batch: FbmBatch, fh) -> None:
 
 
 def export_increments(batch: FbmBatch, path: str) -> None:
-    """Compact binary of the driving increments (npz with a metadata record)."""
+    """Binary of the driving increments: an uncompressed npz with a metadata
+    record.  Compression would save about 4% on Gaussian doubles at twenty
+    times the write time."""
     meta = json.dumps({
         "format": "fbmld-increments",
         "version": FORMAT_VERSION,
@@ -430,7 +413,7 @@ def export_increments(batch: FbmBatch, path: str) -> None:
         "n_paths": batch.n_paths,
         "seed": batch.seed,
     }, sort_keys=True)
-    np.savez_compressed(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
+    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
                         increments=batch.bm_increments)
 
 

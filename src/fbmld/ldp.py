@@ -12,6 +12,7 @@ Tail probabilities accumulate in log space throughout.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,13 +27,11 @@ from .fbm import sample_volterra
 from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
 __all__ = [
-    "EventSpec",
-    "EVENT_READS",
-    "RateConfig",
-    "RateResult",
-    "BoundedFunctional",
+    "StateFunctional",
     "get_functional",
     "functional_names",
+    "RateConfig",
+    "RateResult",
     "rate_minimize",
     "laplace_variational",
     "LaplaceMcResult",
@@ -46,78 +45,183 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# events
+# events and bounded functionals: one registry of state functionals
 # ---------------------------------------------------------------------------
 
-# the EventSpec fields each event kind reads
-EVENT_READS = {"terminal_exceedance": {"a"}, "sup_exceedance": {"a"},
-               "terminal_target": {"y", "r"}}
-
-
 @dataclass(frozen=True)
-class EventSpec:
-    """Target event for rate/probability computations.
+class StateFunctional:
+    """A registry entry with its parameters: a functional of solved states.
 
-    kinds: ``terminal_exceedance`` (X^1_1 >= a), ``sup_exceedance``
-    (max_t |X_t - phi_t| >= a with phi the zero-noise flow), and
-    ``terminal_target`` (|X_1 - y| <= r).  ``a <= 0`` is allowed and makes
-    the exceedance events trivially full.
+    ``fn_grad(states, x0, flow)`` maps solved states (B, n+1, m) to
+    ``(values, steps, c)``.  Each row's value reads one state: the last one,
+    or the first step of largest norm.  ``steps`` (B,) is that state's index
+    in ``states`` and c (B, m) the value's derivative with respect to it, 0
+    where a norm is 0; at a clip c takes the interior side, the unclipped
+    branch's derivative on the closed interval [0, cap], so a search that
+    starts on the cap moves off it.  A :attr:`terminal` entry reads only
+    ``states[:, -1]``, so it also takes the terminal slice (B, 1, m).
+    ``role`` is ``"event"``, whose value is <= 0 where the event holds (in
+    its natural units), or ``"functional"``, a bounded h with values in
+    [inf_h, sup_h].  :meth:`bind` supplies x0 and, for an entry that reads
+    it, the zero-noise flow.
     """
 
-    kind: str
-    a: float = 0.0
-    y: float | np.ndarray = 0.0
-    r: float = 0.0
+    name: str
+    params: dict
+    role: str
+    terminal: bool
+    fn_grad: callable
+    inf_h: float | None = None
+    sup_h: float | None = None
+    flow: bool = False
 
-    def __post_init__(self):
-        if self.kind not in EVENT_READS:
-            raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.kind == "terminal_target" and self.r <= 0.0:
-            raise DomainError("terminal_target needs radius r > 0")
+    def bind(self, coeffs: CoefficientSet, x0, n_steps: int, solve=None):
+        """``states -> (values, steps, c)`` for the states of ``coeffs``
+        from ``x0`` on ``n_steps`` steps.  An entry that reads the
+        zero-noise flow solves it here, once, on zero increments, by
+        ``solve`` (increments (1, n, d) -> states) if given."""
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        flow = None
+        if self.flow:
+            solve = solve or functools.partial(solve_increments, x0, coeffs)
+            flow = solve(np.zeros((1, n_steps, coeffs.d)))[0]
+        return lambda states: self.fn_grad(states, x0, flow)
 
-    @property
-    def terminal(self) -> bool:
-        """True when the event reads the terminal state X_1 alone."""
-        return self.kind in ("terminal_exceedance", "terminal_target")
 
-    def violation_fn(self, coeffs: CoefficientSet, x0, n_steps: int,
-                     grad: bool = False):
-        """Batch map from solved states (B, n+1, m) to constraint violations.
+# name -> (role, terminal, flow, builder); a builder takes the entry's
+# parameters, with their defaults, as keywords, checks them, and returns
+# fn_grad and, for a functional, (inf_h, sup_h)
+_REGISTRY = {}
 
-        Violations are in the event's natural units; values <= 0 mean the
-        event holds.  A :attr:`terminal` event reads only ``states[:, -1]``,
-        so it also takes the terminal slice (B, 1, m).  ``sup_exceedance``
-        solves the zero-noise flow once, here, on zero increments.  Each
-        row's violation reads one state: the last one, or the first step of
-        largest deviation for ``sup_exceedance``.  With ``grad`` the map
-        returns ``(values, steps, c)``: that state's index in ``states``
-        (B,) and the violation's derivative with respect to it (B, m), 0
-        where a norm is 0.
-        """
-        if self.kind == "terminal_exceedance":
-            def local(states):
-                return (self.a - states[:, -1, 0], _last(states),
-                        _first_component(states, -1.0))
-        elif self.kind == "terminal_target":
-            y = np.atleast_1d(np.asarray(self.y, dtype=float))
 
-            def local(states):
-                dev = states[:, -1, :] - y
-                norm = np.linalg.norm(dev, axis=1)
-                return norm - self.r, _last(states), _unit(dev, norm)
-        else:
-            phi = solve_increments(x0, coeffs,
-                                   np.zeros((1, n_steps, coeffs.d)))[0]
+def _entry(name: str, role: str, terminal: bool, flow: bool = False):
+    def register(build):
+        _REGISTRY[name] = (role, terminal, flow, build)
+        return build
+    return register
 
-            def local(states):
-                # np.linalg.norm(states - phi, axis=2).max(axis=1) bitwise,
-                # with one temporary: the square root commutes with the max
-                dev = states - phi
-                dev *= dev
-                rows, steps, top = _largest(dev.sum(axis=2))
-                return (self.a - top, steps,
-                        -_unit(states[rows, steps] - phi[steps], top))
-        return local if grad else lambda states: local(states)[0]
+
+def _check_cap(cap: float) -> None:
+    if not cap >= 0.0:                                # NaN fails it too
+        raise DomainError(f"cap must be >= 0, got {cap}")
+
+
+@_entry("terminal_exceedance", "event", terminal=True)
+def _terminal_exceedance(a=0.0):
+    """X^1_1 >= a, for any real a."""
+    def fn_grad(states, x0, flow):
+        return a - states[:, -1, 0], _last(states), \
+            _first_component(states, -1.0)
+    return fn_grad, None
+
+
+@_entry("sup_exceedance", "event", terminal=False, flow=True)
+def _sup_exceedance(a=0.0):
+    """max_t |X_t - phi_t| >= a, phi the zero-noise flow."""
+    def fn_grad(states, x0, flow):
+        # np.linalg.norm(states - flow, axis=2).max(axis=1) bitwise, with
+        # one temporary: the square root commutes with the max
+        dev = states - flow
+        dev *= dev
+        rows, steps, top = _largest(dev.sum(axis=2))
+        return (a - top, steps,
+                -_unit(states[rows, steps] - flow[steps], top))
+    return fn_grad, None
+
+
+@_entry("terminal_target", "event", terminal=True)
+def _terminal_target(y=0.0, r=0.0):
+    """|X_1 - y| <= r, with y a scalar or m entries."""
+    if not r > 0.0:
+        raise DomainError("terminal_target needs radius r > 0")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+
+    def fn_grad(states, x0, flow):
+        dev = states[:, -1, :] - y
+        norm = np.linalg.norm(dev, axis=1)
+        return norm - r, _last(states), _unit(dev, norm)
+    return fn_grad, None
+
+
+@_entry("sup_norm_capped", "functional", terminal=False)
+def _sup_norm_capped(cap=1.0):
+    """min(max_t |X_t|, cap)."""
+    _check_cap(cap)
+
+    def fn_grad(states, x0, flow):
+        # np.linalg.norm(states, axis=2).max(axis=1), square root last
+        rows, steps, top = _largest(np.square(states).sum(axis=2))
+        c = _unit(states[rows, steps], top) * (top <= cap)[:, None]
+        return np.minimum(top, cap), steps, c
+    return fn_grad, (0.0, cap)
+
+
+@_entry("terminal_rise_capped", "functional", terminal=True)
+def _terminal_rise_capped(cap=1.0):
+    """X^1_1 - x0^1 clipped to [0, cap]."""
+    _check_cap(cap)
+
+    def fn_grad(states, x0, flow):
+        rise = states[:, -1, 0] - x0[0]
+        return (np.clip(rise, 0.0, cap), _last(states),
+                _first_component(states, (rise >= 0.0) & (rise <= cap)))
+    return fn_grad, (0.0, cap)
+
+
+@_entry("terminal_shortfall", "functional", terminal=True)
+def _terminal_shortfall(cap=1.0, target=1.0):
+    """target - (X^1_1 - x0^1) clipped to [0, cap]."""
+    _check_cap(cap)
+
+    def fn_grad(states, x0, flow):
+        short = target - (states[:, -1, 0] - x0[0])
+        return (np.clip(short, 0.0, cap), _last(states),
+                _first_component(states, np.where(
+                    (short >= 0.0) & (short <= cap), -1.0, 0.0)))
+    return fn_grad, (0.0, cap)
+
+
+@_entry("constant", "functional", terminal=True)
+def _constant(level=1.0):
+    """h = level."""
+    def fn_grad(states, x0, flow):
+        return (np.full(len(states), level), _last(states),
+                _first_component(states, 0.0))
+    return fn_grad, (level, level)
+
+
+def functional_names(role: str | None = None) -> list[str]:
+    """The registry's names, or those of one role."""
+    return sorted(name for name, entry in _REGISTRY.items()
+                  if role in (None, entry[0]))
+
+
+def get_functional(name: str, role: str | None = None,
+                   **params) -> StateFunctional:
+    """The registry entry ``name`` with its parameters.
+
+    A parameter the entry does not read raises, as in
+    :func:`sde.get_coefficients`, and ``params`` records every parameter
+    the entry reads, defaults included.  ``role``, if given, must be the
+    entry's: ``"event"`` or ``"functional"``.
+    """
+    if name not in _REGISTRY:
+        raise DomainError(f"unknown {role or 'entry'} {name!r}; "
+                          f"choose from {functional_names(role)}")
+    entry_role, terminal, flow, build = _REGISTRY[name]
+    if role not in (None, entry_role):
+        raise DomainError(f"{name!r} has role {entry_role!r}, not {role!r}; "
+                          f"choose from {functional_names(role)}")
+    reads = inspect.signature(build).parameters
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise DomainError(f"{name!r} takes no parameter {unread}; "
+                          f"it reads {sorted(reads)}")
+    params = {key: params.get(key, arg.default) for key, arg in reads.items()}
+    fn_grad, bounds = build(**params)
+    inf_h, sup_h = bounds or (None, None)
+    return StateFunctional(name, params, entry_role, terminal, fn_grad,
+                           inf_h, sup_h, flow)
 
 
 def _last(states: np.ndarray) -> np.ndarray:
@@ -145,112 +249,6 @@ def _largest(sq: np.ndarray):
     rows = np.arange(len(sq))
     steps = sq.argmax(axis=1)
     return rows, steps, np.sqrt(sq[rows, steps])
-
-
-# ---------------------------------------------------------------------------
-# bounded functionals for the Laplace checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundedFunctional:
-    """A bounded path functional h with recorded bounds.
-
-    ``fn_grad``, set for the registry functionals, maps ``(states, x0)`` to
-    ``(values, steps, c)`` as ``EventSpec.violation_fn(grad=True)`` does;
-    :func:`laplace_variational` needs it.  At a clip it takes the interior
-    side: the unclipped branch's derivative on the closed interval
-    [0, cap], so a search that starts on the cap moves off it.
-    """
-
-    name: str
-    fn: callable                   # (states (B, n+1, m), x0) -> (B,)
-    inf_h: float
-    sup_h: float
-    params: dict
-    fn_grad: callable | None = None
-
-    @property
-    def terminal(self) -> bool:
-        """True for the registry functionals that read ``states[:, -1]``
-        alone; their ``fn`` also takes the terminal slice (B, 1, m)."""
-        return self.name in _TERMINAL_FUNCTIONALS
-
-
-def _h_sup_norm_capped(params):
-    cap = params.setdefault("cap", 1.0)
-
-    def fn_grad(states, x0):
-        # np.linalg.norm(states, axis=2).max(axis=1), square root last
-        rows, steps, top = _largest(np.square(states).sum(axis=2))
-        c = _unit(states[rows, steps], top) * (top <= cap)[:, None]
-        return np.minimum(top, cap), steps, c
-
-    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
-
-
-def _h_terminal_rise_capped(params):
-    cap = params.setdefault("cap", 1.0)
-
-    def fn_grad(states, x0):
-        rise = states[:, -1, 0] - x0[0]
-        return (np.clip(rise, 0.0, cap), _last(states),
-                _first_component(states, (rise >= 0.0) & (rise <= cap)))
-
-    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
-
-
-def _h_terminal_shortfall(params):
-    cap = params.setdefault("cap", 1.0)
-    target = params.setdefault("target", 1.0)
-
-    def fn_grad(states, x0):
-        short = target - (states[:, -1, 0] - x0[0])
-        return (np.clip(short, 0.0, cap), _last(states),
-                _first_component(states, np.where(
-                    (short >= 0.0) & (short <= cap), -1.0, 0.0)))
-
-    return dict(fn_grad=fn_grad, inf_h=0.0, sup_h=cap)
-
-
-def _h_constant(params):
-    level = params.setdefault("level", 1.0)
-
-    def fn_grad(states, x0):
-        return (np.full(len(states), level), _last(states),
-                _first_component(states, 0.0))
-
-    return dict(fn_grad=fn_grad, inf_h=level, sup_h=level)
-
-
-_FUNCTIONALS = {
-    "sup_norm_capped": _h_sup_norm_capped,
-    "terminal_rise_capped": _h_terminal_rise_capped,
-    "terminal_shortfall": _h_terminal_shortfall,
-    "constant": _h_constant,
-}
-_TERMINAL_FUNCTIONALS = frozenset(
-    {"terminal_rise_capped", "terminal_shortfall", "constant"})
-
-
-def functional_names() -> list[str]:
-    return sorted(_FUNCTIONALS)
-
-
-def get_functional(name: str, **params) -> BoundedFunctional:
-    if name not in _FUNCTIONALS:
-        raise DomainError(f"unknown functional {name!r}; "
-                          f"choose from {functional_names()}")
-    defaults = {}
-    _FUNCTIONALS[name](defaults)
-    unread = sorted(set(params) - set(defaults))
-    if unread:
-        raise DomainError(f"functional {name!r} takes no parameter {unread}; "
-                          f"it reads {sorted(defaults)}")
-    spec = _FUNCTIONALS[name](params)
-    fn_grad = spec["fn_grad"]
-    return BoundedFunctional(
-        name=name, params=params,
-        fn=lambda states, x0: fn_grad(states, x0)[0], **spec)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +447,8 @@ class _SkeletonObjective:
     def value_and_grad(self, theta: np.ndarray, g, weight: float):
         """The objective at theta and its exact gradient, from one skeleton.
 
-        ``g`` maps states to ``(values, steps, c)``, as
-        ``EventSpec.violation_fn(grad=True)`` does: g reads the state at
+        ``g`` maps states to ``(values, steps, c)``, as a bound
+        :class:`StateFunctional` does: g reads the state at
         one step, and c is its derivative there.  The gradient of g is then
         that of ``c . X_step``, from :meth:`_state_grad`.
         """
@@ -547,7 +545,7 @@ class RateResult:
     diagnostics: dict = field(repr=False)
 
 
-def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
+def rate_minimize(coeffs: CoefficientSet, x0, event: StateFunctional,
                   cfg: RateConfig) -> RateResult:
     """Minimize 0.5 ||vdot||^2 subject to the skeleton hitting the event.
 
@@ -568,17 +566,11 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     n_ctrl * d + 1 rows of the one affine-map build.
     """
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=event.terminal)
-    local = event.violation_fn(coeffs, obj.x0, cfg.n_steps, grad=True)
-    # violation_fn solved one skeleton row: a sup_exceedance event's flow
-    obj.n_solves += int(event.kind == "sup_exceedance")
-
-    def viol(states):
-        return local(states)[0]
-
+    g = event.bind(coeffs, obj.x0, cfg.n_steps, obj._solve)
     per_start, thetas = [], []
-    runs = _descend(obj, _penalty(local), _PENALTY_WEIGHTS)
+    runs = _descend(obj, _penalty(g), _PENALTY_WEIGHTS)
     for start_idx, (res, iters) in enumerate(runs):
-        theta, residual = _feasibility_polish(obj, viol, res.x)
+        theta, residual = _feasibility_polish(obj, g, res.x)
         thetas.append(theta)
         per_start.append({
             "start": start_idx,
@@ -609,18 +601,18 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: EventSpec,
     )
 
 
-def _penalty(local):
-    """The squared positive violation of a ``violation_fn(grad=True)`` map,
-    in the same form, with the chain rule ``2 max(v, 0) dv``."""
+def _penalty(g):
+    """The squared positive violation of a bound event ``g``, in the same
+    form, with the chain rule ``2 max(v, 0) dv``."""
     def penalty(states):
-        v, steps, c = local(states)
+        v, steps, c = g(states)
         pos = np.maximum(v, 0.0)
         return pos ** 2, steps, 2.0 * pos[:, None] * c
 
     return penalty
 
 
-def _feasibility_polish(obj, viol, theta):
+def _feasibility_polish(obj, g, theta):
     """Scale the control up to strict feasibility when that is cheap.
 
     Exterior penalties stop slightly infeasible; for outward-monotone events
@@ -629,8 +621,9 @@ def _feasibility_polish(obj, viol, theta):
     if it is feasible, zero, or infeasible at every scale up to 1.05^8, else
     its smallest feasible scale, bracketed by _POLISH_ROUNDS ladder rounds
     of one ``map_batch`` call each, with the residual recomputed there.
+    ``g`` is the bound event; only its values are read.
     """
-    r = obj.map_batch(_POLISH_LADDER[:, None] * theta, viol)
+    r = obj.map_batch(_POLISH_LADDER[:, None] * theta, g)[0]
     residual = max(0.0, float(r[0]))
     hit = np.flatnonzero(r <= 0.0)
     if residual <= 0.0 or not hit.size or np.allclose(theta, 0.0):
@@ -638,27 +631,26 @@ def _feasibility_polish(obj, viol, theta):
     lo, hi = _POLISH_LADDER[hit[0] - 1], _POLISH_LADDER[hit[0]]
     for _ in range(_POLISH_ROUNDS):
         scales = np.linspace(lo, hi, _POLISH_POINTS + 2)
-        r = obj.map_batch(scales[1:-1, None] * theta, viol)
+        r = obj.map_batch(scales[1:-1, None] * theta, g)[0]
         k = 1 + np.argmax(np.append(r, 0.0) <= 0.0)   # hi itself is feasible
         lo, hi = scales[k - 1], scales[k]
     theta = hi * theta
-    return theta, max(0.0, float(obj.map_batch(theta[None], viol)[0]))
+    return theta, max(0.0, float(obj.map_batch(theta[None], g)[0][0]))
 
 
-def laplace_variational(coeffs: CoefficientSet, x0, h: BoundedFunctional,
+def laplace_variational(coeffs: CoefficientSet, x0, h: StateFunctional,
                         cfg: RateConfig) -> float:
     """Deterministic side of the variational representation.
 
     Minimizes ``h(skeleton(v)) + 0.5 ||vdot||^2`` over the block-control
-    family on exact gradients, which needs ``h.fn_grad``.  Restricting to
+    family on exact gradients, from ``h``'s ``fn_grad``.  Restricting to
     deterministic controls makes this an upper bound for the infimum over
     adapted controls; non-convergence is flagged via a warning and the best
     value so far is returned.
     """
-    if h.fn_grad is None:
-        raise DomainError(f"functional {h.name!r} has no fn_grad to search on")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
-    runs = _descend(obj, lambda states: h.fn_grad(states, obj.x0), (1.0,))
+    runs = _descend(obj, h.bind(coeffs, obj.x0, cfg.n_steps, obj._solve),
+                    (1.0,))
     if not any(res.success for res, _ in runs):
         warnings.warn("laplace_variational: optimizer did not converge; "
                       "returning best value so far", stacklevel=2)
@@ -768,7 +760,7 @@ class LaplaceMcResult:
         return iter((self.value, self.std_err))
 
 
-def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
+def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
                n_samples: int, seed: int, *, hurst: float,
                n_steps: int) -> LaplaceMcResult:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
@@ -783,9 +775,10 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: BoundedFunctional, eps: float,
         raise DomainError(
             f"laplace_mc needs n_samples >= {LAPLACE_MIN_SAMPLES}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    g = h.bind(coeffs, x0, n_steps)
     log_mean, rel_se, _ = _mc_log_mean(
         coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-        lambda batch, states: -h.fn(states, x0) / eps, terminal=h.terminal)
+        lambda batch, states: -g(states)[0] / eps, terminal=h.terminal)
     return LaplaceMcResult(value=-eps * log_mean, std_err=eps * rel_se,
                            n_samples=n_samples)
 
@@ -833,8 +826,8 @@ class ProbEstimate:
         return iter((self.p_hat, self.std_err))
 
 
-def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
-                   n_samples: int, seed: int, ctrl: CmControl,
+def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
+                   eps: float, n_samples: int, seed: int, ctrl: CmControl,
                    *, hurst: float, n_steps: int) -> ProbEstimate:
     """Importance-sampled probability of the event under the small-noise SDE.
 
@@ -855,11 +848,11 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
         if ctrl.hurst != hurst:
             raise DomainError(f"tilt is for hurst {ctrl.hurst}, not {hurst}")
         dv = ctrl.path.increments()
-    viol = event.violation_fn(coeffs, x0, n_steps)
+    g = event.bind(coeffs, x0, n_steps)
 
     def log_y(batch, states):
         log_w = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
-        return np.where(viol(states) <= 0.0, log_w, -math.inf)
+        return np.where(g(states)[0] <= 0.0, log_w, -math.inf)
 
     log_p, rel_se, n_hits = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
                                          hurst, n_steps, log_y, dv,
@@ -871,7 +864,7 @@ def is_probability(coeffs: CoefficientSet, x0, event: EventSpec, eps: float,
     return ProbEstimate(p_hat, p_hat * rel_se, n_hits, n_samples)
 
 
-def scaling_table(coeffs: CoefficientSet, x0, event: EventSpec,
+def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
                   eps_list, n_samples: int, seed: int, *, n_steps: int,
                   cfg: RateConfig) -> list[dict]:
     """Small-noise scaling study: rows (eps, p_hat, -eps log p_hat, I, gap).

@@ -31,7 +31,6 @@ __all__ = [
     "solve_young",
     "skeleton",
     "controlled_path",
-    "small_noise_path",
     "norm_report",
     "driver_scaling_check",
 ]
@@ -205,7 +204,7 @@ class SolvedPath:
     """Euler solution with its driver kind and config echo."""
 
     path: GridFn
-    driver_kind: str                  # skeleton | controlled | noise | generic
+    driver_kind: str                  # skeleton | controlled | generic
     config: dict
 
 
@@ -316,18 +315,6 @@ def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> SolvedPath:
     """
     zero_fbm = GridFn.zeros(ctrl.n_steps, ctrl.dim)
     return controlled_path(x0, coeffs, ctrl, 0.0, zero_fbm)
-
-
-def small_noise_path(x0, coeffs: CoefficientSet, eps: float, fbm_path: GridFn,
-                     hurst: float | None = None) -> SolvedPath:
-    """Solution of dX = b dt + sqrt(eps) sigma dB^H (no control)."""
-    inc = math.sqrt(eps) * fbm_path.increments()
-    states = solve_increments(x0, coeffs, inc[None])
-    cfg = {"n_steps": fbm_path.n_steps, "eps": eps}
-    if hurst is not None:
-        cfg["hurst"] = hurst
-    return SolvedPath(path=GridFn(fbm_path.n_steps, states[0]),
-                      driver_kind="noise", config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def gaussian_tail(z):
 
 @pytest.fixture(scope="module")
 def additive_rate():
-    event = ldp.EventSpec("terminal_exceedance", a=1.0)
+    event = ldp.get_functional("terminal_exceedance", a=1.0)
     return ldp.rate_minimize(ADDITIVE, [0.0], event, cfg=RATE_CFG)
 
 
@@ -177,7 +177,7 @@ def test_criterion_05_holder_embedding():
 def test_criterion_06_rate_function_oracle(additive_rate):
     value = additive_rate.value
     res2 = ldp.rate_minimize(ADDITIVE, [0.0],
-                             ldp.EventSpec("terminal_exceedance", a=2.0),
+                             ldp.get_functional("terminal_exceedance", a=2.0),
                              cfg=RATE_CFG)
     ratio = res2.value / value
     ok = 0.475 <= value <= 0.525 and abs(ratio - 4.0) <= 0.4
@@ -205,7 +205,7 @@ def test_criterion_07_girsanov_martingale():
 
 def test_criterion_08_rare_event_is(additive_rate):
     n_steps, eps, n_samples = 1024, 0.04, 10_000
-    event = ldp.EventSpec("terminal_exceedance", a=1.0)
+    event = ldp.get_functional("terminal_exceedance", a=1.0)
     tilt = retile(additive_rate.block_values, n_steps)
     est = ldp.is_probability(ADDITIVE, [0.0], event, eps, n_samples,
                              seed=2025, ctrl=tilt, hurst=HURST_ADD,
@@ -215,7 +215,7 @@ def test_criterion_08_rare_event_is(additive_rate):
     ok_is = dev <= 3.0
 
     zero = cm.zero_control(HURST_ADD, n_steps)
-    ev5 = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev5 = ldp.get_functional("terminal_exceedance", a=0.5)
     tilt5 = retile(
         ldp.rate_minimize(ADDITIVE, [0.0], ev5, cfg=RATE_CFG).block_values,
         n_steps)
@@ -240,7 +240,7 @@ def test_criterion_08_rare_event_is(additive_rate):
 def scaling_rows():
     import time
     t0 = time.time()
-    event = ldp.EventSpec("terminal_exceedance", a=1.0)
+    event = ldp.get_functional("terminal_exceedance", a=1.0)
     rows = ldp.scaling_table(ADDITIVE, [0.0], event, [0.25, 0.1, 0.04],
                              10_000, seed=40, n_steps=1024, cfg=RATE_CFG)
     return rows, time.time() - t0

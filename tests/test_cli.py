@@ -200,6 +200,17 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
     ({"seed": 2 ** 70}, "seed must lie in 0..2^64-1"),
     ({"seed": 2 ** 64}, "seed must lie in 0..2^64-1"),
     ({"seed": -1}, "seed must lie in 0..2^64-1"),
+    ({"command": "laplace-check", "eps_list": [0.5],
+      "functional": {"name": "terminal_shortfall", "cap": -1.0}},
+     "cap must be >= 0"),
+    ({"command": "laplace-check", "eps_list": [0.5],
+      "functional": {"name": "sup_norm_capped", "cap": -0.5}},
+     "cap must be >= 0"),
+    ({"command": "laplace-check", "eps_list": [0.5],
+      "functional": {"name": "terminal_exceedance", "a": 1.0}},
+     "has role 'event', not 'functional'"),
+    ({"command": "rate", "event": {"kind": "terminal_shortfall"}},
+     "has role 'functional', not 'event'"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
@@ -218,7 +229,9 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "x0_nan", "coefficient_scale_nan", "event_a_nan", "x0_infinity",
         "event_y_nan_entry", "eps_list_nan", "functional_cap_infinity",
         "x0_huge_int", "solve_m_zero", "rate_m_zero", "seed_2_to_70",
-        "seed_2_to_64", "seed_negative"])
+        "seed_2_to_64", "seed_negative", "functional_cap_negative_shortfall",
+        "functional_cap_negative_sup_norm", "event_kind_as_functional",
+        "functional_name_as_event"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}

@@ -165,8 +165,7 @@ def test_kernel_table_build_memory():
 # ---------------------------------------------------------------------------
 
 def test_cov_matrix_invariants():
-    cm = fbm.build_cov_matrix(32, 0.7)
-    ent = cm.entries
+    ent = fbm._cov_entries(32, 0.7)
     assert np.array_equal(ent, ent.T)
     t = np.arange(1, 33) / 32
     assert np.abs(np.diag(ent) - t ** 1.4).max() <= 1e-12
@@ -180,7 +179,7 @@ def test_cov_entries_match_covariance_bitwise():
     for n, hurst in [(64, 0.25), (50, 0.5), (96, 0.75), (33, 0.9)]:
         t = np.arange(1, n + 1) / n
         want = fbm.covariance(t[:, None], t[None, :], hurst)
-        assert np.array_equal(fbm.build_cov_matrix(n, hurst).entries, want)
+        assert np.array_equal(fbm._cov_entries(n, hurst), want)
 
 
 def test_cholesky_build_memory():
@@ -199,7 +198,7 @@ def test_cholesky_build_memory():
 
 def test_cholesky_jitter_retries_from_the_original_diagonal(monkeypatch):
     n = 16
-    base = np.diag(fbm.build_cov_matrix(n, 0.75).entries).copy()
+    base = np.diag(fbm._cov_entries(n, 0.75)).copy()
     seen = []
     factor = np.linalg.cholesky
 
@@ -266,7 +265,7 @@ def test_samplers_match_explicit_product(dim):
                                        rtol=0.0, atol=1e-12)
 
     chol_batch = fbm.sample_cholesky(n, hurst, dim, n_paths, seed)
-    cov = fbm.build_cov_matrix(n, hurst).entries
+    cov = fbm._cov_entries(n, hurst)
     chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
     assert chol_batch.values.shape == (n_paths, n + 1, dim)
     assert np.all(chol_batch.values[:, 0] == 0.0)

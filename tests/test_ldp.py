@@ -33,32 +33,32 @@ def qp_oracle(a, cfg):
 
 def test_event_validation():
     with pytest.raises(DomainError):
-        ldp.EventSpec("first_passage", a=1.0)
+        ldp.get_functional("first_passage", a=1.0)
     with pytest.raises(DomainError):
-        ldp.EventSpec("terminal_target", y=0.0, r=0.0)
-    ldp.EventSpec("terminal_exceedance", a=-1.0)   # trivially full is fine
+        ldp.get_functional("terminal_target", y=0.0, r=0.0)
+    ldp.get_functional("terminal_exceedance", a=-1.0)  # trivially full is fine
 
 
 def test_event_violations_semantics():
     states = np.zeros((2, 5, 1))
     states[0, -1, 0] = 2.0
     states[1, -1, 0] = 0.5
-    v = ldp.EventSpec("terminal_exceedance", a=1.0).violation_fn(
-        ADDITIVE, [0.0], 4)(states)
+    v = ldp.get_functional("terminal_exceedance", a=1.0).bind(
+        ADDITIVE, [0.0], 4)(states)[0]
     assert v[0] <= 0.0 < v[1]
-    v = ldp.EventSpec("terminal_target", y=2.0, r=0.25).violation_fn(
-        ADDITIVE, [0.0], 4)(states)
+    v = ldp.get_functional("terminal_target", y=2.0, r=0.25).bind(
+        ADDITIVE, [0.0], 4)(states)[0]
     assert v[0] <= 0.0 < v[1]
-    v = ldp.EventSpec("sup_exceedance", a=1.0).violation_fn(
-        ADDITIVE, [0.0], 4)(states)
+    v = ldp.get_functional("sup_exceedance", a=1.0).bind(
+        ADDITIVE, [0.0], 4)(states)[0]
     assert v[0] <= 0.0 < v[1]
 
 
 def test_functionals_bounded_and_unknown():
     states = rng.stream(1, 0).standard_normal((50, 9, 1)) * 10
-    for name in ldp.functional_names():
+    for name in ldp.functional_names("functional"):
         h = ldp.get_functional(name)
-        vals = h.fn(states, np.zeros(1))
+        vals = h.bind(ADDITIVE, np.zeros(1), 8)(states)[0]
         assert np.all(vals >= h.inf_h - 1e-12)
         assert np.all(vals <= h.sup_h + 1e-12)
     with pytest.raises(DomainError):
@@ -72,6 +72,19 @@ def test_functionals_reject_unread_parameters():
         ldp.get_functional("constant", cap=2.0)
     h = ldp.get_functional("terminal_shortfall", target=2.0)
     assert h.params == {"cap": 1.0, "target": 2.0}
+
+
+def test_functionals_reject_a_negative_cap():
+    # h must stay inside its bounds [0, cap]; cap = 0 is h = 0
+    states = rng.stream(1, 0).standard_normal((5, 9, 1))
+    for name in ("sup_norm_capped", "terminal_rise_capped",
+                 "terminal_shortfall"):
+        for cap in (-1.0, -0.5, math.nan):
+            with pytest.raises(DomainError, match="cap must be >= 0"):
+                ldp.get_functional(name, cap=cap)
+        h = ldp.get_functional(name, cap=0.0)
+        assert (h.inf_h, h.sup_h) == (0.0, 0.0)
+        assert not h.bind(ADDITIVE, [0.0], 8)(states)[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +208,35 @@ def test_affine_map_build_overflow_takes_the_euler_route(terminal):
 
 
 def test_event_and_functional_terminal_flags():
-    assert ldp.EventSpec("terminal_exceedance", a=1.0).terminal
-    assert ldp.EventSpec("terminal_target", y=1.0, r=0.1).terminal
-    assert not ldp.EventSpec("sup_exceedance", a=1.0).terminal
+    assert ldp.get_functional("terminal_exceedance", a=1.0).terminal
+    assert ldp.get_functional("terminal_target", y=1.0, r=0.1).terminal
+    assert not ldp.get_functional("sup_exceedance", a=1.0).terminal
     flags = {name: ldp.get_functional(name).terminal
-             for name in ldp.functional_names()}
+             for name in ldp.functional_names("functional")}
     assert flags == {"constant": True, "sup_norm_capped": False,
                      "terminal_rise_capped": True, "terminal_shortfall": True}
+
+
+def test_terminal_entries_read_the_terminal_slice():
+    # every registry entry that says it is terminal gives the same values
+    # and c on full states (B, n+1, m) and on their terminal slice
+    # (B, 1, m), at a step n further on in the full states
+    n, co = 8, sde.get_coefficients("constant", m=2, d=2)
+    states = 2.0 * rng.stream(4, 0).standard_normal((16, n + 1, 2))
+    x0 = np.array([0.3, -0.2])
+    valid = {"terminal_target": {"y": [0.5, -0.5], "r": 1.5}}
+    checked = []
+    for name in ldp.functional_names():
+        entry = ldp.get_functional(name, **valid.get(name, {}))
+        if not entry.terminal:
+            continue
+        g = entry.bind(co, x0, n)
+        full, last = g(states), g(states[:, -1:])
+        assert np.array_equal(full[0], last[0]), name
+        assert np.array_equal(full[1], last[1] + n), name
+        assert np.array_equal(full[2], last[2]), name
+        checked.append(name)
+    assert len(checked) == 5, checked
 
 
 @pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
@@ -220,10 +255,11 @@ def test_terminal_map_batch_matches_full_states(name, m, d, params, x0):
     got = obj.map_batch(thetas, lambda states: states)
     assert got.shape == (9, 1, m)
     np.testing.assert_allclose(got, full[:, -1:], rtol=0, atol=atol)
-    ev = ldp.EventSpec("terminal_target", y=np.ones(m), r=0.5)
-    viol = ev.violation_fn(co, obj.x0, cfg.n_steps)
-    h = ldp.get_functional("terminal_rise_capped", cap=5.0)
-    for fn in (viol, lambda states: h.fn(states, obj.x0)):
+    ev = ldp.get_functional("terminal_target", y=np.ones(m), r=0.5)
+    viol = ev.bind(co, obj.x0, cfg.n_steps)
+    h = ldp.get_functional("terminal_rise_capped", cap=5.0).bind(
+        co, obj.x0, cfg.n_steps)
+    for fn in (lambda states: viol(states)[0], lambda states: h(states)[0]):
         np.testing.assert_allclose(obj.map_batch(thetas, fn), fn(full),
                                    rtol=0, atol=atol)
     assert (obj.n_solves, obj.n_evals) == (obj.n_params + 1, 27)
@@ -246,20 +282,6 @@ def test_affine_map_batch_over_the_bound_takes_the_euler_route(terminal):
     assert np.array_equal(got, want)
 
 
-def test_unregistered_functional_takes_the_full_route():
-    # terminal follows from the registry name; any other name, even one
-    # whose fn reads only X_1, is handed the full states
-    h = ldp.BoundedFunctional(
-        name="custom", fn=lambda states, x0: states[:, 1:, 0].max(axis=1),
-        inf_h=0.0, sup_h=1.0, params={})
-    assert not h.terminal
-    cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
-    co = sde.get_coefficients("constant")
-    obj = ldp._SkeletonObjective(co, [0.0], cfg, terminal=h.terminal)
-    assert obj.map_batch(np.zeros((1, obj.n_params)),
-                         lambda states: states).shape == (1, 65, 1)
-
-
 @pytest.mark.parametrize("family", ["constant", "tanh"])
 def test_n_evals_counts_map_batch_rows(monkeypatch, family):
     rows = []
@@ -269,8 +291,8 @@ def test_n_evals_counts_map_batch_rows(monkeypatch, family):
         lambda self, th, fn: rows.append(len(th)) or map_batch(self, th, fn))
     co = sde.get_coefficients(family)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=32, n_ctrl=4, seed=3)
-    res = ldp.rate_minimize(co, [0.0], ldp.EventSpec("terminal_exceedance",
-                                                     a=0.5), cfg)
+    res = ldp.rate_minimize(
+        co, [0.0], ldp.get_functional("terminal_exceedance", a=0.5), cfg)
     assert res.feasible
     assert sum(rows) == res.diagnostics["n_evals"]
     # the affine route solves its map once; the Euler route every row
@@ -279,9 +301,9 @@ def test_n_evals_counts_map_batch_rows(monkeypatch, family):
 
 
 def test_feasibility_polish_lands_on_the_constraint(monkeypatch):
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     obj = ldp._SkeletonObjective(ADDITIVE, [0.0], SMALL_CFG)
-    viol = ev.violation_fn(ADDITIVE, obj.x0, SMALL_CFG.n_steps)
+    viol = ev.bind(ADDITIVE, obj.x0, SMALL_CFG.n_steps)
     theta_star = qp_oracle(1.0, SMALL_CFG)[1]      # terminal state exactly a
     calls = []
     solve = obj.map_batch
@@ -291,8 +313,8 @@ def test_feasibility_polish_lands_on_the_constraint(monkeypatch):
     # one call for the ladder, one per round, one for the final residual
     assert len(calls) == ldp._POLISH_ROUNDS + 2
     assert residual == 0.0
-    assert solve(theta[None], viol)[0] <= 0.0
-    assert solve((1.0 - 1e-9) * theta[None], viol)[0] > 0.0
+    assert solve(theta[None], viol)[0][0] <= 0.0
+    assert solve((1.0 - 1e-9) * theta[None], viol)[0][0] > 0.0
     # no scale up to 1.05^8 rescues half the optimal control
     theta0 = 0.5 * theta_star
     theta, residual = ldp._feasibility_polish(obj, viol, theta0)
@@ -301,10 +323,10 @@ def test_feasibility_polish_lands_on_the_constraint(monkeypatch):
 
 
 @pytest.mark.parametrize("event", [
-    ldp.EventSpec("terminal_exceedance", a=0.5),
-    ldp.EventSpec("sup_exceedance", a=0.5),
-    ldp.EventSpec("terminal_target", y=0.5, r=0.1),
-], ids=lambda ev: ev.kind)
+    ldp.get_functional("terminal_exceedance", a=0.5),
+    ldp.get_functional("sup_exceedance", a=0.5),
+    ldp.get_functional("terminal_target", y=0.5, r=0.1),
+], ids=lambda ev: ev.name)
 def test_n_solves_counts_every_skeleton_row(monkeypatch, event):
     # count rows through every module attribute bound to solve_increments,
     # as a tracer that wraps the function from outside the package does
@@ -327,7 +349,7 @@ def test_n_solves_counts_every_skeleton_row(monkeypatch, event):
 
 
 def test_rate_minimize_additive_oracle():
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=SMALL_CFG)
     val_star, theta_star = qp_oracle(1.0, SMALL_CFG)
     assert res.feasible
@@ -342,7 +364,7 @@ def test_rate_minimize_additive_oracle():
 
 
 def test_rate_minimize_trivial_event_zero_control():
-    ev = ldp.EventSpec("terminal_exceedance", a=0.0)
+    ev = ldp.get_functional("terminal_exceedance", a=0.0)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=SMALL_CFG)
     assert res.feasible
     assert res.value == 0.0
@@ -350,15 +372,15 @@ def test_rate_minimize_trivial_event_zero_control():
 
 
 def test_rate_minimize_quadratic_scaling():
-    ev1 = ldp.EventSpec("terminal_exceedance", a=0.5)
-    ev2 = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev1 = ldp.get_functional("terminal_exceedance", a=0.5)
+    ev2 = ldp.get_functional("terminal_exceedance", a=1.0)
     r1 = ldp.rate_minimize(ADDITIVE, [0.0], ev1, cfg=SMALL_CFG)
     r2 = ldp.rate_minimize(ADDITIVE, [0.0], ev2, cfg=SMALL_CFG)
     assert abs(r2.value / r1.value - 4.0) <= 0.4
 
 
 def test_rate_minimize_richer_family_does_not_worsen():
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     r8 = ldp.rate_minimize(ADDITIVE, [0.0], ev,
                            cfg=ldp.RateConfig(hurst=HURST, n_steps=128,
                                               n_ctrl=8, seed=3))
@@ -367,7 +389,7 @@ def test_rate_minimize_richer_family_does_not_worsen():
 
 
 def test_rate_minimize_infeasible_reports_inf():
-    ev = ldp.EventSpec("terminal_target", y=1e6, r=1.0)
+    ev = ldp.get_functional("terminal_target", y=1e6, r=1.0)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=cfg)
     assert not res.feasible
@@ -377,14 +399,14 @@ def test_rate_minimize_infeasible_reports_inf():
 
 def test_rate_minimize_nontrivial_coefficients_feasible():
     co = sde.get_coefficients("tanh")
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     res = ldp.rate_minimize(co, [0.0], ev, cfg=SMALL_CFG)
     assert res.feasible
     assert 0.0 < res.value < 5.0
 
 
 def test_rate_minimize_n_ctrl_override():
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev,
                             cfg=dataclasses.replace(SMALL_CFG, n_ctrl=8))
     assert res.block_values.shape == (8, 1)
@@ -427,19 +449,19 @@ def _gradient_target(name, co, x0, states, n_steps):
     kink (a hinge, a clip, a norm at 0, or an argmax tie).
     """
     x1, rise = states[-1], states[-1, 0] - x0[0]
-    if name in ldp.EVENT_READS:
+    if name in ldp.functional_names("event"):
         phi = sde.solve_increments(x0, co, np.zeros((1, n_steps, co.d)))[0]
         dev = np.sort(np.linalg.norm(states - phi, axis=1))
         event, margin = {
             "terminal_exceedance": (
-                ldp.EventSpec("terminal_exceedance", a=x1[0] + 1.0), 1.0),
+                ldp.get_functional("terminal_exceedance", a=x1[0] + 1.0), 1.0),
             "terminal_target": (
-                ldp.EventSpec("terminal_target", y=x1 + 1.0, r=0.5), 0.5),
+                ldp.get_functional("terminal_target", y=x1 + 1.0, r=0.5), 0.5),
             "sup_exceedance": (
-                ldp.EventSpec("sup_exceedance", a=dev[-1] + 1.0),
+                ldp.get_functional("sup_exceedance", a=dev[-1] + 1.0),
                 dev[-1] - dev[-2]),
         }[name]
-        g = ldp._penalty(event.violation_fn(co, x0, n_steps, grad=True))
+        g = ldp._penalty(event.bind(co, x0, n_steps))
         return g, margin
     norms = np.sort(np.linalg.norm(states, axis=1))
     h, margin = {
@@ -448,8 +470,7 @@ def _gradient_target(name, co, x0, states, n_steps):
         "terminal_shortfall": (dict(target=rise + 0.5, cap=1.0), 0.5),
         "constant": (dict(level=0.7), 1.0),
     }[name]
-    h = ldp.get_functional(name, **h)
-    return (lambda s: h.fn_grad(s, x0)), margin
+    return ldp.get_functional(name, **h).bind(co, x0, n_steps), margin
 
 
 @pytest.mark.parametrize("case, route, target", GRAD_RUNS)
@@ -482,8 +503,8 @@ def test_gradient_of_the_affine_map_holds_over_the_bound():
     obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
     theta = np.zeros(obj.n_params)
     theta[6] = 0.75 * sde._OVERFLOW_GUARD / obj.affine_map[3][6]
-    g = ldp._penalty(ldp.EventSpec("terminal_target", y=[1.0, 0.5], r=0.05)
-                     .violation_fn(co, obj.x0, cfg.n_steps, grad=True))
+    g = ldp._penalty(ldp.get_functional("terminal_target", y=[1.0, 0.5],
+                                        r=0.05).bind(co, obj.x0, cfg.n_steps))
     solves = obj.n_solves
     value, grad = obj.value_and_grad(theta, g, 1.0)
     assert obj.n_solves == solves + 1
@@ -500,7 +521,7 @@ def test_rotation_without_a_map_has_no_gradient():
     # needs the map, which a scale of 1e13 overflows in the build here
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("rotation", m=2, d=2, scale=1e13)
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     assert ldp._SkeletonObjective(co, [0.0, 0.0], cfg).affine_map is None
     with pytest.raises(NumericError, match="rotation.*no gradient"):
         ldp.rate_minimize(co, [0.0, 0.0], ev, cfg)
@@ -518,25 +539,24 @@ def test_kinks_take_the_interior_side():
         for q, want in [(0.0, slope), (cap, slope), (-1e-12, 0.0),
                         (cap + 1e-12, 0.0)]:
             states = np.array([[[0.0], [terminal_state(q)]]])
-            value, step, c = h.fn_grad(states, x0)
+            value, step, c = h.bind(ADDITIVE, x0, 1)(states)
             assert value[0] == np.clip(q, 0.0, cap) and step[0] == 1
             assert c[0, 0] == want, (name, q)
     h = ldp.get_functional("sup_norm_capped", cap=cap)
     for norm, want in [(cap, 1.0), (cap + 1e-12, 0.0), (0.0, 0.0)]:
         states = np.array([[[0.0, 0.0], [0.6 * norm, 0.8 * norm],
                             [0.0, 0.0]]])
-        value, step, c = h.fn_grad(states, x0)
+        value, step, c = h.bind(ADDITIVE, x0, 2)(states)
         assert step[0] == (1 if norm else 0)      # a tie takes the first
         np.testing.assert_array_equal(c[0], [0.6 * want, 0.8 * want])
     # argmax ties and zero norms of the events
-    ev = ldp.EventSpec("sup_exceedance", a=1.0).violation_fn(
-        ADDITIVE, [0.0], 3, grad=True)
+    ev = ldp.get_functional("sup_exceedance", a=1.0).bind(ADDITIVE, [0.0], 3)
     v, step, c = ev(np.array([[[0.0], [2.0], [-2.0], [2.0]]]))
     assert (v[0], step[0], c[0, 0]) == (-1.0, 1, -1.0)
     v, step, c = ev(np.zeros((1, 4, 1)))
     assert (v[0], step[0], c[0, 0]) == (1.0, 0, 0.0)
-    ev = ldp.EventSpec("terminal_target", y=[1.0, 2.0], r=0.5).violation_fn(
-        ADDITIVE, [0.0], 3, grad=True)
+    ev = ldp.get_functional("terminal_target", y=[1.0, 2.0], r=0.5).bind(
+        ADDITIVE, [0.0], 3)
     v, step, c = ev(np.array([[[1.0, 2.0]]]))
     assert (v[0], step[0]) == (-0.5, 0) and not c.any()
 
@@ -548,8 +568,8 @@ def test_zero_start_on_the_cap_moves_off_it():
     cfg = ldp.RateConfig(hurst=0.75, n_steps=64, n_ctrl=8)
     obj = ldp._SkeletonObjective(sde.get_coefficients("tanh"), [0.0], cfg,
                                  terminal=True)
-    value, grad = obj.value_and_grad(np.zeros(obj.n_params),
-                                     lambda s: h.fn_grad(s, obj.x0), 1.0)
+    value, grad = obj.value_and_grad(
+        np.zeros(obj.n_params), h.bind(obj.coeffs, obj.x0, cfg.n_steps), 1.0)
     assert value == 1.0 and np.all(grad < 0.0)
 
 
@@ -560,21 +580,14 @@ def test_laplace_tanh_search_converges_from_every_start(n_steps):
     cfg = ldp.RateConfig(hurst=0.75, n_steps=n_steps, n_ctrl=32, seed=7)
     obj = ldp._SkeletonObjective(sde.get_coefficients("tanh"), [0.0], cfg,
                                  terminal=True)
-    runs = ldp._descend(obj, lambda s: h.fn_grad(s, obj.x0), (1.0,))
+    runs = ldp._descend(obj, h.bind(obj.coeffs, obj.x0, cfg.n_steps), (1.0,))
     assert [res.success for res, _ in runs] == [True] * 3, \
         [res.message for res, _ in runs]
 
 
-def test_laplace_variational_needs_fn_grad():
-    h = ldp.BoundedFunctional(name="custom", fn=lambda s, x0: s[:, -1, 0],
-                              inf_h=0.0, sup_h=1.0, params={})
-    with pytest.raises(DomainError, match="fn_grad"):
-        ldp.laplace_variational(ADDITIVE, [0.0], h, SMALL_CFG)
-
-
 def test_rate_starts_record_convergence():
     res = ldp.rate_minimize(ADDITIVE, [0.0],
-                            ldp.EventSpec("terminal_exceedance", a=1.0),
+                            ldp.get_functional("terminal_exceedance", a=1.0),
                             SMALL_CFG)
     for start in res.diagnostics["starts"]:
         assert start["converged"] is True
@@ -613,7 +626,7 @@ def geometric_oracle(cfg):
 def geometric_rates():
     """(rate_minimize value, oracle value) on each grid of GEOMETRIC_GRIDS."""
     co = sde.get_coefficients("linear_sigma")
-    ev = ldp.EventSpec("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
+    ev = ldp.get_functional("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
     out = []
     for n, nc in GEOMETRIC_GRIDS:
         cfg = ldp.RateConfig(hurst=0.7, n_steps=n, n_ctrl=nc, seed=0)
@@ -644,7 +657,7 @@ def geometric_scaling():
     """scaling_table rows of X_1 >= e^0.5 for dX = X dB^H at 128/16, and a
     crude (zero-control) estimate at eps 0.1 on its own seed."""
     co = sde.get_coefficients("linear_sigma")
-    ev = ldp.EventSpec("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
+    ev = ldp.get_functional("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
     cfg = ldp.RateConfig(hurst=0.7, n_steps=128, n_ctrl=16, seed=0)
     rows = ldp.scaling_table(co, [1.0], ev, [0.25, 0.1, 0.05], 20_000, 61,
                              n_steps=128, cfg=cfg)
@@ -735,7 +748,7 @@ def test_laplace_mc_deterministic():
 def test_is_probability_sure_event():
     # all samples hit once eps is small against the threshold, and the
     # zero-tilt weights are exactly one, so p_hat is exactly 1
-    ev = ldp.EventSpec("terminal_exceedance", a=-1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=-1.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 500,
                              seed=1, ctrl=cm.zero_control(HURST, 64),
                              hurst=HURST, n_steps=64)
@@ -745,7 +758,7 @@ def test_is_probability_sure_event():
 
 
 def test_is_probability_zero_hits_flagged():
-    ev = ldp.EventSpec("terminal_exceedance", a=50.0)
+    ev = ldp.get_functional("terminal_exceedance", a=50.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 300,
                              seed=1, ctrl=cm.zero_control(HURST, 64),
                              hurst=HURST, n_steps=64)
@@ -757,7 +770,7 @@ def test_is_probability_crude_matches_gaussian(tilt):
     # the exact discrete value: B^H_1 of the sampler is Gaussian with
     # variance sigma_n^2 = sum_j k(1, s_j)^2 / n, and IS is unbiased for it
     n, a, eps = 256, 0.5, 0.25
-    ev = ldp.EventSpec("terminal_exceedance", a=a)
+    ev = ldp.get_functional("terminal_exceedance", a=a)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), tilt))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, 4000, seed=44,
                              ctrl=ctrl, hurst=HURST, n_steps=n)
@@ -785,7 +798,7 @@ def test_is_probability_rejects_a_tilt_for_another_hurst():
     # a unit-density tilt built at H = 0.9 shifts paths sampled at H = 0.6
     # by the wrong kernel; p_hat was biased by ~75 standard errors
     n = 64
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     tilt = cm.control_from_cells(0.9, np.ones((n, 1)))
     with pytest.raises(DomainError, match="hurst"):
         ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 4000, seed=1,
@@ -799,7 +812,7 @@ def test_is_probability_rejects_a_tilt_for_another_hurst():
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_is_probability_rejects_nonpositive_eps(eps):
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     with pytest.raises(DomainError, match="eps"):
         ldp.is_probability(ADDITIVE, [0.0], ev, eps, 100, seed=1,
                            ctrl=cm.zero_control(HURST, 64),
@@ -808,7 +821,7 @@ def test_is_probability_rejects_nonpositive_eps(eps):
 
 @pytest.mark.parametrize("n_samples", [0, -5])
 def test_is_probability_rejects_fewer_than_one_sample(n_samples):
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     with pytest.raises(DomainError, match="n_samples"):
         ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_samples, seed=1,
                            ctrl=cm.zero_control(HURST, 64),
@@ -816,7 +829,7 @@ def test_is_probability_rejects_fewer_than_one_sample(n_samples):
 
 
 def test_is_probability_grid_mismatch():
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     with pytest.raises(DimensionError):
         ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 100, seed=1,
                            ctrl=cm.zero_control(HURST, 32),
@@ -824,7 +837,7 @@ def test_is_probability_grid_mismatch():
 
 
 def test_is_probability_unpacks_as_pair():
-    ev = ldp.EventSpec("terminal_exceedance", a=-1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=-1.0)
     p, se = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 100, seed=1,
                                ctrl=cm.zero_control(HURST, 64),
                                hurst=HURST, n_steps=64)
@@ -832,7 +845,7 @@ def test_is_probability_unpacks_as_pair():
 
 
 def test_scaling_table_structure_and_determinism(monkeypatch):
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     kwargs = dict(n_steps=128, cfg=SMALL_CFG)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
                              **kwargs)
@@ -870,7 +883,7 @@ def test_laplace_mc_chunked_matches_one_batch():
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
     states = sde.solve_increments(
         np.zeros(1), ADDITIVE, math.sqrt(eps) * np.diff(batch.values, axis=1))
-    y = np.exp(-h.fn(states, np.zeros(1)) / eps)
+    y = np.exp(-h.bind(ADDITIVE, np.zeros(1), n)(states)[0] / eps)
     value = -eps * math.log(y.mean())
     std_err = eps * y.std() / (y.mean() * math.sqrt(N_CHUNKED))
     assert r.n_samples == N_CHUNKED
@@ -880,7 +893,7 @@ def test_laplace_mc_chunked_matches_one_batch():
 
 def test_is_probability_chunked_matches_one_batch():
     n, eps, seed = 32, 0.1, 8
-    ev = ldp.EventSpec("terminal_exceedance", a=0.6)
+    ev = ldp.get_functional("terminal_exceedance", a=0.6)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.4))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, N_CHUNKED, seed,
                              ctrl=ctrl, hurst=HURST, n_steps=n)
@@ -888,7 +901,7 @@ def test_is_probability_chunked_matches_one_batch():
     dv = ctrl.path.increments()
     inc = dv[None] + math.sqrt(eps) * np.diff(batch.values, axis=1)
     states = sde.solve_increments(np.zeros(1), ADDITIVE, inc)
-    hits = ev.violation_fn(ADDITIVE, [0.0], n)(states) <= 0.0
+    hits = ev.bind(ADDITIVE, [0.0], n)(states)[0] <= 0.0
     w, _ = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)
     y = np.where(hits, w, 0.0)
     assert est.n_hits == int(hits.sum()) and 0 < est.n_hits < N_CHUNKED
@@ -946,7 +959,7 @@ def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
     co = sde.get_coefficients(name, m=m, d=d, **params)
     # the zero family's states stay at x0: its event is sure, and p_hat is
     # the mean Girsanov weight
-    ev = ldp.EventSpec("terminal_exceedance",
+    ev = ldp.get_functional("terminal_exceedance",
                        a=x0[0] + (0.0 if name == "zero" else 0.3))
     h = ldp.get_functional("terminal_shortfall")
     cells = _cells(n, d) if tilted else np.zeros((n, d))
@@ -976,7 +989,7 @@ def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
     # bound reaches the limit.  Both raise the Euler loop's message.
     n = 64
     co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
-    ev = ldp.EventSpec("terminal_exceedance", a=1.0)
+    ev = ldp.get_functional("terminal_exceedance", a=1.0)
     ctrl = cm.zero_control(HURST, n)
     built = ldp._affine_map(co, np.zeros(1),
                             np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
@@ -1009,7 +1022,7 @@ def test_terminal_mc_route_skips_the_synthesis(monkeypatch):
     synthesise = fbm._synthesise
     monkeypatch.setattr(fbm, "_synthesise",
                         lambda t, z: calls.append(1) or synthesise(t, z))
-    ev = ldp.EventSpec("terminal_exceedance", a=0.5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 3000, seed=1,
                              ctrl=cm.zero_control(HURST, 64), hurst=HURST,
                              n_steps=64)
@@ -1018,9 +1031,9 @@ def test_terminal_mc_route_skips_the_synthesis(monkeypatch):
 
 # (event, functional) pairs for the terminal route and the full-state route
 ROUTES = {
-    "terminal": (ldp.EventSpec("terminal_exceedance", a=0.5),
+    "terminal": (ldp.get_functional("terminal_exceedance", a=0.5),
                  "terminal_shortfall"),
-    "path": (ldp.EventSpec("sup_exceedance", a=0.5), "sup_norm_capped"),
+    "path": (ldp.get_functional("sup_exceedance", a=0.5), "sup_norm_capped"),
 }
 
 

@@ -280,8 +280,9 @@ def test_zero_control_reduction_bitwise(control_75):
     fpath = fbm.sample_volterra(256, 0.75, 1, 1, seed=3).path(0)
     zero = cm.zero_control(0.75, 256)
     cp = sde.controlled_path([0.1], co, zero, 0.3, fpath)
-    sn = sde.small_noise_path([0.1], co, 0.3, fpath, hurst=0.75)
-    np.testing.assert_array_equal(cp.path.values, sn.path.values)
+    sn = sde.solve_increments([0.1], co,
+                              math.sqrt(0.3) * fpath.increments()[None])[0]
+    np.testing.assert_array_equal(cp.path.values, sn)
 
 
 def test_controlled_additive_closed_form(control_75):
