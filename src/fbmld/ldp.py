@@ -62,8 +62,9 @@ class StateFunctional:
     ``states[:, -1]``, so it also takes the terminal slice (B, 1, m).
     ``role`` is ``"event"``, whose value is <= 0 where the event holds (in
     its natural units), or ``"functional"``, a bounded h with values in
-    [inf_h, sup_h].  :meth:`bind` supplies x0 and, for an entry that reads
-    it, the zero-noise flow.
+    [inf_h, sup_h]; the searches and estimators raise DomainError for an
+    entry of the other role.  :meth:`bind` supplies x0 and, for an entry
+    that reads it, the zero-noise flow.
     """
 
     name: str
@@ -137,6 +138,9 @@ def _terminal_target(y=0.0, r=0.0):
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
     def fn_grad(states, x0, flow):
+        if y.size not in (1, states.shape[2]):
+            raise DimensionError(f"terminal_target y holds {y.size} entries; "
+                                 f"it needs 1 or m = {states.shape[2]}")
         dev = states[:, -1, :] - y
         norm = np.linalg.norm(dev, axis=1)
         return norm - r, _last(states), _unit(dev, norm)
@@ -222,6 +226,12 @@ def get_functional(name: str, role: str | None = None,
     inf_h, sup_h = bounds or (None, None)
     return StateFunctional(name, params, entry_role, terminal, fn_grad,
                            inf_h, sup_h, flow)
+
+
+def _require_role(entry: StateFunctional, role: str) -> None:
+    if entry.role != role:
+        raise DomainError(f"{entry.name!r} has role {entry.role!r}, "
+                          f"not {role!r}")
 
 
 def _last(states: np.ndarray) -> np.ndarray:
@@ -565,6 +575,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: StateFunctional,
     aside, except for affine families, whose ``n_solves`` is the
     n_ctrl * d + 1 rows of the one affine-map build.
     """
+    _require_role(event, "event")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=event.terminal)
     g = event.bind(coeffs, obj.x0, cfg.n_steps, obj._solve)
     per_start, thetas = [], []
@@ -648,6 +659,7 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: StateFunctional,
     adapted controls; non-convergence is flagged via a warning and the best
     value so far is returned.
     """
+    _require_role(h, "functional")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
     runs = _descend(obj, h.bind(coeffs, obj.x0, cfg.n_steps, obj._solve),
                     (1.0,))
@@ -769,6 +781,7 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
     so the output is always inside [inf h, sup h]; the standard error comes
     from the delta method.
     """
+    _require_role(h, "functional")
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     if n_samples < LAPLACE_MIN_SAMPLES:
@@ -837,6 +850,7 @@ def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
     does not grow with ``n_samples``.  Pass the zero control for crude
     Monte Carlo; :func:`scaling_table` tilts by the rate minimizer.
     """
+    _require_role(event, "event")
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)

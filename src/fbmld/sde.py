@@ -89,7 +89,7 @@ class CoefficientSet:
 
 def _entry_zero(m, d, params):
     return dict(
-        drift=lambda t, x: np.zeros_like(x),
+        drift=lambda t, x: 0.0 * x,
         diffusion=lambda t, x: 0.0,
         drift_jac=lambda t, x: np.zeros_like(x),
         diffusion_jac=lambda t, x: 0.0,
@@ -128,7 +128,7 @@ def _entry_linear_sigma(m, d, params):
     if m != d:
         raise DomainError("linear_sigma requires m == d")
     return dict(
-        drift=lambda t, x: np.zeros_like(x),
+        drift=lambda t, x: 0.0 * x,
         diffusion=lambda t, x: x,
         drift_jac=lambda t, x: np.zeros_like(x),
         diffusion_jac=lambda t, x: np.ones_like(x),
@@ -233,13 +233,17 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     """Batched Euler core: increments (P, n, d) -> states (P, n+1, m).
 
     Pure function; the batch axis vectorises Monte Carlo samples and
-    control-search batches alike.  When neither coefficient depends on
-    the state (Lipschitz constants 0: ``zero`` and ``constant``; registry
-    coefficients never depend on t) every Euler step b dt + s dg is known
-    up front, and the states are their running sum from x0, one
-    ``np.cumsum`` in the loop's order of additions, so bitwise the loop's
-    states.  Either way the states run to the end, inf and NaN included,
-    and one :func:`_raise_on_overflow` check names the first bad step.
+    control-search batches alike.  Three routes, each in the batched
+    loop's order of additions ``x + (b dt + s dg)``, so bitwise the loop's
+    states.  When neither coefficient depends on the state (Lipschitz
+    constants 0: ``zero`` and ``constant``; registry coefficients never
+    depend on t) every Euler step is known up front, and the states are
+    their running sum from x0, one ``np.cumsum``.  Otherwise one row with
+    m = d = 1 (a search's skeleton) is stepped in Python floats, where
+    numpy's per-call cost on (1, 1) arrays would dominate, and every other
+    batch by the batched Euler loop.  Each route runs the states to the
+    end, inf and NaN included, and one :func:`_raise_on_overflow` check
+    names the first bad step.
     """
     n_paths, n, d = increments.shape
     if d != coeffs.d:
@@ -260,6 +264,13 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
             out[:, 1:, :r] += b_dt[:, :r]
             out[:, 1:, r:] = b_dt[:, r:]
             np.cumsum(out, axis=1, out=out)
+        elif n_paths == 1 and coeffs.m == d == 1:
+            b, s, x, xs = coeffs.drift, coeffs.diffusion, float(x0[0]), []
+            for k, dg in enumerate(increments[0, :, 0].tolist()):
+                t = k * dt
+                x = x + (b(t, x) * dt + s(t, x) * dg)
+                xs.append(x)
+            out[0, 1:, 0] = xs
         else:
             x = np.broadcast_to(x0, (n_paths, coeffs.m)).copy()
             for k in range(n):

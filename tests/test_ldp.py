@@ -87,6 +87,44 @@ def test_functionals_reject_a_negative_cap():
         assert not h.bind(ADDITIVE, [0.0], 8)(states)[0].any()
 
 
+ROLE_MISTAKES = {
+    "rate_minimize": lambda h: ldp.rate_minimize(ADDITIVE, [0.0], h, SMALL_CFG),
+    "is_probability": lambda h: ldp.is_probability(
+        ADDITIVE, [0.0], h, 0.5, 100, 3, cm.zero_control(HURST, 32),
+        hurst=HURST, n_steps=32),
+    "scaling_table": lambda h: ldp.scaling_table(
+        ADDITIVE, [0.0], h, [0.5], 100, 3, n_steps=32, cfg=SMALL_CFG),
+    "laplace_variational": lambda h: ldp.laplace_variational(
+        ADDITIVE, [0.0], h, SMALL_CFG),
+    "laplace_mc": lambda h: ldp.laplace_mc(
+        ADDITIVE, [0.0], h, 0.5, 1000, 3, hurst=HURST, n_steps=32),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ROLE_MISTAKES))
+def test_searches_and_estimators_check_the_role(call):
+    # an event's violation is no bounded h, and h <= 0 is no event
+    wrong = "event" if call.startswith("laplace") else "functional"
+    for name in ldp.functional_names(wrong):
+        h = ldp.get_functional(name, **({"r": 0.1} if name == "terminal_target"
+                                        else {}))
+        with pytest.raises(DomainError, match=f"has role '{wrong}'"):
+            ROLE_MISTAKES[call](h)
+
+
+def test_terminal_target_needs_one_or_m_entries():
+    co = sde.get_coefficients("rotation", m=2, d=2)
+    cfg = ldp.RateConfig(hurst=0.75, n_steps=32, n_ctrl=4)
+    ev = ldp.get_functional("terminal_target", y=[1.0, 0.5, 0.2], r=0.05)
+    with pytest.raises(DimensionError, match="holds 3 entries"):
+        ldp.rate_minimize(co, [0.0, 0.0], ev, cfg)
+    with pytest.raises(DimensionError, match="holds 3 entries"):
+        ev.bind(co, [0.0, 0.0], 4)(np.zeros((1, 5, 2)))
+    for y in (1.0, [1.0, 0.5]):
+        ev = ldp.get_functional("terminal_target", y=y, r=0.05)
+        assert ev.bind(co, [0.0, 0.0], 4)(np.zeros((1, 5, 2)))[0][0] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # girsanov weights
 # ---------------------------------------------------------------------------
@@ -583,6 +621,16 @@ def test_laplace_tanh_search_converges_from_every_start(n_steps):
     runs = ldp._descend(obj, h.bind(obj.coeffs, obj.x0, cfg.n_steps), (1.0,))
     assert [res.success for res, _ in runs] == [True] * 3, \
         [res.message for res, _ in runs]
+
+
+def test_laplace_tanh_variational_value_holds():
+    # the laplace_tanh benchmark problem, whose skeletons are one-row tanh
+    # solves; the value the batched Euler loop gave for them
+    h = ldp.get_functional("terminal_shortfall", target=1.0)
+    cfg = ldp.RateConfig(hurst=0.75, n_steps=256, n_ctrl=32, seed=7)
+    value = ldp.laplace_variational(sde.get_coefficients("tanh"), [0.0], h,
+                                    cfg)
+    assert abs(value - 0.1453438596736661) <= 1e-12
 
 
 def test_rate_starts_record_convergence():

@@ -232,14 +232,40 @@ def test_state_free_cumsum_overflow_names_the_loop_step():
 def test_diverging_loop_batch_names_the_first_step(name, m):
     # increments of +-1e80 from step 10 take one row past the guard at step
     # 11; the loop runs on (linear_sigma's states reach inf, then NaN)
-    # without a warning, and the one check after it names step 11
+    # without a warning, and the one check after it names step 11.  The
+    # diverging row alone takes the scalar one-row route when m = 1.
     co = sde.get_coefficients(name, m=m, d=m)
     inc = np.zeros((2, 64, m))
     inc[1, 10:] = 1e80 * (-1.0) ** np.arange(54)[:, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="at step 11$"):
-            sde.solve_increments(np.ones(m), co, inc)
+    for batch in (inc, inc[1:]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="at step 11$"):
+                sde.solve_increments(np.ones(m), co, batch)
+
+
+# every registry family with m = d = 1, with parameters
+SCALAR_FAMILIES = {
+    "zero": {},
+    "constant": {"scale": 1.3, "drift_const": 0.4},
+    "linear_drift": {"rate": 2.0, "scale": 0.7},
+    "linear_sigma": {},
+    "tanh": {"drift_scale": 0.8, "sigma_scale": 0.9},
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_FAMILIES))
+def test_one_row_matches_its_row_in_a_batch(name):
+    # m = d = 1: a state-dependent family solves one row in Python floats
+    # and a batch by the batched loop; both keep x + (b dt + s dg)
+    co = sde.get_coefficients(name, **SCALAR_FAMILIES[name])
+    inc = 0.3 * rng.stream(31, 0).standard_normal((3, 256, 1))
+    batch = sde.solve_increments([0.4], co, inc)
+    for i in range(len(inc)):
+        row = sde.solve_increments([0.4], co, inc[i:i + 1])
+        assert row.shape == (1, 257, 1)
+        assert np.abs(row[0] - batch[i]).max() <= 1e-14
+        np.testing.assert_array_equal(row[0], batch[i])
 
 
 # ---------------------------------------------------------------------------
