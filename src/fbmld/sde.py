@@ -233,17 +233,14 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     """Batched Euler core: increments (P, n, d) -> states (P, n+1, m).
 
     Pure function; the batch axis vectorises Monte Carlo samples and
-    control-search batches alike.  Three routes, each in the batched
-    loop's order of additions ``x + (b dt + s dg)``, so bitwise the loop's
-    states.  When neither coefficient depends on the state (Lipschitz
-    constants 0: ``zero`` and ``constant``; registry coefficients never
-    depend on t) every Euler step is known up front, and the states are
-    their running sum from x0, one ``np.cumsum``.  Otherwise one row with
-    m = d = 1 (a search's skeleton) is stepped in Python floats, where
-    numpy's per-call cost on (1, 1) arrays would dominate, and every other
-    batch by the batched Euler loop.  Each route runs the states to the
-    end, inf and NaN included, and one :func:`_raise_on_overflow` check
-    names the first bad step.
+    control-search batches alike.  Three routes give bitwise the batched
+    Euler loop's states, each adding ``x + (b dt + s dg)``: state-free
+    coefficients (Lipschitz constants 0: ``zero`` and ``constant``;
+    registry coefficients never depend on t) take one ``np.cumsum`` of the
+    steps known up front; one row with m = d = 1 is stepped in Python
+    floats, free of numpy's per-call cost; every other batch runs the
+    loop.  Either way the states run to the end, inf and NaN included,
+    and one :func:`_raise_on_overflow` check names the first bad step.
     """
     n_paths, n, d = increments.shape
     if d != coeffs.d:
