@@ -16,13 +16,13 @@ from pathlib import Path
 from fbmld import cli
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="additive_study")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--hurst", type=float, default=0.6)
     ap.add_argument("--n-samples", type=int, default=10_000)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -67,9 +67,10 @@ def main():
         print(f"{r['eps']:<8g} {r['p_hat']:<12.4e} "
               f"{r['neg_eps_log_p']:<12.4f} {r['gap']:.4f}")
     lap = json.loads((out / "laplace" / "laplace.json").read_text())["rows"]
-    print("eps      laplace_mc   variational")
+    print("eps      laplace_mc   std_err      ess          variational")
     for r in lap:
-        print(f"{r['eps']:<8g} {r['value']:<12.4f} {r['variational']:.4f}")
+        print(f"{r['eps']:<8g} {r['value']:<12.4f} {r['std_err']:<12.3e} "
+              f"{r['ess']:<12.1f} {r['variational']:.4f}")
     return 0
 
 

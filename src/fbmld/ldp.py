@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -24,7 +24,8 @@ from . import blas, fbm, rng
 from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
+from .sde import (_OVERFLOW_GUARD, CoefficientSet, get_coefficients,
+                  solve_increments)
 
 __all__ = [
     "StateFunctional",
@@ -33,6 +34,7 @@ __all__ = [
     "RateConfig",
     "RateResult",
     "rate_minimize",
+    "VariationalResult",
     "laplace_variational",
     "LaplaceMcResult",
     "LAPLACE_MIN_SAMPLES",
@@ -354,28 +356,23 @@ def _affine_states(affine_map, z: np.ndarray, scale: float = 1.0):
     return states
 
 
-def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
-                rows: int, dv: np.ndarray | None = None):
-    """The :func:`_affine_states` map of an affine family's Euler states.
+def _responses(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
+               rows: int):
+    """The zero-increment states of an affine family and its responses.
 
     Input (j, i), row ``j * d + i`` of R, drives component i by
-    ``columns[:, j]``; ``columns`` is (n, k).  The states driven by ``dv +
-    sum_(j, i) z_(j, i) columns[:, j] e_i`` are then ``X + z @ R``, with X
-    the states driven by ``dv`` alone (zero increments if None).  Each
-    input's response is its states minus the zero-increment states,
-    solved in blocks of ``_CHUNK`` inputs; it does not depend on ``dv``.
-    Returns ``(X, max|X|, R, max_k |R(k)|)`` on the last ``rows`` steps,
-    the maxima over every step, or None when one of these solves
-    overflows: every batch then goes through the Euler loop, which raises
-    its own message.
+    ``columns[:, j]``; ``columns`` is (n, k).  Each input's response is
+    its states minus the zero-increment states Z, solved in blocks of
+    ``_CHUNK`` inputs.  Returns ``(Z, R, max_k |R(k)|)``, Z (n+1, m) and R
+    on the last ``rows`` steps, the maxima over every step, or None when
+    one of these solves overflows: every batch then goes through the Euler
+    loop, which raises its own message.
     """
     n, d = columns.shape[0], coeffs.d
     n_inputs = columns.shape[1] * d
     r_kept, r_abs = [], []
     try:
         zero = solve_increments(x0, coeffs, np.zeros((1, n, d)))[0]
-        free = zero if dv is None else \
-            solve_increments(x0, coeffs, dv[None])[0]
         for lo in range(0, n_inputs, _CHUNK):
             inputs = np.arange(lo, min(lo + _CHUNK, n_inputs))
             inc = np.zeros((inputs.size, n, d))
@@ -389,8 +386,49 @@ def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
             del resp
     except NumericError:
         return None
-    return free[-rows:].copy(), np.abs(free).max(), np.concatenate(r_kept), \
-        np.concatenate(r_abs)
+    return zero, np.concatenate(r_kept), np.concatenate(r_abs)
+
+
+@functools.lru_cache(maxsize=4)
+def _terminal_responses(name: str, params: tuple, m: int, d: int, x0: tuple,
+                        n_steps: int, hurst: float):
+    """The terminal :func:`_responses` of one unit Brownian increment each.
+
+    The columns are the ``np.diff`` of the kernel table, the fBm
+    increments one unit Brownian increment makes.  Keyed by the registry
+    family (name, sorted params, m, d), x0 and the grid, so the Monte
+    Carlo of one run builds them once for every eps and tilt; the arrays
+    are read-only.
+    """
+    coeffs = get_coefficients(name, m=m, d=d, **dict(params))
+    built = _responses(coeffs, np.array(x0), np.diff(
+        fbm.kernel_table(n_steps, hurst), axis=0), 1)
+    for a in built or ():
+        a.setflags(write=False)
+    return built
+
+
+def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, responses,
+                dv: np.ndarray | None = None):
+    """The :func:`_affine_states` map of an affine family's Euler states.
+
+    ``responses`` is a :func:`_responses` triple ``(Z, R, r_max)``.  The
+    states driven by ``dv + sum_(j, i) z_(j, i) columns[:, j] e_i`` are
+    ``X + z @ R``, with X the states driven by ``dv`` alone: Z if None,
+    else solved here.  Returns ``(X, max|X|, R, r_max)``, X on R's steps,
+    or None when ``responses`` is None or the solve of ``dv`` overflows.
+    """
+    if responses is None:
+        return None
+    zero, r, r_abs = responses
+    free = zero
+    if dv is not None:
+        try:
+            free = solve_increments(x0, coeffs, dv[None])[0]
+        except NumericError:
+            return None
+    return free[-(r.shape[1] // coeffs.m):].copy(), np.abs(free).max(), r, \
+        r_abs
 
 
 class _SkeletonObjective:
@@ -422,9 +460,9 @@ class _SkeletonObjective:
         self.affine_map = None
         if coeffs.affine:
             self.n_solves += self.n_params + 1
-            self.affine_map = _affine_map(
+            self.affine_map = _affine_map(coeffs, self.x0, _responses(
                 coeffs, self.x0, self.inc_map,
-                1 if terminal else cfg.n_steps + 1)
+                1 if terminal else cfg.n_steps + 1))
 
     def _drivers(self, thetas: np.ndarray) -> np.ndarray:
         """Skeleton driver increments (B, n_steps, d) of block coefficients."""
@@ -649,24 +687,46 @@ def _feasibility_polish(obj, g, theta):
     return theta, max(0.0, float(obj.map_batch(theta[None], g)[0][0]))
 
 
+@dataclass(frozen=True)
+class VariationalResult:
+    """The deterministic side of the Laplace check and its minimiser.
+
+    ``value`` is the least objective over the starts, and ``control`` and
+    ``block_values`` that start's block control: the importance-sampling
+    tilt :func:`laplace_mc` takes.  Each entry of the diagnostics'
+    ``starts`` records its value, its L-BFGS-B iterations, whether the
+    search converged, and its message.
+    """
+
+    value: float
+    control: CmControl
+    block_values: np.ndarray
+    diagnostics: dict = field(repr=False)
+
+
 def laplace_variational(coeffs: CoefficientSet, x0, h: StateFunctional,
-                        cfg: RateConfig) -> float:
+                        cfg: RateConfig) -> VariationalResult:
     """Deterministic side of the variational representation.
 
     Minimizes ``h(skeleton(v)) + 0.5 ||vdot||^2`` over the block-control
     family on exact gradients, from ``h``'s ``fn_grad``.  Restricting to
     deterministic controls makes this an upper bound for the infimum over
-    adapted controls; non-convergence is flagged via a warning and the best
-    value so far is returned.
+    adapted controls.  A start that did not converge keeps its best value
+    so far and records ``converged: False`` in the diagnostics.
     """
     _require_role(h, "functional")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
     runs = _descend(obj, h.bind(coeffs, obj.x0, cfg.n_steps, obj._solve),
                     (1.0,))
-    if not any(res.success for res, _ in runs):
-        warnings.warn("laplace_variational: optimizer did not converge; "
-                      "returning best value so far", stacklevel=2)
-    return min(float(res.fun) for res, _ in runs)
+    starts = [{"start": i, "value": float(res.fun), "iterations": iters,
+               "converged": bool(res.success), "message": str(res.message)}
+              for i, (res, iters) in enumerate(runs)]
+    best = min(starts, key=lambda s: (s["value"], s["start"]))
+    theta = runs[best["start"]][0].x
+    return VariationalResult(
+        value=best["value"], control=control_from_blocks(theta, cfg, coeffs.d),
+        block_values=theta.reshape(cfg.n_ctrl, coeffs.d),
+        diagnostics={"starts": starts})
 
 
 # ---------------------------------------------------------------------------
@@ -699,36 +759,61 @@ def _full_states(batch, x0: np.ndarray, coeffs: CoefficientSet, eps: float,
     return solve_increments(x0, coeffs, inc)
 
 
+class _McMean(NamedTuple):
+    """What :func:`_mc_log_mean` returns: the log mean of Y, se(mean) /
+    mean, the number of nonzero Y, the effective sample size (sum Y)^2 /
+    sum Y^2 and the largest Y's share of sum Y."""
+
+    log_mean: float
+    rel_se: float
+    n_nonzero: int
+    ess: float
+    max_share: float
+
+
 def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
                  n_samples: int, seed: int, hurst: float, n_steps: int,
-                 log_y, dv: np.ndarray | None = None, terminal: bool = False):
+                 log_y, ctrl: CmControl | None = None,
+                 terminal: bool = False) -> _McMean:
     """Monte Carlo mean of a path score Y >= 0, in log space.
 
     Solves the SDE on the Volterra paths of ``seed``, driven by their fBm
-    increments times sqrt(eps) plus the control increments ``dv`` if given,
-    one chunk of ``_CHUNK`` paths alive at a time; ``log_y(batch, states)``
-    gives each path's log Y, -inf where Y = 0.  Returns ``(log mean,
-    se(mean) / mean, number of nonzero Y)`` from the first two moments of
-    the nonzero Y in path order, so the error bar stays finite where the
-    squared mean would underflow.
+    increments times sqrt(eps) plus the tilt's increments ``dv``, one
+    chunk of ``_CHUNK`` paths alive at a time; ``log_y(batch, states)``
+    gives each path's log Y, -inf where Y = 0.  A nonzero tilt ``ctrl``
+    (the measure tilt eps^(-1/2) v) adds each path's Girsanov log weight
+    to its log Y; None or the zero control is crude Monte Carlo, with no
+    ``dv`` and no weight.  The moments come from the nonzero Y in path
+    order, so the error bar stays finite where the squared mean would
+    underflow; see :class:`_McMean`.
 
     With ``terminal`` (log_y reads only the terminal state) and an affine
     family, the terminal states are linear in the Brownian increments:
     each chunk is one product ``bm_increments.reshape(P, n d) @ R`` on the
-    terminal :func:`_affine_map` of the kernel table's ``np.diff``, the
-    fBm increments one unit Brownian increment makes, built once per call,
-    and ``log_y`` gets the (P, 1, m) terminal slice.  The fBm values are
-    then never synthesised.  A chunk whose bound could reach the overflow
-    guard, every chunk when the map build overflows, and every chunk of
-    other families and events, is solved in full by the Euler loop.
+    terminal :func:`_affine_map` of :func:`_terminal_responses`, built once
+    per family and grid, and ``log_y`` gets the (P, 1, m) terminal slice.
+    The fBm values are then never synthesised.  A chunk whose bound could
+    reach the overflow guard, every chunk when the map build overflows,
+    and every chunk of other families and events, is solved in full by
+    the Euler loop.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    dv = None
+    if ctrl is not None:
+        if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
+            raise DimensionError(
+                "tilt control does not match the sampling grid")
+        if np.any(ctrl.cell_values()):
+            if ctrl.hurst != hurst:
+                raise DomainError(
+                    f"tilt is for hurst {ctrl.hurst}, not {hurst}")
+            dv = ctrl.path.increments()
     route = None
     if terminal and coeffs.affine:
-        route = _affine_map(
-            coeffs, x0, np.diff(fbm.kernel_table(n_steps, hurst), axis=0), 1,
-            dv)
+        route = _affine_map(coeffs, x0, _terminal_responses(
+            coeffs.name, tuple(sorted(coeffs.params.items())), coeffs.m,
+            coeffs.d, tuple(map(float, x0)), n_steps, hurst), dv)
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
@@ -742,17 +827,21 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
         if states is None:
             states = _full_states(batch, x0, coeffs, eps, dv)
         scores[lo:hi] = log_y(batch, states)
+        if dv is not None:
+            scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
         del batch, states
     if not np.all(scores < math.inf):                 # NaN fails it too
         raise NumericError("path scores have a NaN or +inf log value")
     nonzero = scores[scores > -math.inf]
     if not nonzero.size:
-        return -math.inf, math.nan, 0
+        return _McMean(-math.inf, math.nan, 0, 0.0, math.nan)
     log_n = math.log(n_samples)
-    log_m1 = _logsumexp(nonzero) - log_n
-    log_m2 = _logsumexp(2.0 * nonzero) - log_n
-    rel_var = math.exp(log_m2 - 2.0 * log_m1) - 1.0
-    return log_m1, math.sqrt(max(rel_var, 0.0) / n_samples), nonzero.size
+    log_s1, log_s2 = _logsumexp(nonzero), _logsumexp(2.0 * nonzero)
+    log_m1 = log_s1 - log_n
+    rel_var = math.exp(log_s2 - log_n - 2.0 * log_m1) - 1.0
+    return _McMean(log_m1, math.sqrt(max(rel_var, 0.0) / n_samples),
+                   nonzero.size, math.exp(2.0 * log_s1 - log_s2),
+                   math.exp(float(nonzero.max()) - log_s1))
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -764,22 +853,32 @@ def _logsumexp(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LaplaceMcResult:
+    """Laplace functional estimate with its standard error and the
+    health of the path scores e^(-h/eps) w: how many are nonzero, their
+    effective sample size and the largest one's share of their sum."""
+
     value: float
     std_err: float
     n_samples: int
+    n_hits: int
+    ess: float
+    max_weight_share: float
 
     def __iter__(self):
         return iter((self.value, self.std_err))
 
 
 def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
-               n_samples: int, seed: int, *, hurst: float,
-               n_steps: int) -> LaplaceMcResult:
+               n_samples: int, seed: int, ctrl: CmControl | None = None, *,
+               hurst: float, n_steps: int) -> LaplaceMcResult:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
 
     The exponential average is taken in log space by :func:`_mc_log_mean`,
     so the output is always inside [inf h, sup h]; the standard error comes
-    from the delta method.
+    from the delta method.  ``ctrl`` tilts the sampling measure as in
+    :func:`is_probability`; the CLI passes the
+    :func:`laplace_variational` minimiser.  None, or the zero control, is
+    crude Monte Carlo.
     """
     _require_role(h, "functional")
     if not 0.0 < eps <= 1.0:
@@ -789,11 +888,12 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
             f"laplace_mc needs n_samples >= {LAPLACE_MIN_SAMPLES}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     g = h.bind(coeffs, x0, n_steps)
-    log_mean, rel_se, _ = _mc_log_mean(
-        coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-        lambda batch, states: -g(states)[0] / eps, terminal=h.terminal)
-    return LaplaceMcResult(value=-eps * log_mean, std_err=eps * rel_se,
-                           n_samples=n_samples)
+    mc = _mc_log_mean(coeffs, x0, eps, n_samples, seed, hurst, n_steps,
+                      lambda batch, states: -g(states)[0] / eps, ctrl,
+                      h.terminal)
+    return LaplaceMcResult(value=-eps * mc.log_mean, std_err=eps * mc.rel_se,
+                           n_samples=n_samples, n_hits=mc.n_nonzero,
+                           ess=mc.ess, max_weight_share=mc.max_share)
 
 
 def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
@@ -826,12 +926,16 @@ def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """Probability estimate with Monte Carlo standard error."""
+    """Probability estimate with Monte Carlo standard error, and the
+    health of the weights of the hits: their effective sample size and
+    the largest one's share of their sum (0 and NaN without hits)."""
 
     p_hat: float
     std_err: float
     n_hits: int
     n_samples: int
+    ess: float = 0.0
+    max_weight_share: float = math.nan
     flagged: bool = False
     note: str = ""
 
@@ -854,28 +958,17 @@ def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
-        raise DimensionError("tilt control does not match the sampling grid")
-
-    dv = None                                 # crude MC, any hurst
-    if np.any(ctrl.cell_values()):
-        if ctrl.hurst != hurst:
-            raise DomainError(f"tilt is for hurst {ctrl.hurst}, not {hurst}")
-        dv = ctrl.path.increments()
     g = event.bind(coeffs, x0, n_steps)
-
-    def log_y(batch, states):
-        log_w = girsanov_weight(ctrl, eps, batch.bm_increments)[1]
-        return np.where(g(states)[0] <= 0.0, log_w, -math.inf)
-
-    log_p, rel_se, n_hits = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
-                                         hurst, n_steps, log_y, dv,
-                                         event.terminal)
-    if n_hits == 0:
+    mc = _mc_log_mean(
+        coeffs, x0, eps, n_samples, seed, hurst, n_steps,
+        lambda batch, states: np.where(g(states)[0] <= 0.0, 0.0, -math.inf),
+        ctrl, event.terminal)
+    if mc.n_nonzero == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
                             note="no hits; consider a larger tilt or eps")
-    p_hat = math.exp(log_p)
-    return ProbEstimate(p_hat, p_hat * rel_se, n_hits, n_samples)
+    p_hat = math.exp(mc.log_mean)
+    return ProbEstimate(p_hat, p_hat * mc.rel_se, mc.n_nonzero, n_samples,
+                        mc.ess, mc.max_share)
 
 
 def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
@@ -915,5 +1008,7 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
             "neg_eps_log_p": neg,
             "rate_value": rate.value,
             "gap": neg - rate.value,
+            "ess": est.ess,
+            "max_weight_share": est.max_weight_share,
         })
     return rows

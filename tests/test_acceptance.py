@@ -278,7 +278,8 @@ def test_criterion_09_strict_gap_reading(scaling_rows):
 
 def test_criterion_10_laplace_sandwich_and_trend():
     h = ldp.get_functional("terminal_shortfall", target=1.0, cap=1.0)
-    variational = ldp.laplace_variational(ADDITIVE, [0.0], h, cfg=RATE_CFG)
+    variational = ldp.laplace_variational(ADDITIVE, [0.0], h,
+                                          cfg=RATE_CFG).value
     values, oks = [], []
     for i, eps in enumerate((0.5, 0.2, 0.1)):
         r = ldp.laplace_mc(ADDITIVE, [0.0], h, eps, 20_000,

@@ -629,7 +629,7 @@ def test_laplace_tanh_variational_value_holds():
     h = ldp.get_functional("terminal_shortfall", target=1.0)
     cfg = ldp.RateConfig(hurst=0.75, n_steps=256, n_ctrl=32, seed=7)
     value = ldp.laplace_variational(sde.get_coefficients("tanh"), [0.0], h,
-                                    cfg)
+                                    cfg).value
     assert abs(value - 0.1453438596736661) <= 1e-12
 
 
@@ -738,10 +738,11 @@ def test_geometric_scaling_falls_toward_the_rate(geometric_scaling):
 
 def test_laplace_variational_trivial_functionals():
     h0 = ldp.get_functional("constant", level=0.0)
-    assert ldp.laplace_variational(ADDITIVE, [0.0], h0, cfg=SMALL_CFG) == 0.0
+    assert ldp.laplace_variational(ADDITIVE, [0.0], h0,
+                                   cfg=SMALL_CFG).value == 0.0
     hc = ldp.get_functional("constant", level=0.7)
     assert ldp.laplace_variational(ADDITIVE, [0.0], hc,
-                                   cfg=SMALL_CFG) == pytest.approx(0.7)
+                                   cfg=SMALL_CFG).value == pytest.approx(0.7)
 
 
 def test_laplace_variational_matches_scan_oracle():
@@ -754,7 +755,7 @@ def test_laplace_variational_matches_scan_oracle():
         else:
             hz = np.clip(zs, 0.0, 1.0)
         scan = float(np.min(hz + zs ** 2 / 2.0))
-        val = ldp.laplace_variational(ADDITIVE, [0.0], h, cfg=SMALL_CFG)
+        val = ldp.laplace_variational(ADDITIVE, [0.0], h, cfg=SMALL_CFG).value
         assert abs(val - scan) <= 0.01, name
 
 
@@ -789,6 +790,141 @@ def test_laplace_mc_deterministic():
     assert a.value == b.value and a.std_err == b.std_err
 
 
+def test_laplace_variational_returns_its_minimiser():
+    h = ldp.get_functional("terminal_shortfall")
+    res = ldp.laplace_variational(ADDITIVE, [0.0], h, SMALL_CFG)
+    starts = res.diagnostics["starts"]
+    assert [s["start"] for s in starts] == [0, 1, 2]
+    assert res.value == min(s["value"] for s in starts)
+    assert all(s["converged"] and s["message"] and s["iterations"] > 0
+               for s in starts)
+    assert res.block_values.shape == (SMALL_CFG.n_ctrl, 1)
+    # the value is the objective at the control it returns
+    terminal = sde.skeleton([0.0], ADDITIVE, res.control).path.values[-1]
+    objective = h.bind(ADDITIVE, [0.0], SMALL_CFG.n_steps)(
+        terminal[None, None])[0][0] + 0.5 * cm.cm_norm(res.control) ** 2
+    assert objective == pytest.approx(res.value, abs=1e-9)
+
+
+def test_laplace_variational_records_non_convergence(monkeypatch):
+    # pytest turns warnings into errors: the search must emit none
+    monkeypatch.setattr(ldp, "_MAXITER", 1)
+    h = ldp.get_functional("terminal_shortfall")
+    res = ldp.laplace_variational(ADDITIVE, [0.0], h, SMALL_CFG)
+    starts = res.diagnostics["starts"]
+    assert len(starts) == 3
+    for s in starts:
+        assert s["converged"] is False and s["iterations"] == 1
+        assert isinstance(s["message"], str) and s["message"]
+    assert res.value == min(s["value"] for s in starts)
+
+
+# The additive criterion-10 problem: X_1 = sqrt(eps) B^H_1 on the grid, so
+# X_1 ~ N(0, eps sigma_n^2) with sigma_n^2 = sum_j K[n, j]^2 / n, and the
+# Laplace value is a one-dimensional integral.
+ORACLE_N, ORACLE_HURST = 256, 0.6
+ORACLE_H = ldp.get_functional("terminal_shortfall", target=1.0, cap=1.0)
+
+
+def _exact_laplace(eps):
+    from scipy import integrate, special
+
+    k = fbm.kernel_table(ORACLE_N, ORACLE_HURST)[ORACLE_N]
+    sd = math.sqrt(eps * float(np.sum(k ** 2)) / ORACLE_N)
+    # h = 1 below 0, 1 - x on [0, 1] and 0 above 1
+    mid, _ = integrate.quad(
+        lambda x: math.exp(-(1.0 - x) / eps - 0.5 * (x / sd) ** 2)
+        / (sd * math.sqrt(2.0 * math.pi)), 0.0, 1.0, epsabs=0.0,
+        epsrel=1e-12)
+    mean = 0.5 * math.exp(-1.0 / eps) + mid \
+        + 0.5 * special.erfc(1.0 / (sd * math.sqrt(2.0)))
+    return -eps * math.log(mean)
+
+
+def test_exact_laplace_oracle_values():
+    got = [_exact_laplace(eps) for eps in (0.5, 0.2, 0.1, 0.05)]
+    assert got == pytest.approx([0.599828, 0.576389, 0.548093, 0.526882],
+                                abs=1e-6)
+
+
+ORACLE_EPS = (0.5, 0.2, 0.1, 0.05)
+
+
+def _oracle_mc(eps, ctrl):
+    return ldp.laplace_mc(ADDITIVE, [0.0], ORACLE_H, eps, 10_000,
+                          rng.mix64(18, ORACLE_EPS.index(eps)), ctrl,
+                          hurst=ORACLE_HURST, n_steps=ORACLE_N)
+
+
+def test_crude_laplace_mc_matches_the_exact_additive_value():
+    # crude Monte Carlo is itself a rare-event estimator at small eps: at
+    # 0.05 a handful of the 10k paths carry the mean, its delta-method
+    # error bar means nothing, and the health fields say so
+    for eps in (0.5, 0.2):
+        r = _oracle_mc(eps, None)
+        assert abs(r.value - _exact_laplace(eps)) <= 3.0 * r.std_err, (eps, r)
+        assert r.ess > 500.0, (eps, r)
+    r = _oracle_mc(0.05, None)
+    assert r.ess < 100.0 and r.max_weight_share > 0.1, r
+
+
+def test_tilted_laplace_mc_matches_the_exact_additive_value():
+    ctrl = ldp.laplace_variational(ADDITIVE, [0.0], ORACLE_H, ldp.RateConfig(
+        hurst=ORACLE_HURST, n_steps=ORACLE_N, n_ctrl=16, seed=3)).control
+    assert np.any(ctrl.cell_values())
+    for eps in (0.5, 0.05):
+        r = _oracle_mc(eps, ctrl)
+        assert abs(r.value - _exact_laplace(eps)) <= 3.0 * r.std_err, (eps, r)
+        assert r.ess > 500.0, (eps, r)
+
+
+@pytest.mark.parametrize("family, n", [("constant", 64), ("tanh", 32)],
+                         ids=["terminal_route", "euler_route"])
+def test_laplace_mc_zero_control_is_the_crude_estimator(family, n):
+    co = sde.get_coefficients(family)
+    h = ldp.get_functional("terminal_shortfall")
+    crude = ldp.laplace_mc(co, [0.0], h, 0.25, 1500, 9, hurst=HURST,
+                           n_steps=n)
+    zero = ldp.laplace_mc(co, [0.0], h, 0.25, 1500, 9,
+                          cm.zero_control(HURST, n), hurst=HURST, n_steps=n)
+    assert [float(v).hex() for v in dataclasses.astuple(zero)] == \
+        [float(v).hex() for v in dataclasses.astuple(crude)]
+
+
+def test_laplace_mc_checks_the_tilt():
+    h = ldp.get_functional("terminal_shortfall")
+    with pytest.raises(DimensionError, match="grid"):
+        ldp.laplace_mc(ADDITIVE, [0.0], h, 0.5, 1000, 3,
+                       cm.zero_control(HURST, 16), hurst=HURST, n_steps=32)
+    tilt = cm.control_from_cells(0.7, np.full((32, 1), 0.5))
+    with pytest.raises(DomainError, match="hurst"):
+        ldp.laplace_mc(ADDITIVE, [0.0], h, 0.5, 1000, 3, tilt, hurst=HURST,
+                       n_steps=32)
+
+
+def test_health_fields_flag_a_mis_aimed_tilt():
+    # the laplace_tanh benchmark problem at its smoke-test size: the
+    # negated minimiser pushes the paths away from where e^(-h/eps) is
+    # large, so fewer weights carry the mean
+    co = sde.get_coefficients("tanh")
+    h = ldp.get_functional("terminal_shortfall", target=1.0)
+    cfg = ldp.RateConfig(hurst=0.75, n_steps=64, n_ctrl=8, seed=7)
+    aimed = ldp.laplace_variational(co, [0.0], h, cfg)
+    wrong = ldp.control_from_blocks(-aimed.block_values.ravel(), cfg, 1)
+    for i, eps in enumerate((0.5, 0.2, 0.1)):
+        got = {name: ldp.laplace_mc(co, [0.0], h, eps, 2000,
+                                    rng.mix64(7, i), ctrl, hurst=0.75,
+                                    n_steps=64)
+               for name, ctrl in (("aimed", aimed.control),
+                                  ("wrong", wrong))}
+        assert got["wrong"].ess < got["aimed"].ess, eps
+        assert got["wrong"].max_weight_share > \
+            got["aimed"].max_weight_share, eps
+        for r in got.values():
+            assert r.n_hits == 2000 and 1.0 <= r.ess <= 2000.0
+            assert 1.0 / 2000 <= r.max_weight_share <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # is_probability and scaling_table
 # ---------------------------------------------------------------------------
@@ -803,6 +939,8 @@ def test_is_probability_sure_event():
     assert est.p_hat == 1.0
     assert est.std_err == pytest.approx(0.0, abs=1e-12)
     assert est.n_hits == 500
+    assert est.ess == pytest.approx(500.0, rel=1e-12)
+    assert est.max_weight_share == pytest.approx(1.0 / 500, rel=1e-12)
 
 
 def test_is_probability_zero_hits_flagged():
@@ -916,6 +1054,25 @@ def test_scaling_table_structure_and_determinism(monkeypatch):
                           **kwargs)
 
 
+def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
+    # one build for the search's block map, one for the three eps rows
+    builds = []
+    responses = ldp._responses
+    monkeypatch.setattr(ldp, "_responses",
+                        lambda *args: builds.append(args[2].shape)
+                        or responses(*args))
+    ldp._terminal_responses.cache_clear()
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
+    cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
+    rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25, 0.1], 1000, 4,
+                             n_steps=64, cfg=cfg)
+    assert builds == [(64, 8), (64, 64)]
+    info = ldp._terminal_responses.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for r in rows:
+        assert 1.0 <= r["ess"] <= 1000.0 and 0.0 < r["max_weight_share"] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # chunked estimators
 # ---------------------------------------------------------------------------
@@ -982,13 +1139,12 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
                                               tilted):
     n, eps = 32, 0.25
     co = sde.get_coefficients(name, m=m, d=d, **params)
-    dv = cm.control_from_cells(HURST, _cells(n, d)).path.increments() \
-        if tilted else None
+    ctrl = cm.control_from_cells(HURST, _cells(n, d)) if tilted else None
     seen = {True: [], False: []}
     for terminal, states in seen.items():
         ldp._mc_log_mean(
             co, np.asarray(x0, dtype=float), eps, ldp._CHUNK + 5, 4, HURST,
-            n, lambda batch, s: states.append(s) or np.zeros(len(s)), dv,
+            n, lambda batch, s: states.append(s) or np.zeros(len(s)), ctrl,
             terminal)
     term, full = np.concatenate(seen[True]), np.concatenate(seen[False])
     assert term.shape == (ldp._CHUNK + 5, 1, m)
@@ -1039,8 +1195,8 @@ def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
     co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
     ev = ldp.get_functional("terminal_exceedance", a=1.0)
     ctrl = cm.zero_control(HURST, n)
-    built = ldp._affine_map(co, np.zeros(1),
-                            np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
+    built = ldp._responses(co, np.zeros(1),
+                           np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
     assert (built is None) == (rate == -40.0)
     messages = []
     for full in (False, True):
