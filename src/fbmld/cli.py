@@ -204,9 +204,22 @@ def _fits(value, hint) -> bool:
 # artifact helpers
 # ---------------------------------------------------------------------------
 
+def _json_safe(value):
+    """``value`` with every non-finite float spelled "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON (RFC 8259): no bare NaN or Infinity token."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -317,7 +330,7 @@ def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     with open(out / "control.csv", "w") as fh:
         cmspace.export_control_csv(result.control, fh)
     _write_json(out / "rate_result.json", {
-        "value": result.value if math.isfinite(result.value) else "inf",
+        "value": result.value,
         "residual": result.residual,
         "feasible": result.feasible,
         "diagnostics": result.diagnostics,

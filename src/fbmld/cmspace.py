@@ -72,8 +72,9 @@ class CmControl:
     def path(self) -> GridFn:
         """Materialized path K_H v' (kernel quadrature route), cached.
 
-        Its increments are the control's dv wherever a solver consumes one:
-        the skeleton, the rate searches and the importance-sampling tilt.
+        Its increments are the control's dv in the skeleton and, one block
+        per column, in the rate searches' block map; the importance-sampling
+        tilt adds the same dv as a shift of the Brownian increments.
         """
         return apply_kh(self.density, self.hurst)
 

@@ -24,8 +24,7 @@ from . import blas, fbm, rng
 from .cmspace import CmControl, control_from_cells
 from .errors import DimensionError, DomainError, NumericError
 from .fbm import sample_volterra
-from .sde import (_OVERFLOW_GUARD, CoefficientSet, get_coefficients,
-                  solve_increments)
+from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
 __all__ = [
     "StateFunctional",
@@ -310,22 +309,22 @@ def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl
 
 
 @functools.lru_cache(maxsize=8)
-def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
-    """Linear map from block coefficients to skeleton driver increments.
+def _block_path_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
+    """Linear map from block coefficients to skeleton driver paths.
 
-    Column b holds the dv increments of the unit density that is 1 on block
-    b; shape (n_steps, n_ctrl).  Components do not mix, so the increments of
-    block coefficients (n_ctrl, d) are this map applied to each component
-    column, and one materialization of the n_ctrl block indicators, one
-    per density column, gives every column.
+    Column b holds the path v = K_H v' of the unit density that is 1 on
+    block b; shape (n_steps + 1, n_ctrl).  Components do not mix, so the
+    path of block coefficients (n_ctrl, d) is this map applied to each
+    component column, and one materialization of the n_ctrl block
+    indicators, one per density column, gives every column.
     """
     indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
-    out = control_from_cells(hurst, indicators).path.increments()
+    out = control_from_cells(hurst, indicators).path.values
     out.setflags(write=False)
     return out
 
 
-# The affine routes never run the Euler loop whose 1e12 overflow guard
+# The affine route never runs the Euler loop whose 1e12 overflow guard
 # names the first bad step.  A batch in which some row's bound on |states|
 # reaches half the guard is solved by that loop instead, which raises
 # exactly where it would have; the factor two leaves room for the rounding
@@ -333,40 +332,21 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
 _BOUND_LIMIT = 0.5 * _OVERFLOW_GUARD
 
 
-def _affine_states(affine_map, z: np.ndarray, scale: float = 1.0):
-    """States ``x + scale * z @ R`` as (B, rows, m), or None.
-
-    ``affine_map`` is ``(x, max|X|, R, r_max)`` of an affine map
-    ``X + scale * sum_j z_j R_j``: the kept rows x (rows, m) of the base
-    states X and X's largest entry, each input's response on those rows
-    (R, one flat row per input) and its largest response over every step
-    and component (r_max).  So every state of every step is bounded by
-    ``max|X| + scale * |z| @ r_max``, and None means that bound reached
-    ``_BOUND_LIMIT`` (or is NaN) for some row.
-    """
-    x, x_abs, r, r_abs = affine_map
-    with blas.one_thread():
-        bound = x_abs + scale * (np.abs(z) @ r_abs)
-        if not np.all(bound < _BOUND_LIMIT):
-            return None
-        flat = z @ r
-    flat *= scale
-    states = flat.reshape((len(z),) + x.shape)
-    states += x
-    return states
-
-
-def _responses(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
-               rows: int):
-    """The zero-increment states of an affine family and its responses.
+def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
+                rows: int):
+    """The affine map of an affine family's Euler states, on ``rows`` steps.
 
     Input (j, i), row ``j * d + i`` of R, drives component i by
-    ``columns[:, j]``; ``columns`` is (n, k).  Each input's response is
-    its states minus the zero-increment states Z, solved in blocks of
-    ``_CHUNK`` inputs.  Returns ``(Z, R, max_k |R(k)|)``, Z (n+1, m) and R
-    on the last ``rows`` steps, the maxima over every step, or None when
-    one of these solves overflows: every batch then goes through the Euler
-    loop, which raises its own message.
+    ``columns[:, j]``; ``columns`` is (n, k).  The states driven by
+    ``sum_(j, i) z_(j, i) columns[:, j] e_i`` are ``Z + z @ R``: Z the
+    zero-increment states and each input's response its states minus Z,
+    solved in blocks of ``_CHUNK`` inputs.  Returns the read-only
+    ``(Z, max|Z|, R, r_max)``: Z (rows, m) and R (one flat row per input)
+    on the last ``rows`` steps, and their largest entries over every step
+    and component, so every state is bounded by
+    ``max|Z| + |z| @ r_max``.  None when one of these solves overflows:
+    every batch then goes through the Euler loop, which raises its own
+    message.
     """
     n, d = columns.shape[0], coeffs.d
     n_inputs = columns.shape[1] * d
@@ -386,49 +366,79 @@ def _responses(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
             del resp
     except NumericError:
         return None
-    return zero, np.concatenate(r_kept), np.concatenate(r_abs)
-
-
-@functools.lru_cache(maxsize=4)
-def _terminal_responses(name: str, params: tuple, m: int, d: int, x0: tuple,
-                        n_steps: int, hurst: float):
-    """The terminal :func:`_responses` of one unit Brownian increment each.
-
-    The columns are the ``np.diff`` of the kernel table, the fBm
-    increments one unit Brownian increment makes.  Keyed by the registry
-    family (name, sorted params, m, d), x0 and the grid, so the Monte
-    Carlo of one run builds them once for every eps and tilt; the arrays
-    are read-only.
-    """
-    coeffs = get_coefficients(name, m=m, d=d, **dict(params))
-    built = _responses(coeffs, np.array(x0), np.diff(
-        fbm.kernel_table(n_steps, hurst), axis=0), 1)
-    for a in built or ():
+    kept = zero[-rows:].copy()
+    r, r_max = np.concatenate(r_kept), np.concatenate(r_abs)
+    for a in (kept, r, r_max):
         a.setflags(write=False)
-    return built
+    return kept, float(np.abs(zero).max()), r, r_max
 
 
-def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, responses,
-                dv: np.ndarray | None = None):
-    """The :func:`_affine_states` map of an affine family's Euler states.
+class _LinearDrive:
+    """Euler states driven linearly by inputs through a path table.
 
-    ``responses`` is a :func:`_responses` triple ``(Z, R, r_max)``.  The
-    states driven by ``dv + sum_(j, i) z_(j, i) columns[:, j] e_i`` are
-    ``X + z @ R``, with X the states driven by ``dv`` alone: Z if None,
-    else solved here.  Returns ``(X, max|X|, R, r_max)``, X on R's steps,
-    or None when ``responses`` is None or the solve of ``dv`` overflows.
+    Inputs z (B, k, d), or flat (B, k d), drive the solver by the
+    increments ``np.diff(table @ z) * scale`` of the (n+1, k) path
+    ``table``: input (j, i) moves driver component i along column j.  The
+    searches' table is the block path map and their inputs the block
+    coefficients; the Monte Carlo's is the kernel table and its inputs the
+    Brownian increments.  For an affine family the states are affine in
+    z, and with ``rows`` the drive keeps their :func:`_affine_map` on the
+    last ``rows`` steps, so a batch is one product.  A batch whose bound
+    could reach the overflow guard, every batch when the build
+    overflowed, and every batch of other families or without ``rows``, is
+    solved by the Euler loop.  ``n_solves`` counts the rows passed to
+    ``solve_increments``, the build's k d + 1 included.
     """
-    if responses is None:
-        return None
-    zero, r, r_abs = responses
-    free = zero
-    if dv is not None:
-        try:
-            free = solve_increments(x0, coeffs, dv[None])[0]
-        except NumericError:
-            return None
-    return free[-(r.shape[1] // coeffs.m):].copy(), np.abs(free).max(), r, \
-        r_abs
+
+    def __init__(self, coeffs: CoefficientSet, x0: np.ndarray,
+                 table: np.ndarray, rows: int | None = None):
+        self.coeffs, self.x0, self.table = coeffs, x0, table
+        self.n_solves = 0
+        self.affine = None
+        if coeffs.affine and rows:
+            self.n_solves = table.shape[1] * coeffs.d + 1
+            self.affine = _affine_map(coeffs, x0, np.diff(table, axis=0),
+                                      rows)
+
+    def solve(self, inc: np.ndarray) -> np.ndarray:
+        self.n_solves += len(inc)
+        return solve_increments(self.x0, self.coeffs, inc)
+
+    def increments(self, z: np.ndarray, scale: float = 1.0,
+                   shift: np.ndarray | None = None) -> np.ndarray:
+        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d)."""
+        z = z.reshape(len(z), -1, self.coeffs.d)
+        values = fbm._synthesise(self.table, z if shift is None else z + shift)
+        inc = np.diff(values, axis=1)
+        del values
+        inc *= scale
+        return inc
+
+    def states(self, z: np.ndarray, scale: float = 1.0,
+               shift: np.ndarray | None = None) -> np.ndarray:
+        """States of the inputs z + ``shift``: (B, rows, m) from the affine
+        map, (B, n+1, m) from the Euler loop.
+
+        A shift enters the affine map as its base ``Z + scale shift @ R``,
+        with the bound raised by ``scale |shift| @ r_max``, so the
+        shifted inputs are never formed.
+        """
+        if self.affine is not None:
+            x, x_abs, r, r_abs = self.affine
+            flat = z.reshape(len(z), -1)
+            with blas.one_thread():
+                if shift is not None:
+                    shift = shift.reshape(-1)
+                    x = x + scale * (shift @ r).reshape(x.shape)
+                    x_abs = x_abs + scale * (np.abs(shift) @ r_abs)
+                bound = x_abs + scale * (np.abs(flat) @ r_abs)
+                if np.all(bound < _BOUND_LIMIT):      # NaN fails it too
+                    states = flat @ r
+                    states *= scale
+                    states = states.reshape((len(z),) + x.shape)
+                    states += x
+                    return states
+        return self.solve(self.increments(z, scale, shift))
 
 
 class _SkeletonObjective:
@@ -437,15 +447,11 @@ class _SkeletonObjective:
     Evaluates ``0.5 ||vdot||^2 + weight * g(theta)`` where g is either the
     squared positive violation (penalty mode) or a bounded functional, with
     its exact gradient, from one skeleton per evaluation.  :meth:`map_batch`
-    is the one place that evaluates skeletons.
-    For an affine family (``coeffs.affine``) the skeleton states are
-    affine in theta, ``X_free + theta @ G``; the objective builds the
-    :func:`_affine_map` of the block increment map once, keeping every
-    step, or with ``terminal`` (g reads only the terminal state) just the
-    terminal one, and every batch is then one GEMM.  Other families, and
-    an affine one whose build overflows, run the Euler loop per batch.
-    ``n_solves`` counts the rows passed to ``solve_increments``,
-    ``n_evals`` the skeletons evaluated.
+    is the one place that evaluates skeletons, through the
+    :class:`_LinearDrive` of the block path map, which keeps an affine
+    family's map on every step, or with ``terminal`` (g reads only the
+    terminal state) on the terminal one.  ``n_solves`` counts the rows
+    passed to ``solve_increments``, ``n_evals`` the skeletons evaluated.
     """
 
     def __init__(self, coeffs: CoefficientSet, x0, cfg: RateConfig,
@@ -453,44 +459,24 @@ class _SkeletonObjective:
         self.coeffs = coeffs
         self.x0 = np.asarray(x0, dtype=float).reshape(-1)
         self.cfg = cfg
-        self.inc_map = _block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
+        self.path_map = _block_path_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
         self.n_params = cfg.n_ctrl * coeffs.d
-        self.n_solves = 0
         self.n_evals = 0
-        self.affine_map = None
-        if coeffs.affine:
-            self.n_solves += self.n_params + 1
-            self.affine_map = _affine_map(coeffs, self.x0, _responses(
-                coeffs, self.x0, self.inc_map,
-                1 if terminal else cfg.n_steps + 1))
+        self.drive = _LinearDrive(coeffs, self.x0, self.path_map,
+                                  1 if terminal else cfg.n_steps + 1)
 
-    def _drivers(self, thetas: np.ndarray) -> np.ndarray:
-        """Skeleton driver increments (B, n_steps, d) of block coefficients."""
-        blocks = thetas.reshape(len(thetas), self.cfg.n_ctrl, self.coeffs.d)
-        return fbm._synthesise(self.inc_map, blocks)
-
-    def _solve(self, inc: np.ndarray) -> np.ndarray:
-        self.n_solves += len(inc)
-        return solve_increments(self.x0, self.coeffs, inc)
+    @property
+    def n_solves(self) -> int:
+        return self.drive.n_solves
 
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
 
     def map_batch(self, thetas: np.ndarray, fn) -> np.ndarray:
-        """fn over the skeleton states for each row of thetas.
-
-        With an affine map this is ``fn(thetas @ G + X_free)``, the states
-        a (B, 1, m) terminal slice on the terminal route and (B, n+1, m)
-        otherwise; a batch that could reach the overflow guard is solved by
-        the Euler loop instead, which raises its own message.  Without one
-        every batch is solved by the Euler loop.
-        """
+        """fn over the skeleton states of each row of thetas: a (B, 1, m)
+        terminal slice from a terminal affine map, else (B, n+1, m)."""
         self.n_evals += len(thetas)
-        if self.affine_map is not None:
-            states = _affine_states(self.affine_map, thetas)
-            if states is not None:
-                return fn(states)
-        return fn(self._solve(self._drivers(thetas)))
+        return fn(self.drive.states(thetas))
 
     def value_and_grad(self, theta: np.ndarray, g, weight: float):
         """The objective at theta and its exact gradient, from one skeleton.
@@ -518,13 +504,13 @@ class _SkeletonObjective:
         diagonal and ``drift_jac`` acts per component: with
         ``a_k = 1 + b'(x_k) dt + s'(x_k) dv_k`` and
         ``lam_k = a_(k+1) ... a_(step-1)``, the gradient is
-        ``M^T (s(x_k) lam_k) * c`` over k < step, M the block increment
-        map.  A family with no ``drift_jac`` (rotation) and no map raises
-        NumericError.
+        ``M^T (s(x_k) lam_k) * c`` over k < step, M the increments of the
+        block path map.  A family with no ``drift_jac`` (rotation) and no
+        map raises NumericError.
         """
         co, n_ctrl = self.coeffs, self.cfg.n_ctrl
-        if self.affine_map is not None:
-            kept, resp = self.affine_map[0], self.affine_map[2]
+        if self.drive.affine is not None:
+            kept, resp = self.drive.affine[0], self.drive.affine[2]
             row = step - (self.cfg.n_steps + 1 - len(kept))
             return resp[:, row * co.m:(row + 1) * co.m] @ c
         if co.drift_jac is None:
@@ -532,7 +518,7 @@ class _SkeletonObjective:
                 f"{co.name!r} has no elementwise drift Jacobian and its "
                 "affine map overflowed, so the search has no gradient")
         r = min(co.m, co.d)
-        inc_map = self.inc_map[:step]
+        inc_map = np.diff(self.path_map[:step + 1], axis=0)
         dv = inc_map @ theta.reshape(n_ctrl, co.d)[:, :r]
         # registry coefficients never depend on t
         x = states[:step]
@@ -615,7 +601,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: StateFunctional,
     """
     _require_role(event, "event")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=event.terminal)
-    g = event.bind(coeffs, obj.x0, cfg.n_steps, obj._solve)
+    g = event.bind(coeffs, obj.x0, cfg.n_steps, obj.drive.solve)
     per_start, thetas = [], []
     runs = _descend(obj, _penalty(g), _PENALTY_WEIGHTS)
     for start_idx, (res, iters) in enumerate(runs):
@@ -716,7 +702,7 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: StateFunctional,
     """
     _require_role(h, "functional")
     obj = _SkeletonObjective(coeffs, x0, cfg, terminal=h.terminal)
-    runs = _descend(obj, h.bind(coeffs, obj.x0, cfg.n_steps, obj._solve),
+    runs = _descend(obj, h.bind(coeffs, obj.x0, cfg.n_steps, obj.drive.solve),
                     (1.0,))
     starts = [{"start": i, "value": float(res.fun), "iterations": iters,
                "converged": bool(res.success), "message": str(res.message)}
@@ -741,22 +727,18 @@ _CHUNK = 2048
 LAPLACE_MIN_SAMPLES = 1000
 
 
-def _full_states(batch, x0: np.ndarray, coeffs: CoefficientSet, eps: float,
-                 dv: np.ndarray | None) -> np.ndarray:
-    """Euler states (P, n+1, m) driven by sqrt(eps) dB^H + dv.
+@functools.lru_cache(maxsize=4)
+def _mc_drive(coeffs: CoefficientSet, x0: tuple, n_steps: int, hurst: float,
+              terminal: bool) -> _LinearDrive:
+    """The Monte Carlo's :class:`_LinearDrive`, over the cached kernel table.
 
-    The fBm values are the sampler's kernel product, synthesised here for
-    the diff alone rather than read from ``batch.values``, which would keep
-    them while the states are scored.
+    Its inputs are the Brownian increments, and it keeps an affine map only
+    for a ``terminal`` entry, on the terminal step.  Keyed by the
+    coefficient set itself, x0, the grid and ``terminal``, so the Monte
+    Carlo of one run builds the map once for every eps and tilt.
     """
-    values = fbm._synthesise(fbm.kernel_table(batch.n_steps, batch.hurst),
-                             batch.bm_increments)
-    inc = np.diff(values, axis=1)
-    del values
-    inc *= math.sqrt(eps)
-    if dv is not None:
-        inc += dv
-    return solve_increments(x0, coeffs, inc)
+    return _LinearDrive(coeffs, np.array(x0), fbm.kernel_table(n_steps, hurst),
+                        1 if terminal else None)
 
 
 class _McMean(NamedTuple):
@@ -777,29 +759,24 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
                  terminal: bool = False) -> _McMean:
     """Monte Carlo mean of a path score Y >= 0, in log space.
 
-    Solves the SDE on the Volterra paths of ``seed``, driven by their fBm
-    increments times sqrt(eps) plus the tilt's increments ``dv``, one
-    chunk of ``_CHUNK`` paths alive at a time; ``log_y(batch, states)``
-    gives each path's log Y, -inf where Y = 0.  A nonzero tilt ``ctrl``
-    (the measure tilt eps^(-1/2) v) adds each path's Girsanov log weight
-    to its log Y; None or the zero control is crude Monte Carlo, with no
-    ``dv`` and no weight.  The moments come from the nonzero Y in path
+    Solves the SDE on the Volterra paths of ``seed``, one chunk of
+    ``_CHUNK`` paths alive at a time, by the :func:`_mc_drive`, whose
+    inputs are the Brownian increments and whose scale is sqrt(eps);
+    ``log_y(batch, states)`` gives each path's log Y, -inf where Y = 0.
+    With ``terminal`` (log_y reads only the terminal state) an affine
+    family's states are the (P, 1, m) terminal slice, one product per
+    chunk, and the fBm values are never synthesised.  A nonzero tilt
+    ``ctrl`` (the measure tilt eps^(-1/2) v) is the Girsanov shift of the
+    Brownian increments by vdot ds / sqrt(eps), so the driver gains dv; it
+    adds each path's Girsanov log weight, on the unshifted increments, to
+    its log Y.  None or the zero control is crude Monte Carlo, with no
+    shift and no weight.  The moments come from the nonzero Y in path
     order, so the error bar stays finite where the squared mean would
     underflow; see :class:`_McMean`.
-
-    With ``terminal`` (log_y reads only the terminal state) and an affine
-    family, the terminal states are linear in the Brownian increments:
-    each chunk is one product ``bm_increments.reshape(P, n d) @ R`` on the
-    terminal :func:`_affine_map` of :func:`_terminal_responses`, built once
-    per family and grid, and ``log_y`` gets the (P, 1, m) terminal slice.
-    The fBm values are then never synthesised.  A chunk whose bound could
-    reach the overflow guard, every chunk when the map build overflows,
-    and every chunk of other families and events, is solved in full by
-    the Euler loop.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    dv = None
+    shift = None
     if ctrl is not None:
         if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
             raise DimensionError(
@@ -808,26 +785,17 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
             if ctrl.hurst != hurst:
                 raise DomainError(
                     f"tilt is for hurst {ctrl.hurst}, not {hurst}")
-            dv = ctrl.path.increments()
-    route = None
-    if terminal and coeffs.affine:
-        route = _affine_map(coeffs, x0, _terminal_responses(
-            coeffs.name, tuple(sorted(coeffs.params.items())), coeffs.m,
-            coeffs.d, tuple(map(float, x0)), n_steps, hurst), dv)
+            shift = ctrl.cell_values() / (n_steps * math.sqrt(eps))
+    drive = _mc_drive(coeffs, tuple(map(float, x0)), n_steps, hurst,
+                      terminal)
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
                                 first_index=lo)
-        states = None
-        if route is not None:
-            states = _affine_states(
-                route, batch.bm_increments.reshape(hi - lo, -1),
-                math.sqrt(eps))
-        if states is None:
-            states = _full_states(batch, x0, coeffs, eps, dv)
+        states = drive.states(batch.bm_increments, math.sqrt(eps), shift)
         scores[lo:hi] = log_y(batch, states)
-        if dv is not None:
+        if shift is not None:
             scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
         del batch, states
     if not np.all(scores < math.inf):                 # NaN fails it too

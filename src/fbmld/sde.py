@@ -40,7 +40,7 @@ __all__ = [
 # coefficient registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Drift b(t, x) and diffusion sigma(t, x) with regularity metadata.
 
@@ -62,7 +62,8 @@ class CoefficientSet:
     db_i/dx_i and ds_i/dx_i, shaped like ``drift`` and ``diffusion``, of
     families whose drift acts per component; the control searches' adjoint
     gradients read them.  They are None for a drift that mixes components
-    (``rotation``).  Registry families do not depend on t.
+    (``rotation``).  Registry families do not depend on t.  A set
+    compares and hashes by identity, so a cache can key on the set itself.
     """
 
     name: str

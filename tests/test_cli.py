@@ -1,11 +1,16 @@
 import dataclasses
+import functools
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import fbmld
 from fbmld import cli
 
 
@@ -309,6 +314,8 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
         event={"kind": "terminal_target", "y": 1e6, "r": 1.0})
     assert cli.run(str(path2)) == cli.EXIT_INFEASIBLE
     assert (tmp_path / "out2" / "error.json").exists()
+    result = json.loads((tmp_path / "out2" / "rate_result.json").read_text())
+    assert result["value"] == "inf" and not result["feasible"]
 
 
 def test_rate_workflow_grid_not_multiple_of_512(tmp_path):
@@ -451,3 +458,45 @@ def test_readme_config_table_has_one_row_per_field():
         keys.append(line.split("|")[1].strip().strip("`"))
     fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
     assert sorted(keys) == sorted(fields)
+
+
+def test_readme_names_only_module_attributes_that_exist():
+    # every backticked `module.attr...` of an fbmld module resolves
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    modules = "|".join(info.name
+                       for info in pkgutil.iter_modules(fbmld.__path__))
+    names = re.findall(rf"`(?:fbmld\.)?({modules})\.(\w+(?:\.\w+)*)", readme)
+    assert ("ldp", "_CHUNK") in names and ("fbm", "_synthesise") in names
+    missing = []
+    for module, attr in names:
+        try:
+            functools.reduce(getattr, attr.split("."),
+                             importlib.import_module(f"fbmld.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert not missing
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_result_json_is_strict(tmp_path):
+    # with one sample the eps 0.5 row has no hit: its gap, -eps log p and
+    # largest weight share are not finite, and the file spells them as
+    # strings, as rate_result.json spells an infeasible value
+    path, _ = write_config(
+        tmp_path, command="ldp-scaling", hurst=0.6, n_steps=64, n_ctrl=8,
+        coefficient="constant", x0=[0.0], n_samples=1, eps_list=[0.5, 0.01],
+        event={"kind": "terminal_exceedance", "a": 3.0})
+    assert cli.run(str(path)) == cli.EXIT_OK
+    for name in ("scaling.json", "manifest.json"):
+        with open(tmp_path / "out" / name) as fh:
+            payload = json.load(fh, parse_constant=_reject_constant)
+    with open(tmp_path / "out" / "scaling.json") as fh:
+        rows = json.load(fh, parse_constant=_reject_constant)["rows"]
+    missed = rows[0]
+    assert missed["p_hat"] == 0.0 and rows[1]["p_hat"] > 0.0
+    assert (missed["neg_eps_log_p"], missed["gap"]) == ("inf", "inf")
+    assert missed["max_weight_share"] == "nan"
+    assert payload["artifacts"] == ["scaling.csv", "scaling.json"]

@@ -175,8 +175,8 @@ def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
     # n_ctrl-column kernel product rounds differently from a one-column one.
     # linear_sigma is not affine, so map_batch solves every batch it sees.
     cfg = ldp.RateConfig(hurst=0.7, n_steps=n_steps, n_ctrl=n_ctrl)
-    assert ldp._block_increment_map(n_ctrl, n_steps, 0.7).shape == \
-        (n_steps, n_ctrl)
+    assert ldp._block_path_map(n_ctrl, n_steps, 0.7).shape == \
+        (n_steps + 1, n_ctrl)
     coeffs = sde.get_coefficients("linear_sigma", m=d, d=d)
     obj = ldp._SkeletonObjective(coeffs, np.zeros(d), cfg)
     monkeypatch.setattr(ldp, "solve_increments", lambda x0, co, inc: inc)
@@ -204,10 +204,10 @@ def test_affine_map_batch_matches_euler(name, m, d, params, x0):
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients(name, m=m, d=d, **params)
     obj = ldp._SkeletonObjective(co, x0, cfg)
-    assert obj.affine_map is not None
+    assert obj.drive.affine is not None
     thetas = rng.stream(5, 0).standard_normal((9, obj.n_params))
     got = obj.map_batch(thetas, lambda states: states)
-    want = sde.solve_increments(x0, co, obj._drivers(thetas))
+    want = sde.solve_increments(x0, co, obj.drive.increments(thetas))
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
     assert (obj.n_solves, obj.n_evals) == (obj.n_params + 1, 9)
@@ -227,7 +227,7 @@ def test_affine_map_batch_overflow_names_the_euler_step():
             obj.map_batch(thetas, lambda states: states[:, -1, 0])
         messages.append(str(err.value))
     with pytest.raises(NumericError) as err:
-        sde.solve_increments(obj.x0, co, obj._drivers(thetas))
+        sde.solve_increments(obj.x0, co, obj.drive.increments(thetas))
     assert messages == [str(err.value)] * 2
 
 
@@ -238,10 +238,10 @@ def test_affine_map_build_overflow_takes_the_euler_route(terminal):
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("linear_drift", rate=-42.0, scale=1.0)
     obj = ldp._SkeletonObjective(co, [0.0], cfg, terminal=terminal)
-    assert obj.affine_map is None
+    assert obj.drive.affine is None
     thetas = 1e-3 * np.eye(obj.n_params)[3:4]
     got = obj.map_batch(thetas, lambda states: states)
-    want = sde.solve_increments(obj.x0, co, obj._drivers(thetas))
+    want = sde.solve_increments(obj.x0, co, obj.drive.increments(thetas))
     assert np.array_equal(got, want)
 
 
@@ -285,10 +285,10 @@ def test_terminal_map_batch_matches_full_states(name, m, d, params, x0):
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients(name, m=m, d=d, **params)
     obj = ldp._SkeletonObjective(co, x0, cfg, terminal=True)
-    assert obj.affine_map[0].shape == (1, m)
-    assert obj.affine_map[2].shape == (obj.n_params, m)
+    assert obj.drive.affine[0].shape == (1, m)
+    assert obj.drive.affine[2].shape == (obj.n_params, m)
     thetas = rng.stream(5, 0).standard_normal((9, obj.n_params))
-    full = sde.solve_increments(x0, co, obj._drivers(thetas))
+    full = sde.solve_increments(x0, co, obj.drive.increments(thetas))
     atol = 1e-12 * np.abs(full).max()
     got = obj.map_batch(thetas, lambda states: states)
     assert got.shape == (9, 1, m)
@@ -310,13 +310,14 @@ def test_affine_map_batch_over_the_bound_takes_the_euler_route(terminal):
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("rotation", m=2, d=2)
     obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=terminal)
-    g_abs = obj.affine_map[3]
+    g_abs = obj.drive.affine[3]
     thetas = np.zeros((2, obj.n_params))
     thetas[1, 6] = 0.75 * sde._OVERFLOW_GUARD / g_abs[6]
     solves = obj.n_solves
     got = obj.map_batch(thetas, lambda states: states[:, -1])
     assert obj.n_solves == solves + 2
-    want = sde.solve_increments(obj.x0, co, obj._drivers(thetas))[:, -1]
+    want = sde.solve_increments(obj.x0, co,
+                                obj.drive.increments(thetas))[:, -1]
     assert np.array_equal(got, want)
 
 
@@ -519,14 +520,15 @@ def test_exact_gradient_matches_central_differences(case, route, target):
     x0 = np.asarray(x0, dtype=float)
     theta = 0.6 * rng.stream(23, 0).standard_normal(cfg.n_ctrl * d)
     probe = ldp._SkeletonObjective(co, x0, cfg)
-    states = sde.solve_increments(x0, co, probe._drivers(theta[None]))[0]
+    states = sde.solve_increments(x0, co,
+                                  probe.drive.increments(theta[None]))[0]
     g, margin = _gradient_target(target, co, x0, states, cfg.n_steps)
     # zero's states never move, so its kinks cannot be crossed
     assert name == "zero" or margin > 1e-3, margin
     obj = ldp._SkeletonObjective(co, x0, cfg, terminal=route == "terminal")
     if route == "euler":
-        obj.affine_map = None
-    assert (obj.affine_map is None) == (route == "euler")
+        obj.drive.affine = None
+    assert (obj.drive.affine is None) == (route == "euler")
     grad = obj.value_and_grad(theta, g, 3.0)[1]
     fd = central_difference(lambda th: obj.value_and_grad(th, g, 3.0)[0],
                             theta)
@@ -540,15 +542,16 @@ def test_gradient_of_the_affine_map_holds_over_the_bound():
     co = sde.get_coefficients("rotation", m=2, d=2)
     obj = ldp._SkeletonObjective(co, [0.6, -0.2], cfg, terminal=True)
     theta = np.zeros(obj.n_params)
-    theta[6] = 0.75 * sde._OVERFLOW_GUARD / obj.affine_map[3][6]
+    theta[6] = 0.75 * sde._OVERFLOW_GUARD / obj.drive.affine[3][6]
     g = ldp._penalty(ldp.get_functional("terminal_target", y=[1.0, 0.5],
                                         r=0.05).bind(co, obj.x0, cfg.n_steps))
     solves = obj.n_solves
     value, grad = obj.value_and_grad(theta, g, 1.0)
     assert obj.n_solves == solves + 1
-    states = sde.solve_increments(obj.x0, co, obj._drivers(theta[None]))
+    states = sde.solve_increments(obj.x0, co,
+                                  obj.drive.increments(theta[None]))
     v, _, c = g(states)
-    resp = obj.affine_map[2]
+    resp = obj.drive.affine[2]
     assert value == 0.5 * obj.norm_sq(theta[None])[0] + v[0]
     np.testing.assert_allclose(grad, theta / cfg.n_ctrl + resp @ c[0],
                                rtol=1e-12)
@@ -560,7 +563,7 @@ def test_rotation_without_a_map_has_no_gradient():
     cfg = ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8)
     co = sde.get_coefficients("rotation", m=2, d=2, scale=1e13)
     ev = ldp.get_functional("terminal_exceedance", a=1.0)
-    assert ldp._SkeletonObjective(co, [0.0, 0.0], cfg).affine_map is None
+    assert ldp._SkeletonObjective(co, [0.0, 0.0], cfg).drive.affine is None
     with pytest.raises(NumericError, match="rotation.*no gradient"):
         ldp.rate_minimize(co, [0.0, 0.0], ev, cfg)
 
@@ -657,7 +660,8 @@ def geometric_oracle(cfg):
     event is sum_k log(1 + (M theta)_k) >= level; the problem is smooth and
     settled independently of the penalty search.
     """
-    M = ldp._block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
+    M = np.diff(ldp._block_path_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst),
+                axis=0)
     nc = cfg.n_ctrl
     res = optimize.minimize(
         lambda th: 0.5 * th @ th / nc, np.full(nc, GEOMETRIC_LEVEL / M.sum()),
@@ -1057,20 +1061,34 @@ def test_scaling_table_structure_and_determinism(monkeypatch):
 def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
     # one build for the search's block map, one for the three eps rows
     builds = []
-    responses = ldp._responses
-    monkeypatch.setattr(ldp, "_responses",
+    affine_map = ldp._affine_map
+    monkeypatch.setattr(ldp, "_affine_map",
                         lambda *args: builds.append(args[2].shape)
-                        or responses(*args))
-    ldp._terminal_responses.cache_clear()
+                        or affine_map(*args))
+    ldp._mc_drive.cache_clear()
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25, 0.1], 1000, 4,
                              n_steps=64, cfg=cfg)
     assert builds == [(64, 8), (64, 64)]
-    info = ldp._terminal_responses.cache_info()
+    info = ldp._mc_drive.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     for r in rows:
         assert 1.0 <= r["ess"] <= 1000.0 and 0.0 < r["max_weight_share"] < 1.0
+
+
+def test_monte_carlo_drive_is_the_callers_coefficient_set():
+    # the drive cache keys on the set itself: ADDITIVE with its noise
+    # doubled and its params unchanged is no registry build, and is sampled
+    # with its own diffusion, not with the drive of ADDITIVE
+    doubled = dataclasses.replace(ADDITIVE, diffusion=lambda t, x: 2.0)
+    h = ldp.get_functional("terminal_shortfall")
+    base, got, want = [
+        ldp.laplace_mc(co, [0.0], h, 0.25, 1000, 3, hurst=HURST, n_steps=32)
+        for co in (ADDITIVE, doubled,
+                   sde.get_coefficients("constant", scale=2.0))]
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.value != pytest.approx(base.value, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,19 +1099,27 @@ N_CHUNKED = 2 * ldp._CHUNK + 17        # two full chunks and a ragged tail
 
 
 def test_laplace_mc_chunked_matches_one_batch():
+    # crude on the additive family, and tilted on tanh, whose chunks take
+    # the Euler loop with the Brownian increments shifted by the tilt
     n, eps, seed = 32, 0.25, 6
     h = ldp.get_functional("terminal_shortfall")
-    r = ldp.laplace_mc(ADDITIVE, [0.0], h, eps, N_CHUNKED, seed,
-                       hurst=HURST, n_steps=n)
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
-    states = sde.solve_increments(
-        np.zeros(1), ADDITIVE, math.sqrt(eps) * np.diff(batch.values, axis=1))
-    y = np.exp(-h.bind(ADDITIVE, np.zeros(1), n)(states)[0] / eps)
-    value = -eps * math.log(y.mean())
-    std_err = eps * y.std() / (y.mean() * math.sqrt(N_CHUNKED))
-    assert r.n_samples == N_CHUNKED
-    assert r.value == pytest.approx(value, rel=1e-12)
-    assert r.std_err == pytest.approx(std_err, rel=1e-9)
+    tilt = cm.control_from_cells(HURST, _cells(n, 1))
+    for co, ctrl in [(ADDITIVE, None), (sde.get_coefficients("tanh"), tilt)]:
+        r = ldp.laplace_mc(co, [0.0], h, eps, N_CHUNKED, seed, ctrl,
+                           hurst=HURST, n_steps=n)
+        inc = math.sqrt(eps) * np.diff(batch.values, axis=1)
+        w = 1.0
+        if ctrl is not None:
+            inc += ctrl.path.increments()
+            w = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)[0]
+        states = sde.solve_increments(np.zeros(1), co, inc)
+        y = np.exp(-h.bind(co, np.zeros(1), n)(states)[0] / eps) * w
+        value = -eps * math.log(y.mean())
+        std_err = eps * y.std() / (y.mean() * math.sqrt(N_CHUNKED))
+        assert r.n_samples == N_CHUNKED
+        assert r.value == pytest.approx(value, rel=1e-12), co.name
+        assert r.std_err == pytest.approx(std_err, rel=1e-9), co.name
 
 
 def test_is_probability_chunked_matches_one_batch():
@@ -1152,11 +1178,24 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
                                atol=1e-12 * np.abs(full).max())
 
 
+@pytest.fixture
+def without_affine_map(monkeypatch):
+    """A call that makes every affine-map build overflow from then on; the
+    Monte Carlo drives are dropped then and at teardown, so none built with
+    or before the patch serves a later run."""
+    def patch():
+        monkeypatch.setattr(ldp, "_affine_map", lambda *args: None)
+        ldp._mc_drive.cache_clear()
+
+    yield patch
+    ldp._mc_drive.cache_clear()
+
+
 @pytest.mark.parametrize("tilted", [False, True], ids=["crude", "tilted"])
 @pytest.mark.parametrize("name, m, d, params, x0", AFFINE_CASES,
                          ids=[case[0] for case in AFFINE_CASES])
-def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
-                                              params, x0, tilted):
+def test_terminal_estimators_match_full_route(without_affine_map, name, m,
+                                              d, params, x0, tilted):
     # the full-state route is what every chunk takes when the terminal map
     # is unavailable
     n, eps, n_samples, seed = 32, 0.25, 1500, 6
@@ -1177,7 +1216,7 @@ def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
         return est, lap
 
     got = run()
-    monkeypatch.setattr(ldp, "_affine_map", lambda *args: None)
+    without_affine_map()
     want = run()
     assert got[0].n_hits == want[0].n_hits
     assert 0 < got[0].n_hits < n_samples or name == "zero"
@@ -1187,7 +1226,8 @@ def test_terminal_estimators_match_full_route(monkeypatch, name, m, d,
 
 @pytest.mark.parametrize("rate, eps", [(-40.0, 1.0), (-34.0, 64.0)],
                          ids=["map_overflows", "chunk_bound"])
-def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
+def test_terminal_mc_overflow_names_the_euler_step(without_affine_map, rate,
+                                                   eps):
     # rate -40: the unit responses of the terminal map overflow, so every
     # chunk is solved in full; rate -34: the map builds, but the chunk's
     # bound reaches the limit.  Both raise the Euler loop's message.
@@ -1195,13 +1235,13 @@ def test_terminal_mc_overflow_names_the_euler_step(monkeypatch, rate, eps):
     co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
     ev = ldp.get_functional("terminal_exceedance", a=1.0)
     ctrl = cm.zero_control(HURST, n)
-    built = ldp._responses(co, np.zeros(1),
-                           np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
+    built = ldp._affine_map(co, np.zeros(1),
+                            np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
     assert (built is None) == (rate == -40.0)
     messages = []
     for full in (False, True):
         if full:
-            monkeypatch.setattr(ldp, "_affine_map", lambda *a: None)
+            without_affine_map()
         with pytest.raises(NumericError, match="step") as err:
             ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1, ctrl=ctrl,
                                hurst=HURST, n_steps=n)
