@@ -406,9 +406,15 @@ class _LinearDrive:
 
     def increments(self, z: np.ndarray, scale: float = 1.0,
                    shift: np.ndarray | None = None) -> np.ndarray:
-        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d)."""
-        z = z.reshape(len(z), -1, self.coeffs.d)
-        values = fbm._synthesise(self.table, z if shift is None else z + shift)
+        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d).
+
+        The path is linear in the inputs, so the shift's own path is added
+        to that of z, and the shifted inputs are never formed.
+        """
+        values = fbm._synthesise(self.table,
+                                 z.reshape(len(z), -1, self.coeffs.d))
+        if shift is not None:
+            values += fbm._synthesise(self.table, shift[None])
         inc = np.diff(values, axis=1)
         del values
         inc *= scale
@@ -420,8 +426,7 @@ class _LinearDrive:
         map, (B, n+1, m) from the Euler loop.
 
         A shift enters the affine map as its base ``Z + scale shift @ R``,
-        with the bound raised by ``scale |shift| @ r_max``, so the
-        shifted inputs are never formed.
+        with the bound raised by ``scale |shift| @ r_max``.
         """
         if self.affine is not None:
             x, x_abs, r, r_abs = self.affine

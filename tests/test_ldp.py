@@ -1180,9 +1180,9 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
 
 @pytest.fixture
 def without_affine_map(monkeypatch):
-    """A call that makes every affine-map build overflow from then on; the
-    Monte Carlo drives are dropped then and at teardown, so none built with
-    or before the patch serves a later run."""
+    """A call that makes the affine-map builder fail from then on, as an
+    overflowing build does; the Monte Carlo drives are dropped then and at
+    teardown, so none built with or before the patch serves a later run."""
     def patch():
         monkeypatch.setattr(ldp, "_affine_map", lambda *args: None)
         ldp._mc_drive.cache_clear()
