@@ -474,6 +474,12 @@ class _SkeletonObjective:
     def n_solves(self) -> int:
         return self.drive.n_solves
 
+    @functools.cached_property
+    def inc_map(self) -> np.ndarray:
+        """The block path map's increments (n_steps, n_ctrl), for the
+        adjoint gradient."""
+        return np.diff(self.path_map, axis=0)
+
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
 
@@ -523,7 +529,7 @@ class _SkeletonObjective:
                 f"{co.name!r} has no elementwise drift Jacobian and its "
                 "affine map overflowed, so the search has no gradient")
         r = min(co.m, co.d)
-        inc_map = np.diff(self.path_map[:step + 1], axis=0)
+        inc_map = self.inc_map[:step]
         dv = inc_map @ theta.reshape(n_ctrl, co.d)[:, :r]
         # registry coefficients never depend on t
         x = states[:step]
