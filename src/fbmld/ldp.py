@@ -406,11 +406,8 @@ class _LinearDrive:
 
     def increments(self, z: np.ndarray, scale: float = 1.0,
                    shift: np.ndarray | None = None) -> np.ndarray:
-        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d).
-
-        The path is linear in the inputs, so the shift's own path is added
-        to that of z, and the shifted inputs are never formed.
-        """
+        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d):
+        the path is linear in the inputs, so the shift's path is added."""
         values = fbm._synthesise(self.table,
                                  z.reshape(len(z), -1, self.coeffs.d))
         if shift is not None:
@@ -476,8 +473,7 @@ class _SkeletonObjective:
 
     @functools.cached_property
     def inc_map(self) -> np.ndarray:
-        """The block path map's increments (n_steps, n_ctrl), for the
-        adjoint gradient."""
+        """The increments of the block path map, for the adjoint gradient."""
         return np.diff(self.path_map, axis=0)
 
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
