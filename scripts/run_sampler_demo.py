@@ -17,14 +17,14 @@ import numpy as np
 from fbmld import cli, fbm
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="sampler_demo")
     ap.add_argument("--hurst", type=float, default=0.75)
     ap.add_argument("--n-steps", type=int, default=128)
     ap.add_argument("--n-paths", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=2024)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)

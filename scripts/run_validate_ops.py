@@ -9,12 +9,12 @@ from pathlib import Path
 from fbmld import cli
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="validate_ops")
     ap.add_argument("--hurst", type=float, default=0.75)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)

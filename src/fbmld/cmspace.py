@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .fbm import _synthesise, kernel_table, volterra_c
+from .fbm import _check_hurst, _synthesise, kernel_table, volterra_c
 from .fracops import _cell_moments, _convolve_lags, _weyl_left_core
 from .gridfn import GridFn, write_csv
 
@@ -53,8 +53,7 @@ class CmControl:
     density: GridFn
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise DomainError(f"hurst must lie in (0, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
 
     @property
     def n_steps(self) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import blas, rng
 from .errors import DomainError, NumericError
+from .fracops import _f21_series
 from .gridfn import GridFn, write_csv
 
 __all__ = [
@@ -73,7 +74,14 @@ def covariance(s, t, hurst: float):
     if np.any(s < 0) or np.any(s > 1) or np.any(t < 0) or np.any(t > 1):
         raise DomainError("covariance arguments must lie in [0, 1]")
     h2 = 2.0 * hurst
-    out = 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)
+    # 0.5 * (s**h2 + t**h2 - |t - s|**h2) in that order, each step in place,
+    # so a grid call holds two arrays of the grid's shape at the peak
+    out = s ** h2 + t ** h2
+    gap = np.asarray(t - s)
+    np.abs(gap, out=gap)
+    gap **= h2
+    out -= gap
+    out *= 0.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,18 +111,6 @@ def kernel_k(t: float, s: float, hurst: float) -> float:
 # O(t/s) terms) the z -> 1-z connection formula reduces G to a closed-form
 # power plus one series in rho <= 1/2.  Both branches are machine-accurate.
 
-def _series_f21(a: float, b: float, c: float, x: np.ndarray,
-                max_terms: int = 600) -> np.ndarray:
-    out = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(max_terms):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
-        out += term
-        if np.max(np.abs(term)) <= 1e-16 * np.max(np.abs(out)):
-            return out
-    raise NumericError("internal 2F1 series failed to converge")
-
-
 def _kernel_hyp_factor(hurst: float, rho: np.ndarray) -> np.ndarray:
     """rho^(H-1/2) * G(1 - rho), the kernel's full hypergeometric factor."""
     h = hurst
@@ -123,14 +119,14 @@ def _kernel_hyp_factor(hurst: float, rho: np.ndarray) -> np.ndarray:
     out = np.empty_like(rho)
     near = x <= 0.5
     if near.any():
-        out[near] = rho[near] ** (h - 0.5) * _series_f21(a, b, c, x[near])
+        out[near] = rho[near] ** (h - 0.5) * _f21_series(a, b, c, x[near])
     far = ~near
     if far.any():
         r = rho[far]
         c1 = math.gamma(c) * math.gamma(1.0 - 2.0 * h) / math.gamma(0.5 - h)
         c2 = (math.gamma(c) * math.gamma(2.0 * h - 1.0)
               / (math.gamma(h - 0.5) * math.gamma(2.0 * h)))
-        tail = _series_f21(1.0, 0.5 - h, 2.0 - 2.0 * h, r)
+        tail = _f21_series(1.0, 0.5 - h, 2.0 - 2.0 * h, r)
         g = c1 * x[far] ** (0.5 - h) + c2 * r ** (1.0 - 2.0 * h) * tail
         out[far] = r ** (h - 0.5) * g
     return out
@@ -237,26 +233,6 @@ def volterra_variance_bias(n_steps: int, hurst: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _cov_entries(n_steps: int, hurst: float) -> np.ndarray:
-    """Writable R_H(t_k, t_j) on t_1..t_n, two n x n arrays at the peak.
-
-    :func:`covariance`'s expression with its operations in the same order,
-    each in place, so the entries are bitwise its values.
-    """
-    _check_hurst(hurst)
-    t = np.arange(1, n_steps + 1) / n_steps
-    s, t = t[:, None], t[None, :]
-    h2 = 2.0 * hurst
-    out = s ** h2 + t ** h2
-    gap = t - s
-    np.abs(gap, out=gap)
-    gap **= h2
-    out -= gap
-    del gap
-    out *= 0.5
-    return out
-
-
 @dataclass(frozen=True)
 class FbmBatch:
     """Sampled fBm paths plus the noise that generated them.
@@ -330,7 +306,8 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
         )
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    cov = _cov_entries(n_steps, hurst)
+    t = np.arange(1, n_steps + 1) / n_steps
+    cov = covariance(t[:, None], t, hurst)
     diagonal = np.einsum("ii->i", cov)            # a writable view
     base = diagonal.copy()
     jitter = _JITTER_INIT

@@ -38,13 +38,28 @@ __all__ = [
 # Gauss hypergeometric function
 # ---------------------------------------------------------------------------
 
-# power series truncation: relative term threshold and term cap
-_SERIES_REL_TOL = 1e-14
+# power series term cap
 _SERIES_MAX_TERMS = 100_000
 
 
-def _is_nonpositive_integer(c: float) -> bool:
-    return c <= 0 and float(c).is_integer()
+def _f21_series(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
+    """Power series of F(a, b, c; x) elementwise, for x in [0, 1).
+
+    The sum stops once the largest term falls below 1e-16 of the largest
+    partial sum.  This is the package's one 2F1 series: the Volterra kernel
+    and :func:`gauss_2f1` both call it.
+    """
+    out = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(_SERIES_MAX_TERMS):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
+        out += term
+        if np.max(np.abs(term)) <= 1e-16 * np.max(np.abs(out)):
+            return out
+    raise NumericError(
+        f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms "
+        f"(a={a}, b={b}, c={c})"
+    )
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -52,8 +67,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     For z < 0 the Pfaff transformation
     ``F(a,b,c;z) = (1-z)^(-a) F(a, c-b, c; z/(z-1))``
-    maps the series argument into [0, 1).  The power series is truncated
-    once a term falls below 1e-14 of the partial sum.
+    maps the series argument into [0, 1), where :func:`_f21_series` sums it.
 
     Raises
     ------
@@ -62,7 +76,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     NumericError
         if the series has not converged after 100 000 terms.
     """
-    if _is_nonpositive_integer(c):
+    if c <= 0 and float(c).is_integer():
         raise DomainError(f"c must not be a non-positive integer, got {c}")
     if not np.isfinite(z) or z > 0.5:
         raise DomainError(f"argument z must satisfy z <= 1/2, got {z}")
@@ -70,19 +84,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     prefactor = 1.0
     if z < 0.0:
         prefactor = (1.0 - z) ** (-a)
-        a, b, z = a, c - b, z / (z - 1.0)
-
-    total = 1.0
-    term = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_REL_TOL * abs(total):
-            return prefactor * total
-    raise NumericError(
-        f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+        b, z = c - b, z / (z - 1.0)
+    return prefactor * float(_f21_series(a, b, c, np.array([z]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +313,7 @@ def young_frac(f: GridFn, g: GridFn, alpha: float) -> float:
     dr = _weyl_left_core(g_shift[::-1], n, 1.0 - alpha, at_midpoints=True)[::-1]
 
     tau = (np.arange(n) + 0.5) / n
-    nodes = np.arange(n + 1) / n
-    outer_moments = (nodes[1:] ** (1.0 - alpha) - nodes[:-1] ** (1.0 - alpha)) / (1.0 - alpha)
+    outer_moments = _cell_moments(n, 1.0 - alpha)[1:]
     regularized = tau[:, None] ** alpha * dl * dr
     return float(-np.sum(regularized.sum(axis=1) * outer_moments))
 

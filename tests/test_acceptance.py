@@ -280,26 +280,31 @@ def test_criterion_10_laplace_sandwich_and_trend():
     h = ldp.get_functional("terminal_shortfall", target=1.0, cap=1.0)
     variational = ldp.laplace_variational(ADDITIVE, [0.0], h,
                                           cfg=RATE_CFG).value
-    values, oks = [], []
-    for i, eps in enumerate((0.5, 0.2, 0.1)):
-        r = ldp.laplace_mc(ADDITIVE, [0.0], h, eps, 20_000,
+    rows = [ldp.laplace_mc(ADDITIVE, [0.0], h, eps, 20_000,
                            seed=rng.mix64(10, i), hurst=HURST_ADD,
                            n_steps=256)
-        values.append(r.value)
-        oks.append(h.inf_h <= r.value <= h.sup_h)
-        last = r
+            for i, eps in enumerate((0.5, 0.2, 0.1))]
+    values = [r.value for r in rows]
+    oks = [h.inf_h <= v <= h.sup_h for v in values]
+    last = rows[-1]
     gaps = [abs(v - variational) for v in values]
     trend = all(b < a for a, b in zip(gaps, gaps[1:]))
     final_ok = gaps[-1] <= 3 * last.std_err + 0.1
-    ok = all(oks) and trend and final_ok
+    # the 3-SE gate means something only while the crude estimate rests on
+    # enough effective paths
+    healthy = all(r.ess >= 100 for r in rows)
+    ok = all(oks) and trend and final_ok and healthy
     line = report(10, ok,
                   f"laplace_mc {['%.4f' % v for v in values]} within "
                   f"[{h.inf_h}, {h.sup_h}], trending to variational "
                   f"{variational:.4f}; final gap {gaps[-1]:.4f} <= "
-                  f"3 SE + 0.1 = {3 * last.std_err + 0.1:.4f}")
+                  f"3 SE + 0.1 = {3 * last.std_err + 0.1:.4f}; ess "
+                  f"{['%.0f' % r.ess for r in rows]}, max weight share "
+                  f"{['%.4f' % r.max_weight_share for r in rows]}")
     assert all(oks), line
     assert trend, line
     assert final_ok, line
+    assert healthy, line
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -165,21 +165,28 @@ def test_kernel_table_build_memory():
 # ---------------------------------------------------------------------------
 
 def test_cov_matrix_invariants():
-    ent = fbm._cov_entries(32, 0.7)
-    assert np.array_equal(ent, ent.T)
     t = np.arange(1, 33) / 32
+    ent = fbm.covariance(t[:, None], t, 0.7)
+    assert np.array_equal(ent, ent.T)
     assert np.abs(np.diag(ent) - t ** 1.4).max() <= 1e-12
     # PSD after jitter: factorisation succeeds
     np.linalg.cholesky(ent + 1e-12 * np.eye(32))
 
 
-def test_cov_entries_match_covariance_bitwise():
-    # the in-place build runs covariance()'s operations in the same order;
-    # exponents 0.5 and 1 are the ones numpy's power special-cases
+def test_covariance_matches_its_plain_expression_bitwise():
+    # the grid is built in place in the plain expression's order; exponents
+    # 0.5 and 1 are the ones numpy's power special-cases
     for n, hurst in [(64, 0.25), (50, 0.5), (96, 0.75), (33, 0.9)]:
         t = np.arange(1, n + 1) / n
-        want = fbm.covariance(t[:, None], t[None, :], hurst)
-        assert np.array_equal(fbm._cov_entries(n, hurst), want)
+        s, t = t[:, None], t[None, :]
+        h2 = 2.0 * hurst
+        want = 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)
+        assert np.array_equal(fbm.covariance(s, t, hurst), want)
+    assert type(fbm.covariance(0.5, 1.0, 0.75)) is float
+    t = np.arange(1, 9) / 8
+    got = fbm.covariance(t, 0.5, 0.75)
+    assert got.shape == (8,)
+    assert np.array_equal(got, [fbm.covariance(x, 0.5, 0.75) for x in t])
 
 
 def test_cholesky_build_memory():
@@ -198,7 +205,8 @@ def test_cholesky_build_memory():
 
 def test_cholesky_jitter_retries_from_the_original_diagonal(monkeypatch):
     n = 16
-    base = np.diag(fbm._cov_entries(n, 0.75)).copy()
+    t = np.arange(1, n + 1) / n
+    base = np.diag(fbm.covariance(t[:, None], t, 0.75)).copy()
     seen = []
     factor = np.linalg.cholesky
 
@@ -265,7 +273,8 @@ def test_samplers_match_explicit_product(dim):
                                        rtol=0.0, atol=1e-12)
 
     chol_batch = fbm.sample_cholesky(n, hurst, dim, n_paths, seed)
-    cov = fbm._cov_entries(n, hurst)
+    t = np.arange(1, n + 1) / n
+    cov = fbm.covariance(t[:, None], t, hurst)
     chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
     assert chol_batch.values.shape == (n_paths, n + 1, dim)
     assert np.all(chol_batch.values[:, 0] == 0.0)

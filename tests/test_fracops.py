@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,21 @@ def test_2f1_log_identity_at_minus_one():
     # oracle: F(1,1,2;z) = -log(1-z)/z, cross-checked by the direct series
     # at z = 1/2 before trusting it at the Pfaff-mapped point z = -1
     assert abs(series_2f1(1, 1, 2, 0.5) - (-math.log(0.5) / 0.5)) < 1e-12
-    assert abs(fo.gauss_2f1(1.0, 1.0, 2.0, -1.0) - math.log(2.0)) < 1e-12
+    ln2 = math.log(2.0)
+    assert abs(fo.gauss_2f1(1.0, 1.0, 2.0, -1.0) - ln2) <= 1e-15 * ln2
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.55, 0.75, 0.95])
+def test_f21_series_matches_mpmath_on_the_kernel_parameters(hurst):
+    # the kernel's near set (H-1/2, 2H, H+1/2) and tail set (1, 1/2-H, 2-2H)
+    # on the series argument range [0, 1/2] the kernel uses
+    x = np.linspace(0.0, 0.5, 101)
+    for a, b, c in [(hurst - 0.5, 2.0 * hurst, hurst + 0.5),
+                    (1.0, 0.5 - hurst, 2.0 - 2.0 * hurst)]:
+        got = fo._f21_series(a, b, c, x)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.hyp2f1(a, b, c, xi)) for xi in x])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_2f1_symmetric_in_a_b():
