@@ -428,8 +428,8 @@ def _validate_ops_checks(cfg: ExperimentConfig):
            np.array_equal(sk.path.values, cp.path.values), "")
 
     zc = cmspace.zero_control(max(cfg.hurst, 0.6), 64)
-    w, logw = ldp.girsanov_weight(zc, 1.0, np.zeros((64, 1)))
-    yield ("girsanov zero-control weight", w == 1.0 and logw == 0.0, "")
+    w, logw = ldp.girsanov_weight(zc, 1.0, np.zeros((1, 64, 1)))
+    yield ("girsanov zero-control weight", w[0] == 1.0 and logw[0] == 0.0, "")
 
 
 def _run_validate_ops(cfg: ExperimentConfig, out: Path) -> list[str]:

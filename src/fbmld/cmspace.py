@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .fbm import _check_hurst, _synthesise, kernel_table, volterra_c
-from .fracops import _cell_moments, _convolve_lags, _weyl_left_core
+from .fracops import _cell_moments, _convolve_lags
 from .gridfn import GridFn, write_csv
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "cm_norm",
     "project",
     "materialize_from_derivative",
-    "inverse_kh",
     "export_control_csv",
     "import_control_csv",
 ]
@@ -104,28 +103,30 @@ def zero_control(hurst: float, n_steps: int, dim: int = 1) -> CmControl:
 # the operator K_H and its cousins
 # ---------------------------------------------------------------------------
 
-def apply_kh(density: GridFn, hurst: float, method: str = "kernel") -> GridFn:
+def apply_kh(density: GridFn, hurst: float) -> GridFn:
     """Materialize v = K_H v' on the nodes from a cell-layout density.
 
-    ``method="kernel"`` does the direct quadrature
-    ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds`` (any H) as the sampler's
-    product on the same cached :func:`fbmld.fbm.kernel_table`, so a tilt by
-    v is exactly a shift of the sampled Brownian increments by v' ds.
-    ``method="composition"`` uses the H > 1/2 factorisation
-    c_H I^1(psi I^(H-1/2)(psi^(-1) v')) with psi(u) = u^(H-1/2), the inner
-    fractional integral by a midpoint product rule and the outer one by
-    trapezoid; it is an independent cross-check of the kernel route and
-    nothing else uses it.
+    The direct quadrature ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds`` (any
+    H), as the sampler's product on the same cached
+    :func:`fbmld.fbm.kernel_table`, so a tilt by v is exactly a shift of the
+    sampled Brownian increments by v' ds.
     """
     n = density.n_steps
     cells = density.values[:-1]
-    if method == "kernel":
-        return GridFn(n, _synthesise(kernel_table(n, hurst), cells[None] / n)[0])
-    if method == "composition":
-        if hurst <= 0.5:
-            raise DomainError("composition route requires hurst > 1/2")
-        return _cumtrapz(_derivative_nodes(cells, n, hurst), n)
-    raise DomainError(f"unknown method {method!r}")
+    return GridFn(n, _synthesise(kernel_table(n, hurst), cells[None] / n)[0])
+
+
+def _apply_kh_composition(density: GridFn, hurst: float) -> GridFn:
+    """K_H v' by the H > 1/2 factorisation, the tests' oracle for apply_kh.
+
+    c_H I^1(psi I^(H-1/2)(psi^(-1) v')) with psi(u) = u^(H-1/2), the inner
+    fractional integral by a midpoint product rule and the outer one by
+    trapezoid.
+    """
+    if hurst <= 0.5:
+        raise DomainError("composition route requires hurst > 1/2")
+    n = density.n_steps
+    return _cumtrapz(_derivative_nodes(density.values[:-1], n, hurst), n)
 
 
 def cm_norm(ctrl: CmControl) -> float:
@@ -175,29 +176,6 @@ def materialize_from_derivative(ctrl: CmControl) -> GridFn:
     return ctrl.path
 
 
-def inverse_kh(path: GridFn, hurst: float) -> np.ndarray:
-    """Recover density cells from a path: validation round-trip only.
-
-    Implements ``g(t) = c_H^(-1) t^(H-1/2) D^(H-1/2)_{0+}(psi^(-1) h')(t)``
-    for H > 1/2 with h' taken as the path's cell slopes.  Accuracy is
-    limited by the numerical differentiation; the main workflows never
-    invert K_H.
-    """
-    if hurst <= 0.5:
-        raise DomainError("inverse_kh requires hurst > 1/2")
-    n = path.n_steps
-    order = hurst - 0.5
-    slopes = np.diff(path.values, axis=0) * n        # h' at cell midpoints
-    t_nodes = np.arange(1, n + 1) / n
-    # psi^(-1) h' at the nodes, by averaging adjacent cell values
-    interior = 0.5 * (slopes[:-1] + slopes[1:])
-    node_vals = np.vstack([interior, slopes[-1:]]) * t_nodes[:, None] ** (-order)
-    node_vals = np.vstack([node_vals[:1], node_vals])   # t=0 continuation
-    deriv = _weyl_left_core(node_vals, n, order, at_midpoints=True)
-    s = (np.arange(n) + 0.5) / n
-    return s[:, None] ** order * deriv / volterra_c(hurst)
-
-
 # ---------------------------------------------------------------------------
 # CSV interface
 # ---------------------------------------------------------------------------
@@ -216,14 +194,22 @@ def import_control_csv(fh) -> CmControl:
     if not header.startswith("# fbmld-control"):
         raise DomainError("not a fbmld control file")
     meta = fh.readline().strip().lstrip("# ").split()
-    fields = dict(item.split("=") for item in meta)
-    hurst = float(fields["hurst"])
-    n_steps = int(fields["n_steps"])
+    fields = dict(item.partition("=")[::2] for item in meta)
+    try:
+        hurst = float(fields["hurst"])
+        n_steps, dim = int(fields["n_steps"]), int(fields["dim"])
+    except (KeyError, ValueError):
+        raise DomainError(f"control file header {' '.join(meta)!r} lacks a "
+                          "valid hurst, n_steps or dim") from None
     fh.readline()                                    # column header
     rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
     cells = np.asarray(rows)[:, 1:]
     if cells.shape[0] != n_steps:
         raise DimensionError(
             f"control file announces n_steps={n_steps} but has {cells.shape[0]} rows"
+        )
+    if cells.shape[1] != dim:
+        raise DimensionError(
+            f"control file announces dim={dim} but has {cells.shape[1]} density columns"
         )
     return control_from_cells(hurst, cells)

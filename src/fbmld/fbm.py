@@ -395,8 +395,17 @@ def export_increments(batch: FbmBatch, path: str) -> None:
 
 
 def load_increments(path: str) -> tuple[dict, np.ndarray]:
+    """(metadata, increments) of an :func:`export_increments` file; the
+    increments' shape must be the (n_paths, n_steps, dim) it records."""
     with np.load(path) as data:
+        if "meta" not in data or "increments" not in data:
+            raise DomainError(f"increments file {path} lacks a record")
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format") != "fbmld-increments" or meta.get("version") != FORMAT_VERSION:
             raise DomainError(f"unrecognised increments file {path}")
-        return meta, data["increments"]
+        inc = data["increments"]
+    shape = tuple(meta.get(key) for key in ("n_paths", "n_steps", "dim"))
+    if inc.shape != shape:
+        raise DomainError(f"increments of shape {inc.shape} in {path}, "
+                          f"whose metadata gives {shape}")
+    return meta, inc

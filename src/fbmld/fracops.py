@@ -27,7 +27,6 @@ __all__ = [
     "gauss_2f1",
     "frac_integral",
     "weyl_derivative",
-    "flagged_node",
     "young_rs",
     "young_frac",
     "norms",
@@ -187,11 +186,6 @@ def frac_integral(f: GridFn, alpha: float, side: str = "left") -> GridFn:
     return GridFn(n, out)
 
 
-def flagged_node(side: str, n_steps: int) -> int:
-    """Index of the endpoint node excluded from Weyl-derivative error metrics."""
-    return 0 if side == "left" else n_steps
-
-
 def weyl_derivative(f: GridFn, alpha: float, side: str = "left") -> GridFn:
     """Weyl (Marchaud-form) fractional derivative of order alpha in (0, 1).
 
@@ -199,7 +193,7 @@ def weyl_derivative(f: GridFn, alpha: float, side: str = "left") -> GridFn:
     singular increment integral on the interior nodes.  The formula is only
     defined a.e. on (0, 1): the endpoint node where it is singular (t=0 on
     the left, t=1 on the right) is filled by one-sided continuation and
-    should be excluded from error metrics; see :func:`flagged_node`.
+    should be excluded from error metrics.
 
     Right-sided derivatives are returned in the real convention, without the
     complex factor (-1)^alpha of the defining formula.

@@ -46,17 +46,8 @@ class GridFn:
     # -- grid geometry -----------------------------------------------------
 
     @property
-    def dt(self) -> float:
-        return 1.0 / self.n_steps
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) / self.n_steps
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        """Cell midpoints s_j = (j + 1/2)/n_steps, j = 0..n_steps-1."""
-        return (np.arange(self.n_steps) + 0.5) / self.n_steps
 
     def midpoint_values(self) -> np.ndarray:
         """Linear interpolation of the node samples at cell midpoints."""
@@ -79,31 +70,6 @@ class GridFn:
         if vals.ndim == 1:
             vals = vals[:, None]
         return GridFn(n_steps, vals)
-
-    # -- arithmetic (linear combinations used throughout the tests) ---------
-
-    def _check_compatible(self, other: GridFn):
-        if self.n_steps != other.n_steps or self.dim != other.dim:
-            raise DimensionError(
-                f"incompatible grids: ({self.n_steps},{self.dim}) vs "
-                f"({other.n_steps},{other.dim})"
-            )
-
-    def __add__(self, other: GridFn) -> GridFn:
-        self._check_compatible(other)
-        return GridFn(self.n_steps, self.values + other.values)
-
-    def __sub__(self, other: GridFn) -> GridFn:
-        self._check_compatible(other)
-        return GridFn(self.n_steps, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> GridFn:
-        return GridFn(self.n_steps, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def component(self, i: int) -> GridFn:
-        return GridFn(self.n_steps, self.values[:, i : i + 1])
 
 
 def write_csv(fh, table, columns, comments=()) -> None:

@@ -769,7 +769,7 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     Solves the SDE on the Volterra paths of ``seed``, one chunk of
     ``_CHUNK`` paths alive at a time, by the :func:`_mc_drive`, whose
     inputs are the Brownian increments and whose scale is sqrt(eps);
-    ``log_y(batch, states)`` gives each path's log Y, -inf where Y = 0.
+    ``log_y(states)`` gives each path's log Y, -inf where Y = 0.
     With ``terminal`` (log_y reads only the terminal state) an affine
     family's states are the (P, 1, m) terminal slice, one product per
     chunk, and the fBm values are never synthesised.  A nonzero tilt
@@ -801,7 +801,7 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
         batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
                                 first_index=lo)
         states = drive.states(batch.bm_increments, math.sqrt(eps), shift)
-        scores[lo:hi] = log_y(batch, states)
+        scores[lo:hi] = log_y(states)
         if shift is not None:
             scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
         del batch, states
@@ -839,9 +839,6 @@ class LaplaceMcResult:
     ess: float
     max_weight_share: float
 
-    def __iter__(self):
-        return iter((self.value, self.std_err))
-
 
 def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
                n_samples: int, seed: int, ctrl: CmControl | None = None, *,
@@ -864,7 +861,7 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     g = h.bind(coeffs, x0, n_steps)
     mc = _mc_log_mean(coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-                      lambda batch, states: -g(states)[0] / eps, ctrl,
+                      lambda states: -g(states)[0] / eps, ctrl,
                       h.terminal)
     return LaplaceMcResult(value=-eps * mc.log_mean, std_err=eps * mc.rel_se,
                            n_samples=n_samples, n_hits=mc.n_nonzero,
@@ -876,26 +873,21 @@ def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
 
     ``exp(-(1/sqrt(eps)) sum_j vdot(s_j) . dB_j - (1/(2 eps)) ||vdot||^2)``
     evaluated on the discrete L^2 pairing shared with the Volterra sampler.
-    ``bm_increments`` is (n, d) for one path or (P, n, d) for a batch;
-    returns (weight, log_weight), arrays in the batch case.  The log weight
-    is the overflow-safe representation.
+    ``bm_increments`` is a (P, n, d) batch; returns the (P,) arrays
+    (weight, log_weight).  The log weight is the overflow-safe
+    representation.
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
     inc = np.asarray(bm_increments, dtype=float)
-    single = inc.ndim == 2
-    if single:
-        inc = inc[None]
     cells = ctrl.cell_values()
-    if inc.shape[1] != ctrl.n_steps or inc.shape[2] != ctrl.dim:
+    if inc.shape[1:] != (ctrl.n_steps, ctrl.dim):
         raise DimensionError("bm_increments do not match the control grid")
     ito = np.einsum("jd,pjd->p", cells, inc)
     norm_sq = float(np.sum(cells ** 2)) / ctrl.n_steps
     log_w = -ito / math.sqrt(eps) - norm_sq / (2.0 * eps)
     with np.errstate(over="ignore"):
         w = np.exp(log_w)
-    if single:
-        return float(w[0]), float(log_w[0])
     return w, log_w
 
 
@@ -913,9 +905,6 @@ class ProbEstimate:
     max_weight_share: float = math.nan
     flagged: bool = False
     note: str = ""
-
-    def __iter__(self):
-        return iter((self.p_hat, self.std_err))
 
 
 def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
@@ -936,7 +925,7 @@ def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
     g = event.bind(coeffs, x0, n_steps)
     mc = _mc_log_mean(
         coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-        lambda batch, states: np.where(g(states)[0] <= 0.0, 0.0, -math.inf),
+        lambda states: np.where(g(states)[0] <= 0.0, 0.0, -math.inf),
         ctrl, event.terminal)
     if mc.n_nonzero == 0:
         return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,

@@ -32,7 +32,6 @@ __all__ = [
     "skeleton",
     "controlled_path",
     "norm_report",
-    "driver_scaling_check",
 ]
 
 
@@ -202,10 +201,9 @@ def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> Coefficient
 
 @dataclass(frozen=True)
 class SolvedPath:
-    """Euler solution with its driver kind and config echo."""
+    """Euler solution with its config echo."""
 
     path: GridFn
-    driver_kind: str                  # skeleton | controlled | generic
     config: dict
 
 
@@ -281,17 +279,11 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     return out
 
 
-def solve_young(x0, coeffs: CoefficientSet, driver: GridFn,
-                n_steps: int | None = None) -> SolvedPath:
+def solve_young(x0, coeffs: CoefficientSet, driver: GridFn) -> SolvedPath:
     """Euler solution of dX = b dt + sigma dg for a pathwise driver g."""
-    if n_steps is not None and n_steps != driver.n_steps:
-        raise DimensionError(
-            f"n_steps={n_steps} disagrees with the driver grid {driver.n_steps}"
-        )
     states = solve_increments(x0, coeffs, driver.increments()[None])
     return SolvedPath(
         path=GridFn(driver.n_steps, states[0]),
-        driver_kind="generic",
         config={"n_steps": driver.n_steps},
     )
 
@@ -309,10 +301,8 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
         raise DimensionError("control and fBm path live on different grids")
     inc = ctrl.path.increments() + math.sqrt(eps) * fbm_path.increments()
     states = solve_increments(x0, coeffs, inc[None])
-    kind = "skeleton" if eps == 0.0 else "controlled"
     return SolvedPath(
         path=GridFn(ctrl.n_steps, states[0]),
-        driver_kind=kind,
         config={"n_steps": ctrl.n_steps, "eps": eps, "hurst": ctrl.hurst},
     )
 
@@ -356,7 +346,7 @@ def _check_admissible(coeffs: CoefficientSet, hurst: float,
 
 
 def norm_report(sol: SolvedPath, alpha: float, delta: float,
-                coeffs: CoefficientSet, hurst: float | None = None,
+                coeffs: CoefficientSet, hurst: float,
                 driver: GridFn | None = None) -> NormReport:
     """Solution norms at the a-priori exponents of the well-posedness bounds.
 
@@ -365,10 +355,6 @@ def norm_report(sol: SolvedPath, alpha: float, delta: float,
     its (1-alpha+delta)-Holder norm.  Boundary alpha/delta are rejected, not
     clamped.
     """
-    if hurst is None:
-        hurst = sol.config.get("hurst")
-    if hurst is None:
-        raise DomainError("hurst unknown: pass hurst= explicitly")
     _check_admissible(coeffs, hurst, alpha, delta)
     rep = norms(sol.path, 1.0 - alpha, alpha)
     drv = None
@@ -376,29 +362,3 @@ def norm_report(sol: SolvedPath, alpha: float, delta: float,
         drv = norms(driver, 1.0 - alpha + delta, alpha).holder_norm
     return NormReport(solution=rep, driver_holder=drv, alpha=alpha,
                       delta=delta, hurst=hurst)
-
-
-def driver_scaling_check(x0, coeffs: CoefficientSet, driver: GridFn,
-                         alpha: float, scales=(1.0, 2.0, 4.0)) -> dict:
-    """Qualitative echo of the exponential a-priori bound.
-
-    Solves against c * driver for each scale c and fits the slope of
-    log log||X||_inf against kappa log c, kappa = 1/(1-alpha).  The a-priori
-    bound allows log||X||_inf to grow at most like c^kappa, i.e. a fitted
-    slope <= 1 up to constants; the check flags slope <= 1.2.  Constants in
-    the bounds are unobservable and deliberately not asserted.
-    """
-    kappa = 1.0 / (1.0 - alpha)
-    sups = []
-    for c in scales:
-        states = solve_increments(x0, coeffs, c * driver.increments()[None])
-        sups.append(float(np.abs(states[0]).max()))
-    logs = np.log(sups)
-    if np.any(logs <= 0.0):
-        return {"scales": list(scales), "sup_norms": sups, "slope": 0.0,
-                "within_bound": True, "note": "sub-exponential regime"}
-    xs = kappa * np.log(np.asarray(scales, dtype=float))
-    ys = np.log(logs)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return {"scales": list(scales), "sup_norms": sups, "slope": slope,
-            "within_bound": bool(slope <= 1.2)}

@@ -477,6 +477,17 @@ def test_readme_names_only_module_attributes_that_exist():
     assert not missing
 
 
+def test_every_module_all_name_resolves():
+    # nothing runs `import *`, so a stale __all__ entry would go unnoticed
+    modules = [fbmld] + [importlib.import_module(f"fbmld.{info.name}")
+                         for info in pkgutil.iter_modules(fbmld.__path__)]
+    exported = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exported) == 6                    # the package and five modules
+    stale = [f"{m.__name__}.{name}" for m in exported for name in m.__all__
+             if not hasattr(m, name)]
+    assert not stale
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fbmld import cmspace as cm
 from fbmld import fracops as fo
 from fbmld import rng
-from fbmld.errors import DomainError
+from fbmld.errors import DimensionError, DomainError
 
 
 def random_control(seed, n=256, hurst=0.75, dim=1, scale=1.0):
@@ -36,17 +36,15 @@ def test_apply_kh_brownian_case_is_cumulative_integral():
 def test_apply_kh_routes_agree():
     n, hurst = 512, 0.75
     ctrl = cm.control_from_callable(lambda s: np.cos(2 * np.pi * s), n, hurst)
-    v_kernel = cm.apply_kh(ctrl.density, hurst, "kernel")
-    v_comp = cm.apply_kh(ctrl.density, hurst, "composition")
+    v_kernel = cm.apply_kh(ctrl.density, hurst)
+    v_comp = cm._apply_kh_composition(ctrl.density, hurst)
     assert np.abs(v_kernel.values - v_comp.values).max() <= 5e-3
 
 
 def test_apply_kh_composition_needs_high_hurst():
     ctrl = cm.zero_control(0.4, 32)
     with pytest.raises(DomainError):
-        cm.apply_kh(ctrl.density, 0.4, "composition")
-    with pytest.raises(DomainError):
-        cm.apply_kh(ctrl.density, 0.4, "fft")
+        cm._apply_kh_composition(ctrl.density, 0.4)
 
 
 def test_path_starts_at_zero_and_obeys_growth_bound():
@@ -117,7 +115,7 @@ def test_project_family_monotone(s, t):
 
 def test_composition_route_zero():
     ctrl = cm.zero_control(0.75, 64)
-    v = cm.apply_kh(ctrl.density, 0.75, "composition")
+    v = cm._apply_kh_composition(ctrl.density, 0.75)
     assert np.abs(v.values).max() == 0.0
 
 
@@ -128,7 +126,7 @@ def test_composition_route_linear_exactly(a, b):
     c2 = random_control(47, n=64)
     combo = cm.control_from_cells(
         0.75, a * c1.cell_values() + b * c2.cell_values())
-    comp = lambda c: cm.apply_kh(c.density, 0.75, "composition").values
+    comp = lambda c: cm._apply_kh_composition(c.density, 0.75).values
     np.testing.assert_allclose(comp(combo), a * comp(c1) + b * comp(c2),
                                rtol=0, atol=1e-10)
 
@@ -168,16 +166,6 @@ def test_discrete_injectivity_contrapositive():
     assert np.abs(base.path.values - twin.path.values).max() == 0.0
 
 
-def test_inverse_kh_roundtrip():
-    n, hurst = 512, 0.75
-    ctrl = cm.control_from_callable(lambda s: np.cos(2 * np.pi * s) + 0.5,
-                                    n, hurst)
-    rec = cm.inverse_kh(ctrl.path, hurst)
-    rel = np.linalg.norm(rec - ctrl.cell_values()) / \
-        np.linalg.norm(ctrl.cell_values())
-    assert rel <= 5e-2
-
-
 # ---------------------------------------------------------------------------
 # CSV interface
 # ---------------------------------------------------------------------------
@@ -195,3 +183,28 @@ def test_control_csv_roundtrip():
 def test_control_csv_rejects_foreign_files():
     with pytest.raises(DomainError):
         cm.import_control_csv(io.StringIO("x,y\n1,2\n"))
+
+
+def _control_file(meta: str, rows: str) -> io.StringIO:
+    return io.StringIO(f"# fbmld-control v1\n# {meta}\ns_mid,vdot_c0\n{rows}")
+
+
+def test_control_csv_checks_columns_against_dim():
+    rows = "0.25,1.0\n0.75,2.0\n"
+    back = cm.import_control_csv(_control_file("hurst=0.75 n_steps=2 dim=1", rows))
+    np.testing.assert_array_equal(back.cell_values()[:, 0], [1.0, 2.0])
+    with pytest.raises(DimensionError, match="dim=2"):
+        cm.import_control_csv(_control_file("hurst=0.75 n_steps=2 dim=2", rows))
+
+
+@pytest.mark.parametrize("meta", [
+    "n_steps=2 dim=1",                       # no hurst
+    "hurst=0.75 dim=1",                      # no n_steps
+    "hurst=0.75 n_steps=2",                  # no dim
+    "hurst=0.75 n_steps=four dim=1",
+    "hurst=high n_steps=2 dim=1",
+    "hurst=0.75 n_steps=2 dim",
+])
+def test_control_csv_rejects_bad_header_fields(meta):
+    with pytest.raises(DomainError, match="header"):
+        cm.import_control_csv(_control_file(meta, "0.25,1.0\n0.75,2.0\n"))

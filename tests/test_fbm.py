@@ -375,3 +375,23 @@ def test_increments_binary_roundtrip(tmp_path):
     assert meta["hurst"] == 0.8 and meta["seed"] == 9
     assert meta["version"] == fbm.FORMAT_VERSION
     np.testing.assert_array_equal(inc, batch.bm_increments)
+
+
+def test_load_increments_checks_the_shape_and_the_records(tmp_path):
+    batch = fbm.sample_volterra(8, 0.8, 1, 5, seed=9)
+    path = tmp_path / "inc.npz"
+    fbm.export_increments(batch, str(path))
+    with np.load(path) as data:
+        meta, inc = data["meta"], data["increments"]
+    np.savez(path, meta=meta, increments=inc[:3])       # n_paths says 5
+    with pytest.raises(DomainError, match="metadata"):
+        fbm.load_increments(str(path))
+    np.savez(path, meta=meta, increments=inc[:, :, 0])  # no dim axis
+    with pytest.raises(DomainError, match="metadata"):
+        fbm.load_increments(str(path))
+    np.savez(path, increments=inc)
+    with pytest.raises(DomainError, match="record"):
+        fbm.load_increments(str(path))
+    np.savez(path, meta=meta)
+    with pytest.raises(DomainError, match="record"):
+        fbm.load_increments(str(path))

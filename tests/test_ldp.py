@@ -131,8 +131,8 @@ def test_terminal_target_needs_one_or_m_entries():
 
 def test_girsanov_zero_control_weight_one():
     w, logw = ldp.girsanov_weight(cm.zero_control(HURST, 32), 0.5,
-                                  np.zeros((32, 1)))
-    assert w == 1.0 and logw == 0.0
+                                  np.zeros((3, 32, 1)))
+    assert np.all(w == 1.0) and np.all(logw == 0.0)
 
 
 def test_girsanov_martingale_mean_small():
@@ -149,10 +149,11 @@ def test_girsanov_martingale_mean_small():
 
 def test_girsanov_shape_checks():
     ctrl = cm.zero_control(HURST, 32)
-    with pytest.raises(DimensionError):
-        ldp.girsanov_weight(ctrl, 1.0, np.zeros((16, 1)))
+    for shape in ((1, 16, 1), (1, 32, 2), (32, 1)):
+        with pytest.raises(DimensionError):
+            ldp.girsanov_weight(ctrl, 1.0, np.zeros(shape))
     with pytest.raises(DomainError):
-        ldp.girsanov_weight(ctrl, 0.0, np.zeros((32, 1)))
+        ldp.girsanov_weight(ctrl, 0.0, np.zeros((1, 32, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,14 +1027,6 @@ def test_is_probability_grid_mismatch():
                            hurst=HURST, n_steps=64)
 
 
-def test_is_probability_unpacks_as_pair():
-    ev = ldp.get_functional("terminal_exceedance", a=-1.0)
-    p, se = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 100, seed=1,
-                               ctrl=cm.zero_control(HURST, 64),
-                               hurst=HURST, n_steps=64)
-    assert p == 1.0 and se == 0.0
-
-
 def test_scaling_table_structure_and_determinism(monkeypatch):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     kwargs = dict(n_steps=128, cfg=SMALL_CFG)
@@ -1144,7 +1137,7 @@ def test_is_probability_chunked_matches_one_batch():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_mc_core_rejects_nan_and_plus_inf_scores(bad):
     # -inf is a zero score; NaN or +inf in any chunk is a numeric failure
-    def log_y(batch, states):
+    def log_y(states):
         out = np.zeros(len(states))
         out[-1] = bad
         return out
@@ -1170,7 +1163,7 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
     for terminal, states in seen.items():
         ldp._mc_log_mean(
             co, np.asarray(x0, dtype=float), eps, ldp._CHUNK + 5, 4, HURST,
-            n, lambda batch, s: states.append(s) or np.zeros(len(s)), ctrl,
+            n, lambda s: states.append(s) or np.zeros(len(s)), ctrl,
             terminal)
     term, full = np.concatenate(seen[True]), np.concatenate(seen[False])
     assert term.shape == (ldp._CHUNK + 5, 1, m)
@@ -1220,8 +1213,9 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
     want = run()
     assert got[0].n_hits == want[0].n_hits
     assert 0 < got[0].n_hits < n_samples or name == "zero"
-    for a, b in zip(got, want):
-        assert tuple(a) == pytest.approx(tuple(b), rel=1e-12, abs=0)
+    for attr, a, b in zip(("p_hat", "value"), got, want):
+        assert (getattr(a, attr), a.std_err) == pytest.approx(
+            (getattr(b, attr), b.std_err), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rate, eps", [(-40.0, 1.0), (-34.0, 64.0)],
@@ -1256,7 +1250,7 @@ def test_terminal_mc_chunks_over_the_bound_are_solved_in_full():
     co = sde.get_coefficients("linear_drift", rate=-32.0, scale=1.0)
     widths = []
     ldp._mc_log_mean(co, np.zeros(1), 64.0, 3000, 1, HURST, n,
-                     lambda batch, s: widths.append(s.shape[1])
+                     lambda s: widths.append(s.shape[1])
                      or np.zeros(len(s)), terminal=True)
     assert widths == [n + 1, 1]
 
