@@ -359,8 +359,7 @@ def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
     rows = []
     for i, eps in enumerate(cfg.eps_list):
         r = ldp.laplace_mc(coeffs, cfg.x0, h, eps, cfg.n_samples,
-                           rng.mix64(cfg.seed, i), variational.control,
-                           hurst=cfg.hurst, n_steps=cfg.n_steps)
+                           rng.mix64(cfg.seed, i), variational.control)
         rows.append({"eps": eps, "value": r.value, "std_err": r.std_err,
                      "variational": variational.value, "h_inf": h.inf_h,
                      "h_sup": h.sup_h, "n_hits": r.n_hits, "ess": r.ess,

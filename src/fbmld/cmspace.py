@@ -202,14 +202,17 @@ def import_control_csv(fh) -> CmControl:
         raise DomainError(f"control file header {' '.join(meta)!r} lacks a "
                           "valid hurst, n_steps or dim") from None
     fh.readline()                                    # column header
-    rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
-    cells = np.asarray(rows)[:, 1:]
-    if cells.shape[0] != n_steps:
-        raise DimensionError(
-            f"control file announces n_steps={n_steps} but has {cells.shape[0]} rows"
-        )
-    if cells.shape[1] != dim:
-        raise DimensionError(
-            f"control file announces dim={dim} but has {cells.shape[1]} density columns"
-        )
-    return control_from_cells(hurst, cells)
+    rows = [line.strip().split(",") for line in fh if line.strip()]
+    if len(rows) != n_steps:
+        raise DimensionError(f"control file announces n_steps={n_steps} "
+                             f"but has {len(rows)} rows")
+    for i, row in enumerate(rows, 1):
+        if len(row) != dim + 1:
+            raise DimensionError(f"control file announces dim={dim} but row "
+                                 f"{i} has {len(row) - 1} density columns")
+    try:
+        table = np.array([list(map(float, row)) for row in rows])
+    except ValueError as exc:
+        raise DomainError(f"control file holds a value that is not a "
+                          f"number: {exc}") from None
+    return control_from_cells(hurst, table.reshape(n_steps, dim + 1)[:, 1:])

@@ -761,8 +761,7 @@ class _McMean(NamedTuple):
 
 
 def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
-                 n_samples: int, seed: int, hurst: float, n_steps: int,
-                 log_y, ctrl: CmControl | None = None,
+                 n_samples: int, seed: int, log_y, ctrl: CmControl,
                  terminal: bool = False) -> _McMean:
     """Monte Carlo mean of a path score Y >= 0, in log space.
 
@@ -776,23 +775,20 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     ``ctrl`` (the measure tilt eps^(-1/2) v) is the Girsanov shift of the
     Brownian increments by vdot ds / sqrt(eps), so the driver gains dv; it
     adds each path's Girsanov log weight, on the unshifted increments, to
-    its log Y.  None or the zero control is crude Monte Carlo, with no
-    shift and no weight.  The moments come from the nonzero Y in path
-    order, so the error bar stays finite where the squared mean would
-    underflow; see :class:`_McMean`.
+    its log Y.  Paths are sampled on the control's grid and Hurst index;
+    the zero control is crude Monte Carlo, with no shift and no weight.
+    The moments come from the nonzero Y in path order, so the error bar
+    stays finite where the squared mean would underflow; see :class:`_McMean`.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if ctrl.dim != coeffs.d:
+        raise DimensionError(f"tilt control has dim {ctrl.dim}, but the "
+                             f"coefficients have d = {coeffs.d}")
+    n_steps, hurst = ctrl.n_steps, ctrl.hurst
     shift = None
-    if ctrl is not None:
-        if ctrl.n_steps != n_steps or ctrl.dim != coeffs.d:
-            raise DimensionError(
-                "tilt control does not match the sampling grid")
-        if np.any(ctrl.cell_values()):
-            if ctrl.hurst != hurst:
-                raise DomainError(
-                    f"tilt is for hurst {ctrl.hurst}, not {hurst}")
-            shift = ctrl.cell_values() / (n_steps * math.sqrt(eps))
+    if np.any(ctrl.cell_values()):
+        shift = ctrl.cell_values() / (n_steps * math.sqrt(eps))
     drive = _mc_drive(coeffs, tuple(map(float, x0)), n_steps, hurst,
                       terminal)
     scores = np.empty(n_samples)
@@ -841,16 +837,15 @@ class LaplaceMcResult:
 
 
 def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
-               n_samples: int, seed: int, ctrl: CmControl | None = None, *,
-               hurst: float, n_steps: int) -> LaplaceMcResult:
+               n_samples: int, seed: int, ctrl: CmControl) -> LaplaceMcResult:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
 
     The exponential average is taken in log space by :func:`_mc_log_mean`,
     so the output is always inside [inf h, sup h]; the standard error comes
-    from the delta method.  ``ctrl`` tilts the sampling measure as in
-    :func:`is_probability`; the CLI passes the
-    :func:`laplace_variational` minimiser.  None, or the zero control, is
-    crude Monte Carlo.
+    from the delta method.  ``ctrl`` tilts the sampling measure, and sets
+    its grid and Hurst index, as in :func:`is_probability`; the CLI passes
+    the :func:`laplace_variational` minimiser.  The zero control is crude
+    Monte Carlo.
     """
     _require_role(h, "functional")
     if not 0.0 < eps <= 1.0:
@@ -859,10 +854,9 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
         raise DomainError(
             f"laplace_mc needs n_samples >= {LAPLACE_MIN_SAMPLES}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    g = h.bind(coeffs, x0, n_steps)
-    mc = _mc_log_mean(coeffs, x0, eps, n_samples, seed, hurst, n_steps,
-                      lambda states: -g(states)[0] / eps, ctrl,
-                      h.terminal)
+    g = h.bind(coeffs, x0, ctrl.n_steps)
+    mc = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
+                      lambda states: -g(states)[0] / eps, ctrl, h.terminal)
     return LaplaceMcResult(value=-eps * mc.log_mean, std_err=eps * mc.rel_se,
                            n_samples=n_samples, n_hits=mc.n_nonzero,
                            ess=mc.ess, max_weight_share=mc.max_share)
@@ -903,33 +897,31 @@ class ProbEstimate:
     n_samples: int
     ess: float = 0.0
     max_weight_share: float = math.nan
-    flagged: bool = False
-    note: str = ""
 
 
 def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
-                   eps: float, n_samples: int, seed: int, ctrl: CmControl,
-                   *, hurst: float, n_steps: int) -> ProbEstimate:
+                   eps: float, n_samples: int, seed: int,
+                   ctrl: CmControl) -> ProbEstimate:
     """Importance-sampled probability of the event under the small-noise SDE.
 
-    Samples fBm through the Volterra map, shifts the driver by the control
-    (the measure tilt eps^(-1/2) v), solves the controlled SDE, and averages
-    indicator times Girsanov weight through :func:`_mc_log_mean`, so memory
-    does not grow with ``n_samples``.  Pass the zero control for crude
-    Monte Carlo; :func:`scaling_table` tilts by the rate minimizer.
+    Samples fBm on the control's grid and Hurst index, shifts it by the
+    control (the measure tilt eps^(-1/2) v), solves the controlled SDE,
+    and averages indicator times Girsanov weight through
+    :func:`_mc_log_mean`, so memory does not grow with ``n_samples``.  The
+    zero control is crude Monte Carlo; :func:`scaling_table` tilts by the
+    rate minimizer.
     """
     _require_role(event, "event")
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    g = event.bind(coeffs, x0, n_steps)
+    g = event.bind(coeffs, x0, ctrl.n_steps)
     mc = _mc_log_mean(
-        coeffs, x0, eps, n_samples, seed, hurst, n_steps,
+        coeffs, x0, eps, n_samples, seed,
         lambda states: np.where(g(states)[0] <= 0.0, 0.0, -math.inf),
         ctrl, event.terminal)
     if mc.n_nonzero == 0:
-        return ProbEstimate(0.0, 0.0, 0, n_samples, flagged=True,
-                            note="no hits; consider a larger tilt or eps")
+        return ProbEstimate(0.0, 0.0, 0, n_samples)
     p_hat = math.exp(mc.log_mean)
     return ProbEstimate(p_hat, p_hat * mc.rel_se, mc.n_nonzero, n_samples,
                         mc.ess, mc.max_share)
@@ -962,8 +954,7 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
     rows = []
     for i, eps in enumerate(eps_list):
         est = is_probability(coeffs, x0, event, eps, n_samples,
-                             rng.mix64(seed, i), ctrl=tilt,
-                             hurst=cfg.hurst, n_steps=n_steps)
+                             rng.mix64(seed, i), tilt)
         neg = -eps * math.log(est.p_hat) if est.p_hat > 0 else math.inf
         rows.append({
             "eps": eps,

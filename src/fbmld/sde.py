@@ -5,13 +5,14 @@ left-point.  Its noise sum differs from the midpoint-frozen Young engine
 ``fracops.young_rs(sigma(X), g)`` by half the discrete cross-variation
 ``sum_k (sigma(X_{k+1}) - sigma(X_k)) (g_{k+1} - g_k)``, which vanishes
 like n^(1-2H) for H > 1/2.  Coefficients come from a registry of
-built-in families with recorded Lipschitz/Holder metadata, which keeps the
+built-in families with recorded Lipschitz constants, which keeps the
 well-posedness constants truthful and testable; user-supplied callables are
 deliberately not accepted.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -49,14 +50,14 @@ class CoefficientSet:
     i = j < min(m, d) and 0 otherwise -- the ``eye(m, d)`` embedding, so
     state rows past d get no noise and driver components past m are
     ignored.  Every registry family is diagonal.
-    The metadata records the constants in the well-posedness assumptions:
-    ``lipschitz_drift`` (L), ``lipschitz_sigma`` (M), ``time_holder``
-    (lambda), ``grad_holder`` (gamma).  Registry entries satisfy those
-    assumptions analytically; a finite-difference spot check lives in the
-    test suite.  ``affine`` marks families whose drift is affine in x and
-    whose diffusion does not depend on x: their Euler states are affine in
-    the driver increments, which lets the control searches evaluate
-    skeletons by one cached linear map (``ldp._SkeletonObjective``).
+    The metadata records the Lipschitz constants in the well-posedness
+    assumptions: ``lipschitz_drift`` (L) and ``lipschitz_sigma`` (M).
+    Registry entries satisfy those assumptions analytically; a
+    finite-difference spot check lives in the test suite.  ``affine``
+    marks families whose drift is affine in x and whose diffusion does not
+    depend on x: their Euler states are affine in the noise increments,
+    which lets the control searches evaluate skeletons by one cached
+    linear map (``ldp._SkeletonObjective``).
     ``drift_jac`` and ``diffusion_jac`` are the elementwise derivatives
     db_i/dx_i and ds_i/dx_i, shaped like ``drift`` and ``diffusion``, of
     families whose drift acts per component; the control searches' adjoint
@@ -72,59 +73,50 @@ class CoefficientSet:
     diffusion: callable
     lipschitz_drift: float
     lipschitz_sigma: float
-    time_holder: float
-    grad_holder: float
     affine: bool = False
     drift_jac: callable | None = None
     diffusion_jac: callable | None = None
     params: dict = field(default_factory=dict)
 
     def admissible_alpha(self, hurst: float) -> tuple[float, float]:
-        """Open interval of admissible alpha for this entry at this H."""
-        lo = 1.0 - hurst
-        hi = min(0.5, self.time_holder,
-                 self.grad_holder / (1.0 + self.grad_holder))
-        return lo, hi
+        """Open interval (1 - H, 1/2) of admissible alpha at this H: the
+        upper end min(1/2, lambda, gamma / (1 + gamma)) is 1/2, as registry
+        families do not depend on t (lambda = 1) and their sigma' is
+        Lipschitz (gamma = 1)."""
+        return 1.0 - hurst, 0.5
 
 
-def _entry_zero(m, d, params):
+def _entry_zero(m, d):
     return dict(
         drift=lambda t, x: 0.0 * x,
         diffusion=lambda t, x: 0.0,
         drift_jac=lambda t, x: np.zeros_like(x),
         diffusion_jac=lambda t, x: 0.0,
-        lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
-        affine=True,
+        lipschitz_drift=0.0, lipschitz_sigma=0.0, affine=True,
     )
 
 
-def _entry_constant(m, d, params):
-    scale = params.setdefault("scale", 1.0)
-    b0 = params.setdefault("drift_const", 0.0)
+def _entry_constant(m, d, scale=1.0, drift_const=0.0):
     return dict(
-        drift=lambda t, x: np.full_like(x, b0),
+        drift=lambda t, x: np.full_like(x, drift_const),
         diffusion=lambda t, x: scale,
         drift_jac=lambda t, x: np.zeros_like(x),
         diffusion_jac=lambda t, x: 0.0,
-        lipschitz_drift=0.0, lipschitz_sigma=0.0, time_holder=1.0, grad_holder=1.0,
-        affine=True,
+        lipschitz_drift=0.0, lipschitz_sigma=0.0, affine=True,
     )
 
 
-def _entry_linear_drift(m, d, params):
-    rate = params.setdefault("rate", 1.0)
-    scale = params.setdefault("scale", 0.0)
+def _entry_linear_drift(m, d, rate=1.0, scale=0.0):
     return dict(
         drift=lambda t, x: -rate * x,
         diffusion=lambda t, x: scale,
         drift_jac=lambda t, x: np.full_like(x, -rate),
         diffusion_jac=lambda t, x: 0.0,
-        lipschitz_drift=abs(rate), lipschitz_sigma=0.0,
-        time_holder=1.0, grad_holder=1.0, affine=True,
+        lipschitz_drift=abs(rate), lipschitz_sigma=0.0, affine=True,
     )
 
 
-def _entry_linear_sigma(m, d, params):
+def _entry_linear_sigma(m, d):
     if m != d:
         raise DomainError("linear_sigma requires m == d")
     return dict(
@@ -132,40 +124,35 @@ def _entry_linear_sigma(m, d, params):
         diffusion=lambda t, x: x,
         drift_jac=lambda t, x: np.zeros_like(x),
         diffusion_jac=lambda t, x: np.ones_like(x),
-        lipschitz_drift=0.0, lipschitz_sigma=1.0, time_holder=1.0, grad_holder=1.0,
+        lipschitz_drift=0.0, lipschitz_sigma=1.0,
     )
 
 
-def _entry_tanh(m, d, params):
+def _entry_tanh(m, d, drift_scale=1.0, sigma_base=1.0, sigma_scale=0.5):
     if m != d:
         raise DomainError("tanh requires m == d")
-    b_scale = params.setdefault("drift_scale", 1.0)
-    s0 = params.setdefault("sigma_base", 1.0)
-    s1 = params.setdefault("sigma_scale", 0.5)
     return dict(
-        drift=lambda t, x: b_scale * np.tanh(x),
-        diffusion=lambda t, x: s0 + s1 * np.tanh(x),
-        drift_jac=lambda t, x: b_scale * (1.0 - np.tanh(x) ** 2),
-        diffusion_jac=lambda t, x: s1 * (1.0 - np.tanh(x) ** 2),
-        lipschitz_drift=abs(b_scale), lipschitz_sigma=abs(s1),
-        time_holder=1.0, grad_holder=1.0,
+        drift=lambda t, x: drift_scale * np.tanh(x),
+        diffusion=lambda t, x: sigma_base + sigma_scale * np.tanh(x),
+        drift_jac=lambda t, x: drift_scale * (1.0 - np.tanh(x) ** 2),
+        diffusion_jac=lambda t, x: sigma_scale * (1.0 - np.tanh(x) ** 2),
+        lipschitz_drift=abs(drift_scale), lipschitz_sigma=abs(sigma_scale),
     )
 
 
-def _entry_rotation(m, d, params):
+def _entry_rotation(m, d, omega=1.0, scale=1.0):
     if m != 2:
         raise DomainError("rotation requires m == 2")
-    omega = params.setdefault("omega", 1.0)
-    scale = params.setdefault("scale", 1.0)
     gen = omega * np.array([[0.0, -1.0], [1.0, 0.0]])
     return dict(
         drift=lambda t, x: x @ gen.T,
         diffusion=lambda t, x: scale,
-        lipschitz_drift=abs(omega), lipschitz_sigma=0.0,
-        time_holder=1.0, grad_holder=1.0, affine=True,
+        lipschitz_drift=abs(omega), lipschitz_sigma=0.0, affine=True,
     )
 
 
+# name -> build function, which takes m, d and then the family's
+# parameters, with their defaults, as keywords
 _REGISTRY = {
     "zero": _entry_zero,
     "constant": _entry_constant,
@@ -181,18 +168,21 @@ def registry_names() -> list[str]:
 
 
 def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> CoefficientSet:
-    """Build a registry coefficient set for state dim m and driver dim d."""
+    """Build a registry coefficient set for state dim m and noise dim d,
+    checking and recording its parameters as :func:`ldp.get_functional`
+    does."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown coefficient family {name!r}; "
                           f"choose from {registry_names()}")
-    defaults = {}
-    _REGISTRY[name](m, d, defaults)
-    unread = sorted(set(params) - set(defaults))
+    build = _REGISTRY[name]
+    reads = dict(list(inspect.signature(build).parameters.items())[2:])
+    unread = sorted(set(params) - set(reads))
     if unread:
         raise DomainError(f"coefficient family {name!r} takes no parameter "
-                          f"{unread}; it reads {sorted(defaults)}")
-    spec = _REGISTRY[name](m, d, params)
-    return CoefficientSet(name=name, m=m, d=d, params=params, **spec)
+                          f"{unread}; it reads {sorted(reads)}")
+    params = {key: params.get(key, arg.default) for key, arg in reads.items()}
+    return CoefficientSet(name=name, m=m, d=d, params=params,
+                          **build(m, d, **params))
 
 
 # ---------------------------------------------------------------------------

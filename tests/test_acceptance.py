@@ -208,8 +208,7 @@ def test_criterion_08_rare_event_is(additive_rate):
     event = ldp.get_functional("terminal_exceedance", a=1.0)
     tilt = retile(additive_rate.block_values, n_steps)
     est = ldp.is_probability(ADDITIVE, [0.0], event, eps, n_samples,
-                             seed=2025, ctrl=tilt, hurst=HURST_ADD,
-                             n_steps=n_steps)
+                             seed=2025, ctrl=tilt)
     p_true = gaussian_tail(5.0)
     dev = abs(est.p_hat - p_true) / est.std_err
     ok_is = dev <= 3.0
@@ -220,11 +219,9 @@ def test_criterion_08_rare_event_is(additive_rate):
         ldp.rate_minimize(ADDITIVE, [0.0], ev5, cfg=RATE_CFG).block_values,
         n_steps)
     crude = ldp.is_probability(ADDITIVE, [0.0], ev5, 0.25, n_samples,
-                               seed=31, ctrl=zero, hurst=HURST_ADD,
-                               n_steps=n_steps)
+                               seed=31, ctrl=zero)
     issam = ldp.is_probability(ADDITIVE, [0.0], ev5, 0.25, n_samples,
-                               seed=32, ctrl=tilt5, hurst=HURST_ADD,
-                               n_steps=n_steps)
+                               seed=32, ctrl=tilt5)
     joint = math.hypot(crude.std_err, issam.std_err)
     dev2 = abs(crude.p_hat - issam.p_hat) / joint
     ok_agree = dev2 <= 3.0
@@ -281,8 +278,8 @@ def test_criterion_10_laplace_sandwich_and_trend():
     variational = ldp.laplace_variational(ADDITIVE, [0.0], h,
                                           cfg=RATE_CFG).value
     rows = [ldp.laplace_mc(ADDITIVE, [0.0], h, eps, 20_000,
-                           seed=rng.mix64(10, i), hurst=HURST_ADD,
-                           n_steps=256)
+                           seed=rng.mix64(10, i),
+                           ctrl=cm.zero_control(HURST_ADD, 256))
             for i, eps in enumerate((0.5, 0.2, 0.1))]
     values = [r.value for r in rows]
     oks = [h.inf_h <= v <= h.sup_h for v in values]

@@ -197,6 +197,16 @@ def test_control_csv_checks_columns_against_dim():
         cm.import_control_csv(_control_file("hurst=0.75 n_steps=2 dim=2", rows))
 
 
+@pytest.mark.parametrize("rows, error, match", [
+    ("", DimensionError, "n_steps=2 but has 0 rows"),
+    ("0.25,1.0\n0.75\n", DimensionError, "row 2 has 0 density columns"),
+    ("0.25,1.0\n0.75,high\n", DomainError, "not a number.*'high'"),
+], ids=["no_rows", "short_row", "not_a_number"])
+def test_control_csv_rejects_malformed_bodies(rows, error, match):
+    with pytest.raises(error, match=match):
+        cm.import_control_csv(_control_file("hurst=0.75 n_steps=2 dim=1", rows))
+
+
 @pytest.mark.parametrize("meta", [
     "n_steps=2 dim=1",                       # no hurst
     "hurst=0.75 dim=1",                      # no n_steps

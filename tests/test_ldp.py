@@ -90,14 +90,13 @@ def test_functionals_reject_a_negative_cap():
 ROLE_MISTAKES = {
     "rate_minimize": lambda h: ldp.rate_minimize(ADDITIVE, [0.0], h, SMALL_CFG),
     "is_probability": lambda h: ldp.is_probability(
-        ADDITIVE, [0.0], h, 0.5, 100, 3, cm.zero_control(HURST, 32),
-        hurst=HURST, n_steps=32),
+        ADDITIVE, [0.0], h, 0.5, 100, 3, cm.zero_control(HURST, 32)),
     "scaling_table": lambda h: ldp.scaling_table(
         ADDITIVE, [0.0], h, [0.5], 100, 3, n_steps=32, cfg=SMALL_CFG),
     "laplace_variational": lambda h: ldp.laplace_variational(
         ADDITIVE, [0.0], h, SMALL_CFG),
     "laplace_mc": lambda h: ldp.laplace_mc(
-        ADDITIVE, [0.0], h, 0.5, 1000, 3, hurst=HURST, n_steps=32),
+        ADDITIVE, [0.0], h, 0.5, 1000, 3, cm.zero_control(HURST, 32)),
 }
 
 
@@ -715,8 +714,7 @@ def geometric_scaling():
     rows = ldp.scaling_table(co, [1.0], ev, [0.25, 0.1, 0.05], 20_000, 61,
                              n_steps=128, cfg=cfg)
     crude = ldp.is_probability(co, [1.0], ev, 0.1, 20_000, 62,
-                               cm.zero_control(0.7, 128), hurst=0.7,
-                               n_steps=128)
+                               cm.zero_control(0.7, 128))
     return rows, crude
 
 
@@ -766,32 +764,29 @@ def test_laplace_variational_matches_scan_oracle():
 
 def test_laplace_mc_constant_exact_and_guards():
     hc = ldp.get_functional("constant", level=0.7)
-    r = ldp.laplace_mc(ADDITIVE, [0.0], hc, 0.3, 1000, seed=5,
-                       hurst=HURST, n_steps=64)
+    crude = cm.zero_control(HURST, 64)
+    r = ldp.laplace_mc(ADDITIVE, [0.0], hc, 0.3, 1000, seed=5, ctrl=crude)
     assert r.value == pytest.approx(0.7, abs=1e-12)
     assert r.std_err == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(DomainError):
-        ldp.laplace_mc(ADDITIVE, [0.0], hc, 1.5, 1000, seed=5,
-                       hurst=HURST, n_steps=64)
+        ldp.laplace_mc(ADDITIVE, [0.0], hc, 1.5, 1000, seed=5, ctrl=crude)
     with pytest.raises(DomainError):
-        ldp.laplace_mc(ADDITIVE, [0.0], hc, 0.3, 10, seed=5,
-                       hurst=HURST, n_steps=64)
+        ldp.laplace_mc(ADDITIVE, [0.0], hc, 0.3, 10, seed=5, ctrl=crude)
 
 
 def test_laplace_mc_sandwich_always():
     h = ldp.get_functional("terminal_shortfall")
     for eps in (1.0, 0.25, 0.05):
         r = ldp.laplace_mc(ADDITIVE, [0.0], h, eps, 1000, seed=8,
-                           hurst=HURST, n_steps=64)
+                           ctrl=cm.zero_control(HURST, 64))
         assert h.inf_h <= r.value <= h.sup_h
 
 
 def test_laplace_mc_deterministic():
     h = ldp.get_functional("terminal_shortfall")
-    a = ldp.laplace_mc(ADDITIVE, [0.0], h, 0.25, 1000, seed=9,
-                       hurst=HURST, n_steps=64)
-    b = ldp.laplace_mc(ADDITIVE, [0.0], h, 0.25, 1000, seed=9,
-                       hurst=HURST, n_steps=64)
+    a, b = [ldp.laplace_mc(ADDITIVE, [0.0], h, 0.25, 1000, seed=9,
+                           ctrl=cm.zero_control(HURST, 64))
+            for _ in range(2)]
     assert a.value == b.value and a.std_err == b.std_err
 
 
@@ -857,19 +852,19 @@ ORACLE_EPS = (0.5, 0.2, 0.1, 0.05)
 
 def _oracle_mc(eps, ctrl):
     return ldp.laplace_mc(ADDITIVE, [0.0], ORACLE_H, eps, 10_000,
-                          rng.mix64(18, ORACLE_EPS.index(eps)), ctrl,
-                          hurst=ORACLE_HURST, n_steps=ORACLE_N)
+                          rng.mix64(18, ORACLE_EPS.index(eps)), ctrl)
 
 
 def test_crude_laplace_mc_matches_the_exact_additive_value():
     # crude Monte Carlo is itself a rare-event estimator at small eps: at
     # 0.05 a handful of the 10k paths carry the mean, its delta-method
     # error bar means nothing, and the health fields say so
+    crude = cm.zero_control(ORACLE_HURST, ORACLE_N)
     for eps in (0.5, 0.2):
-        r = _oracle_mc(eps, None)
+        r = _oracle_mc(eps, crude)
         assert abs(r.value - _exact_laplace(eps)) <= 3.0 * r.std_err, (eps, r)
         assert r.ess > 500.0, (eps, r)
-    r = _oracle_mc(0.05, None)
+    r = _oracle_mc(0.05, crude)
     assert r.ess < 100.0 and r.max_weight_share > 0.1, r
 
 
@@ -885,26 +880,35 @@ def test_tilted_laplace_mc_matches_the_exact_additive_value():
 
 @pytest.mark.parametrize("family, n", [("constant", 64), ("tanh", 32)],
                          ids=["terminal_route", "euler_route"])
-def test_laplace_mc_zero_control_is_the_crude_estimator(family, n):
+def test_zero_control_computes_no_weight(monkeypatch, family, n):
+    # crude Monte Carlo is the zero control, and it weighs no path; a tilt
+    # on the same run does, so the patch is seen
+    calls = []
+    weight = ldp.girsanov_weight
+    monkeypatch.setattr(ldp, "girsanov_weight",
+                        lambda *args: calls.append(1) or weight(*args))
     co = sde.get_coefficients(family)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     h = ldp.get_functional("terminal_shortfall")
-    crude = ldp.laplace_mc(co, [0.0], h, 0.25, 1500, 9, hurst=HURST,
-                           n_steps=n)
-    zero = ldp.laplace_mc(co, [0.0], h, 0.25, 1500, 9,
-                          cm.zero_control(HURST, n), hurst=HURST, n_steps=n)
-    assert [float(v).hex() for v in dataclasses.astuple(zero)] == \
-        [float(v).hex() for v in dataclasses.astuple(crude)]
+    for ctrl, weighed in [(cm.zero_control(HURST, n), False),
+                          (cm.control_from_cells(HURST, _cells(n, 1)), True)]:
+        ldp.is_probability(co, [0.0], ev, 0.25, 1500, 9, ctrl)
+        assert bool(calls) == weighed, ("is_probability", ctrl)
+        calls.clear()
+        ldp.laplace_mc(co, [0.0], h, 0.25, 1500, 9, ctrl)
+        assert bool(calls) == weighed, ("laplace_mc", ctrl)
+        calls.clear()
 
 
 def test_laplace_mc_checks_the_tilt():
+    # both estimators sample on the tilt's grid and Hurst index; its dim
+    # must still be the coefficients' d
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
     h = ldp.get_functional("terminal_shortfall")
-    with pytest.raises(DimensionError, match="grid"):
-        ldp.laplace_mc(ADDITIVE, [0.0], h, 0.5, 1000, 3,
-                       cm.zero_control(HURST, 16), hurst=HURST, n_steps=32)
-    tilt = cm.control_from_cells(0.7, np.full((32, 1), 0.5))
-    with pytest.raises(DomainError, match="hurst"):
-        ldp.laplace_mc(ADDITIVE, [0.0], h, 0.5, 1000, 3, tilt, hurst=HURST,
-                       n_steps=32)
+    tilt = cm.control_from_cells(HURST, np.full((32, 2), 0.5))
+    for estimator, entry in [(ldp.is_probability, ev), (ldp.laplace_mc, h)]:
+        with pytest.raises(DimensionError, match="dim 2.*d = 1"):
+            estimator(ADDITIVE, [0.0], entry, 0.5, 1000, 3, tilt)
 
 
 def test_health_fields_flag_a_mis_aimed_tilt():
@@ -918,8 +922,7 @@ def test_health_fields_flag_a_mis_aimed_tilt():
     wrong = ldp.control_from_blocks(-aimed.block_values.ravel(), cfg, 1)
     for i, eps in enumerate((0.5, 0.2, 0.1)):
         got = {name: ldp.laplace_mc(co, [0.0], h, eps, 2000,
-                                    rng.mix64(7, i), ctrl, hurst=0.75,
-                                    n_steps=64)
+                                    rng.mix64(7, i), ctrl)
                for name, ctrl in (("aimed", aimed.control),
                                   ("wrong", wrong))}
         assert got["wrong"].ess < got["aimed"].ess, eps
@@ -939,8 +942,7 @@ def test_is_probability_sure_event():
     # zero-tilt weights are exactly one, so p_hat is exactly 1
     ev = ldp.get_functional("terminal_exceedance", a=-1.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 500,
-                             seed=1, ctrl=cm.zero_control(HURST, 64),
-                             hurst=HURST, n_steps=64)
+                             seed=1, ctrl=cm.zero_control(HURST, 64))
     assert est.p_hat == 1.0
     assert est.std_err == pytest.approx(0.0, abs=1e-12)
     assert est.n_hits == 500
@@ -951,9 +953,8 @@ def test_is_probability_sure_event():
 def test_is_probability_zero_hits_flagged():
     ev = ldp.get_functional("terminal_exceedance", a=50.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 300,
-                             seed=1, ctrl=cm.zero_control(HURST, 64),
-                             hurst=HURST, n_steps=64)
-    assert est.flagged and est.p_hat == 0.0 and "tilt" in est.note
+                             seed=1, ctrl=cm.zero_control(HURST, 64))
+    assert est.n_hits == 0 and est.p_hat == 0.0
 
 
 @pytest.mark.parametrize("tilt", [0.0, 0.5])
@@ -964,7 +965,7 @@ def test_is_probability_crude_matches_gaussian(tilt):
     ev = ldp.get_functional("terminal_exceedance", a=a)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), tilt))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, 4000, seed=44,
-                             ctrl=ctrl, hurst=HURST, n_steps=n)
+                             ctrl=ctrl)
     sigma_n = math.sqrt(float(np.sum(fbm.kernel_table(n, HURST)[n] ** 2)) / n)
     p_ref = 0.5 * math.erfc(a / (math.sqrt(eps) * sigma_n) / math.sqrt(2.0))
     assert abs(est.p_hat - p_ref) <= 3 * est.std_err
@@ -985,29 +986,12 @@ def test_tilt_is_girsanov_shift_of_sampled_increments():
     np.testing.assert_allclose(states[:, :, 0], want, rtol=0, atol=1e-12)
 
 
-def test_is_probability_rejects_a_tilt_for_another_hurst():
-    # a unit-density tilt built at H = 0.9 shifts paths sampled at H = 0.6
-    # by the wrong kernel; p_hat was biased by ~75 standard errors
-    n = 64
-    ev = ldp.get_functional("terminal_exceedance", a=1.0)
-    tilt = cm.control_from_cells(0.9, np.ones((n, 1)))
-    with pytest.raises(DomainError, match="hurst"):
-        ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 4000, seed=1,
-                           ctrl=tilt, hurst=HURST, n_steps=n)
-    # the zero control tilts nothing, whatever hurst it was built for
-    est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 100, seed=1,
-                             ctrl=cm.zero_control(0.9, n), hurst=HURST,
-                             n_steps=n)
-    assert est.n_samples == 100
-
-
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_is_probability_rejects_nonpositive_eps(eps):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     with pytest.raises(DomainError, match="eps"):
         ldp.is_probability(ADDITIVE, [0.0], ev, eps, 100, seed=1,
-                           ctrl=cm.zero_control(HURST, 64),
-                           hurst=HURST, n_steps=64)
+                           ctrl=cm.zero_control(HURST, 64))
 
 
 @pytest.mark.parametrize("n_samples", [0, -5])
@@ -1015,16 +999,7 @@ def test_is_probability_rejects_fewer_than_one_sample(n_samples):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     with pytest.raises(DomainError, match="n_samples"):
         ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_samples, seed=1,
-                           ctrl=cm.zero_control(HURST, 64),
-                           hurst=HURST, n_steps=64)
-
-
-def test_is_probability_grid_mismatch():
-    ev = ldp.get_functional("terminal_exceedance", a=0.5)
-    with pytest.raises(DimensionError):
-        ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 100, seed=1,
-                           ctrl=cm.zero_control(HURST, 32),
-                           hurst=HURST, n_steps=64)
+                           ctrl=cm.zero_control(HURST, 64))
 
 
 def test_scaling_table_structure_and_determinism(monkeypatch):
@@ -1077,7 +1052,8 @@ def test_monte_carlo_drive_is_the_callers_coefficient_set():
     doubled = dataclasses.replace(ADDITIVE, diffusion=lambda t, x: 2.0)
     h = ldp.get_functional("terminal_shortfall")
     base, got, want = [
-        ldp.laplace_mc(co, [0.0], h, 0.25, 1000, 3, hurst=HURST, n_steps=32)
+        ldp.laplace_mc(co, [0.0], h, 0.25, 1000, 3,
+                       cm.zero_control(HURST, 32))
         for co in (ADDITIVE, doubled,
                    sde.get_coefficients("constant", scale=2.0))]
     assert got.value == pytest.approx(want.value, rel=1e-12)
@@ -1098,14 +1074,12 @@ def test_laplace_mc_chunked_matches_one_batch():
     h = ldp.get_functional("terminal_shortfall")
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
     tilt = cm.control_from_cells(HURST, _cells(n, 1))
-    for co, ctrl in [(ADDITIVE, None), (sde.get_coefficients("tanh"), tilt)]:
-        r = ldp.laplace_mc(co, [0.0], h, eps, N_CHUNKED, seed, ctrl,
-                           hurst=HURST, n_steps=n)
-        inc = math.sqrt(eps) * np.diff(batch.values, axis=1)
-        w = 1.0
-        if ctrl is not None:
-            inc += ctrl.path.increments()
-            w = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)[0]
+    for co, ctrl in [(ADDITIVE, cm.zero_control(HURST, n)),
+                     (sde.get_coefficients("tanh"), tilt)]:
+        r = ldp.laplace_mc(co, [0.0], h, eps, N_CHUNKED, seed, ctrl)
+        inc = ctrl.path.increments() \
+            + math.sqrt(eps) * np.diff(batch.values, axis=1)
+        w = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)[0]
         states = sde.solve_increments(np.zeros(1), co, inc)
         y = np.exp(-h.bind(co, np.zeros(1), n)(states)[0] / eps) * w
         value = -eps * math.log(y.mean())
@@ -1120,7 +1094,7 @@ def test_is_probability_chunked_matches_one_batch():
     ev = ldp.get_functional("terminal_exceedance", a=0.6)
     ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.4))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, N_CHUNKED, seed,
-                             ctrl=ctrl, hurst=HURST, n_steps=n)
+                             ctrl=ctrl)
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
     dv = ctrl.path.increments()
     inc = dv[None] + math.sqrt(eps) * np.diff(batch.values, axis=1)
@@ -1144,7 +1118,7 @@ def test_mc_core_rejects_nan_and_plus_inf_scores(bad):
 
     with pytest.raises(NumericError):
         ldp._mc_log_mean(ADDITIVE, np.zeros(1), 0.25, ldp._CHUNK + 3, 1,
-                         HURST, 16, log_y)
+                         log_y, cm.zero_control(HURST, 16))
 
 
 def _cells(n, d, seed=2):
@@ -1158,13 +1132,13 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
                                               tilted):
     n, eps = 32, 0.25
     co = sde.get_coefficients(name, m=m, d=d, **params)
-    ctrl = cm.control_from_cells(HURST, _cells(n, d)) if tilted else None
+    ctrl = cm.control_from_cells(
+        HURST, _cells(n, d) if tilted else np.zeros((n, d)))
     seen = {True: [], False: []}
     for terminal, states in seen.items():
         ldp._mc_log_mean(
-            co, np.asarray(x0, dtype=float), eps, ldp._CHUNK + 5, 4, HURST,
-            n, lambda s: states.append(s) or np.zeros(len(s)), ctrl,
-            terminal)
+            co, np.asarray(x0, dtype=float), eps, ldp._CHUNK + 5, 4,
+            lambda s: states.append(s) or np.zeros(len(s)), ctrl, terminal)
     term, full = np.concatenate(seen[True]), np.concatenate(seen[False])
     assert term.shape == (ldp._CHUNK + 5, 1, m)
     np.testing.assert_allclose(term[:, 0], full[:, -1], rtol=0,
@@ -1202,10 +1176,9 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
     ctrl = cm.control_from_cells(HURST, cells)
 
     def run():
-        est = ldp.is_probability(co, x0, ev, eps, n_samples, seed, ctrl,
-                                 hurst=HURST, n_steps=n)
-        lap = ldp.laplace_mc(co, x0, h, eps, n_samples, seed, hurst=HURST,
-                             n_steps=n)
+        est = ldp.is_probability(co, x0, ev, eps, n_samples, seed, ctrl)
+        lap = ldp.laplace_mc(co, x0, h, eps, n_samples, seed,
+                             cm.zero_control(HURST, n, d))
         return est, lap
 
     got = run()
@@ -1237,8 +1210,7 @@ def test_terminal_mc_overflow_names_the_euler_step(without_affine_map, rate,
         if full:
             without_affine_map()
         with pytest.raises(NumericError, match="step") as err:
-            ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1, ctrl=ctrl,
-                               hurst=HURST, n_steps=n)
+            ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1, ctrl=ctrl)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -1249,9 +1221,9 @@ def test_terminal_mc_chunks_over_the_bound_are_solved_in_full():
     n = 64
     co = sde.get_coefficients("linear_drift", rate=-32.0, scale=1.0)
     widths = []
-    ldp._mc_log_mean(co, np.zeros(1), 64.0, 3000, 1, HURST, n,
-                     lambda s: widths.append(s.shape[1])
-                     or np.zeros(len(s)), terminal=True)
+    ldp._mc_log_mean(co, np.zeros(1), 64.0, 3000, 1,
+                     lambda s: widths.append(s.shape[1]) or np.zeros(len(s)),
+                     cm.zero_control(HURST, n), terminal=True)
     assert widths == [n + 1, 1]
 
 
@@ -1262,8 +1234,7 @@ def test_terminal_mc_route_skips_the_synthesis(monkeypatch):
                         lambda t, z: calls.append(1) or synthesise(t, z))
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, 3000, seed=1,
-                             ctrl=cm.zero_control(HURST, 64), hurst=HURST,
-                             n_steps=64)
+                             ctrl=cm.zero_control(HURST, 64))
     assert est.n_hits > 0 and not calls
 
 
@@ -1286,8 +1257,7 @@ def test_is_probability_memory_scales_with_chunk():
         tracemalloc.start()
         try:
             est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.25, n_paths,
-                                     seed=3, ctrl=ctrl, hurst=HURST,
-                                     n_steps=n)
+                                     seed=3, ctrl=ctrl)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1307,11 +1277,10 @@ def test_estimators_hold_one_chunk_at_a_time():
         h = ldp.get_functional(functional)
         runs = {
             "is_probability": lambda: ldp.is_probability(
-                ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3, ctrl=ctrl,
-                hurst=HURST, n_steps=n),
+                ADDITIVE, [0.0], ev, 0.25, n_paths, seed=3, ctrl=ctrl),
             "laplace_mc": lambda: ldp.laplace_mc(
-                ADDITIVE, [0.0], h, 0.25, n_paths, seed=3, hurst=HURST,
-                n_steps=n),
+                ADDITIVE, [0.0], h, 0.25, n_paths, seed=3,
+                ctrl=cm.zero_control(HURST, n)),
         }
         for name, run in runs.items():
             tracemalloc.start()
