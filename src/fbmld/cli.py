@@ -413,7 +413,7 @@ def _validate_ops_checks(cfg: ExperimentConfig):
     pa = cmspace.project(cmspace.project(ctrl, 0.7), 0.4)
     pb = cmspace.project(ctrl, 0.4)
     yield ("projection monotone",
-           np.array_equal(pa.cell_values(), pb.cell_values()), "")
+           np.array_equal(pa.cells, pb.cells), "")
     n1 = cmspace.cm_norm(ctrl)
     rep = fracops.norms(ctrl.path, max(cfg.hurst, 0.6), 0.35)
     yield ("Holder embedding", rep.holder_norm <= 1.05 * n1,

@@ -2,12 +2,10 @@
 
 A control is stored by its density, never by its path, so the Cameron-Martin
 norm is exactly the discrete L^2 norm and no kernel inversion enters the main
-workflows.  Densities live on the shared midpoint abscissae: the density
-``GridFn`` is in *cell layout*, ``values[j]`` being the canonical
-representative v'(s_j) at the midpoint of cell j (j = 0..n-1, ``values[n]``
-is padding that no quadrature reads).  This makes ``int k v' ds`` and the
-sampler's ``int k dB`` share identical abscissae, and makes projections exact
-cell masks.
+workflows.  Densities live on the shared midpoint abscissae: ``cells[j]`` is
+the canonical representative v'(s_j) at the midpoint of cell j
+(j = 0..n-1).  This makes ``int k v' ds`` and the sampler's ``int k dB``
+share identical abscissae, and makes projections exact cell masks.
 """
 
 from __future__ import annotations
@@ -25,10 +23,8 @@ from .gridfn import GridFn, write_csv
 
 __all__ = [
     "CmControl",
-    "control_from_cells",
     "control_from_callable",
     "zero_control",
-    "apply_kh",
     "cm_norm",
     "project",
     "materialize_from_derivative",
@@ -37,87 +33,81 @@ __all__ = [
 ]
 
 CSV_VERSION = 1
+_MIDPOINT_TOL = 1e-12        # largest |s_mid - (j + 1/2)/n| a file row may hold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmControl:
     """A Cameron-Martin element h = K_H v' stored by its L^2 density v'.
 
-    ``density`` is in cell layout (see module docstring).  The materialized
-    path is computed lazily through the kernel quadrature and cached;
-    equality compares ``hurst`` and ``density`` only.
+    ``cells`` (n_steps, dim) holds v' at the cell midpoints (see module
+    docstring); a 1-D array is one column.  They are copied, finite and
+    read-only.  The materialized path is computed lazily and cached.
+    Equality is identity.
     """
 
     hurst: float
-    density: GridFn
+    cells: np.ndarray
 
     def __post_init__(self):
         _check_hurst(self.hurst)
+        cells = np.array(self.cells, dtype=float)
+        if cells.ndim == 1:
+            cells = cells[:, None]
+        if cells.ndim != 2 or not cells.shape[1]:
+            raise DimensionError(f"cells must have shape (n_steps, dim >= 1), "
+                                 f"got {cells.shape}")
+        if len(cells) < 1:
+            raise DomainError(f"n_steps must be >= 1, got {len(cells)}")
+        if not np.all(np.isfinite(cells)):
+            raise DomainError("control cells must be finite")
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def n_steps(self) -> int:
-        return self.density.n_steps
+        return self.cells.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.density.dim
-
-    def cell_values(self) -> np.ndarray:
-        """Density samples v'(s_j) at the cell midpoints, shape (n, dim)."""
-        return self.density.values[:-1]
+        return self.cells.shape[1]
 
     @functools.cached_property
     def path(self) -> GridFn:
-        """Materialized path K_H v' (kernel quadrature route), cached.
+        """Materialized path v = K_H v' on the nodes, cached.
 
-        Its increments are the control's dv in the skeleton and, one block
-        per column, in the rate searches' block map; the importance-sampling
-        tilt adds the same dv as a shift of the Brownian increments.
+        The direct quadrature ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds``
+        (any H), as the sampler's product on the same cached
+        :func:`fbmld.fbm.kernel_table`, so a tilt by v is exactly a shift of
+        the sampled Brownian increments by v' ds.  Its increments are the
+        control's dv in the skeleton and, one block per column, in the rate
+        searches' block map.
         """
-        return apply_kh(self.density, self.hurst)
-
-
-def control_from_cells(hurst: float, cells: np.ndarray) -> CmControl:
-    """Control from density samples at the cell midpoints, shape (n,) or (n, d)."""
-    cells = np.asarray(cells, dtype=float)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    padded = np.vstack([cells, cells[-1:]])
-    return CmControl(hurst=hurst, density=GridFn(cells.shape[0], padded))
+        n = self.n_steps
+        return GridFn(n, _synthesise(kernel_table(n, self.hurst),
+                                     self.cells[None] / n)[0])
 
 
 def control_from_callable(fn, n_steps: int, hurst: float) -> CmControl:
     """Control whose density samples ``fn`` at the midpoints (j+1/2)/n."""
-    s = (np.arange(n_steps) + 0.5) / n_steps
-    vals = np.asarray(fn(s), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return control_from_cells(hurst, vals)
+    return CmControl(hurst, fn(_midpoints(n_steps)))
 
 
 def zero_control(hurst: float, n_steps: int, dim: int = 1) -> CmControl:
-    return control_from_cells(hurst, np.zeros((n_steps, dim)))
+    return CmControl(hurst, np.zeros((n_steps, dim)))
+
+
+def _midpoints(n_steps: int) -> np.ndarray:
+    return (np.arange(n_steps) + 0.5) / n_steps
 
 
 # ---------------------------------------------------------------------------
 # the operator K_H and its cousins
 # ---------------------------------------------------------------------------
 
-def apply_kh(density: GridFn, hurst: float) -> GridFn:
-    """Materialize v = K_H v' on the nodes from a cell-layout density.
-
-    The direct quadrature ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds`` (any
-    H), as the sampler's product on the same cached
-    :func:`fbmld.fbm.kernel_table`, so a tilt by v is exactly a shift of the
-    sampled Brownian increments by v' ds.
-    """
-    n = density.n_steps
-    cells = density.values[:-1]
-    return GridFn(n, _synthesise(kernel_table(n, hurst), cells[None] / n)[0])
-
-
-def _apply_kh_composition(density: GridFn, hurst: float) -> GridFn:
-    """K_H v' by the H > 1/2 factorisation, the tests' oracle for apply_kh.
+def _apply_kh_composition(cells: np.ndarray, hurst: float) -> GridFn:
+    """K_H v' by the H > 1/2 factorisation, the tests' oracle for
+    ``CmControl.path``; ``cells`` is (n, d).
 
     c_H I^1(psi I^(H-1/2)(psi^(-1) v')) with psi(u) = u^(H-1/2), the inner
     fractional integral by a midpoint product rule and the outer one by
@@ -125,14 +115,13 @@ def _apply_kh_composition(density: GridFn, hurst: float) -> GridFn:
     """
     if hurst <= 0.5:
         raise DomainError("composition route requires hurst > 1/2")
-    n = density.n_steps
-    return _cumtrapz(_derivative_nodes(density.values[:-1], n, hurst), n)
+    n = len(cells)
+    return _cumtrapz(_derivative_nodes(cells, n, hurst), n)
 
 
 def cm_norm(ctrl: CmControl) -> float:
     """Cameron-Martin norm = discrete L^2 norm of the density."""
-    cells = ctrl.cell_values()
-    return math.sqrt(float(np.sum(cells ** 2)) / ctrl.n_steps)
+    return math.sqrt(float(np.sum(ctrl.cells ** 2)) / ctrl.n_steps)
 
 
 def project(ctrl: CmControl, t: float) -> CmControl:
@@ -143,10 +132,9 @@ def project(ctrl: CmControl, t: float) -> CmControl:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"projection time must lie in [0, 1], got {t}")
-    cells = ctrl.cell_values().copy()
-    mids = (np.arange(ctrl.n_steps) + 0.5) / ctrl.n_steps
-    cells[mids > t] = 0.0
-    return control_from_cells(ctrl.hurst, cells)
+    cells = ctrl.cells.copy()
+    cells[_midpoints(ctrl.n_steps) > t] = 0.0
+    return CmControl(ctrl.hurst, cells)
 
 
 def _derivative_nodes(cells: np.ndarray, n: int, hurst: float) -> np.ndarray:
@@ -157,8 +145,7 @@ def _derivative_nodes(cells: np.ndarray, n: int, hurst: float) -> np.ndarray:
     midpoints against exact cell moments of (t-s)^(H-3/2).
     """
     order = hurst - 0.5
-    s = (np.arange(n) + 0.5) / n
-    weighted = s[:, None] ** (-order) * cells
+    weighted = _midpoints(n)[:, None] ** (-order) * cells
     out = _convolve_lags(_cell_moments(n, order), weighted)
     t = np.arange(n + 1) / n
     pref = volterra_c(hurst) / math.gamma(order)
@@ -182,8 +169,7 @@ def materialize_from_derivative(ctrl: CmControl) -> GridFn:
 
 def export_control_csv(ctrl: CmControl, fh) -> None:
     """Rows (s_mid, v' components); header records hurst and n_steps."""
-    mids = (np.arange(ctrl.n_steps) + 0.5) / ctrl.n_steps
-    write_csv(fh, np.column_stack([mids, ctrl.cell_values()]),
+    write_csv(fh, np.column_stack([_midpoints(ctrl.n_steps), ctrl.cells]),
               ["s_mid"] + [f"vdot_c{i}" for i in range(ctrl.dim)],
               comments=(f"fbmld-control v{CSV_VERSION}",
                         f"hurst={ctrl.hurst!r} n_steps={ctrl.n_steps} dim={ctrl.dim}"))
@@ -215,4 +201,12 @@ def import_control_csv(fh) -> CmControl:
     except ValueError as exc:
         raise DomainError(f"control file holds a value that is not a "
                           f"number: {exc}") from None
-    return control_from_cells(hurst, table.reshape(n_steps, dim + 1)[:, 1:])
+    table = table.reshape(n_steps, dim + 1)
+    off = np.flatnonzero(~(np.abs(table[:, 0] - _midpoints(n_steps))
+                           <= _MIDPOINT_TOL))            # NaN is off too
+    if off.size:
+        j = int(off[0])
+        raise DomainError(f"control file row {j + 1} has s_mid="
+                          f"{float(table[j, 0])!r}, not its cell midpoint "
+                          f"{(j + 0.5) / n_steps!r} on n_steps={n_steps}")
+    return CmControl(hurst, table[:, 1:])

@@ -3,7 +3,7 @@
 ``GridFn`` is the universal path representation: node ``k`` of ``n_steps + 1``
 sits at ``t_k = k / n_steps``.  Values are immutable after construction and
 all operations that consume a ``GridFn`` are pure, so instances can be shared
-freely across parallel workers.
+freely across parallel workers.  Equality is identity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFn:
     """Samples of an R^dim-valued function at the nodes k/n_steps.
 

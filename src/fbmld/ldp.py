@@ -21,9 +21,8 @@ import numpy as np
 import scipy.optimize
 
 from . import blas, fbm, rng
-from .cmspace import CmControl, control_from_cells
+from .cmspace import CmControl
 from .errors import DimensionError, DomainError, NumericError
-from .fbm import sample_volterra
 from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
 __all__ = [
@@ -303,9 +302,8 @@ def expand_blocks(theta: np.ndarray, n_ctrl: int, n_steps: int,
 
 
 def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl:
-    return control_from_cells(
-        cfg.hurst, expand_blocks(np.asarray(theta, dtype=float),
-                                 cfg.n_ctrl, cfg.n_steps, d))
+    return CmControl(cfg.hurst, expand_blocks(np.asarray(theta, dtype=float),
+                                              cfg.n_ctrl, cfg.n_steps, d))
 
 
 @functools.lru_cache(maxsize=8)
@@ -319,7 +317,7 @@ def _block_path_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     indicators, one per density column, gives every column.
     """
     indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
-    out = control_from_cells(hurst, indicators).path.values
+    out = CmControl(hurst, indicators).path.values
     out.setflags(write=False)
     return out
 
@@ -568,7 +566,7 @@ def _descend(obj: _SkeletonObjective, g, weights):
     return runs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateResult:
     """Rate-function estimate with the minimizing control candidate.
 
@@ -680,7 +678,7 @@ def _feasibility_polish(obj, g, theta):
     return theta, max(0.0, float(obj.map_batch(theta[None], g)[0][0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalResult:
     """The deterministic side of the Laplace check and its minimiser.
 
@@ -767,7 +765,8 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
 
     Solves the SDE on the Volterra paths of ``seed``, one chunk of
     ``_CHUNK`` paths alive at a time, by the :func:`_mc_drive`, whose
-    inputs are the Brownian increments and whose scale is sqrt(eps);
+    inputs are the Brownian increments (path i draws stream i, as in
+    :func:`fbm.sample_volterra`) and whose scale is sqrt(eps);
     ``log_y(states)`` gives each path's log Y, -inf where Y = 0.
     With ``terminal`` (log_y reads only the terminal state) an affine
     family's states are the (P, 1, m) terminal slice, one product per
@@ -785,22 +784,24 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     if ctrl.dim != coeffs.d:
         raise DimensionError(f"tilt control has dim {ctrl.dim}, but the "
                              f"coefficients have d = {coeffs.d}")
+    if not 1 <= coeffs.d <= fbm.MAX_DIM:
+        raise DomainError(f"dim must be in 1..{fbm.MAX_DIM}, got {coeffs.d}")
     n_steps, hurst = ctrl.n_steps, ctrl.hurst
     shift = None
-    if np.any(ctrl.cell_values()):
-        shift = ctrl.cell_values() / (n_steps * math.sqrt(eps))
+    if np.any(ctrl.cells):
+        shift = ctrl.cells / (n_steps * math.sqrt(eps))
     drive = _mc_drive(coeffs, tuple(map(float, x0)), n_steps, hurst,
                       terminal)
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
-        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
-                                first_index=lo)
-        states = drive.states(batch.bm_increments, math.sqrt(eps), shift)
+        inc = rng.normal_block(seed, lo, hi - lo, (n_steps, coeffs.d))
+        inc /= math.sqrt(n_steps)
+        states = drive.states(inc, math.sqrt(eps), shift)
         scores[lo:hi] = log_y(states)
         if shift is not None:
-            scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
-        del batch, states
+            scores[lo:hi] += girsanov_weight(ctrl, eps, inc)[1]
+        del inc, states
     if not np.all(scores < math.inf):                 # NaN fails it too
         raise NumericError("path scores have a NaN or +inf log value")
     nonzero = scores[scores > -math.inf]
@@ -874,11 +875,10 @@ def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
     if eps <= 0.0:
         raise DomainError(f"eps must be > 0, got {eps}")
     inc = np.asarray(bm_increments, dtype=float)
-    cells = ctrl.cell_values()
     if inc.shape[1:] != (ctrl.n_steps, ctrl.dim):
         raise DimensionError("bm_increments do not match the control grid")
-    ito = np.einsum("jd,pjd->p", cells, inc)
-    norm_sq = float(np.sum(cells ** 2)) / ctrl.n_steps
+    ito = np.einsum("jd,pjd->p", ctrl.cells, inc)
+    norm_sq = float(np.sum(ctrl.cells ** 2)) / ctrl.n_steps
     log_w = -ito / math.sqrt(eps) - norm_sq / (2.0 * eps)
     with np.errstate(over="ignore"):
         w = np.exp(log_w)
@@ -949,7 +949,7 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise NumericError("rate minimization infeasible; no tilt available")
-    tilt = control_from_cells(cfg.hurst, expand_blocks(
+    tilt = CmControl(cfg.hurst, expand_blocks(
         rate.block_values, cfg.n_ctrl, n_steps, coeffs.d))
     rows = []
     for i, eps in enumerate(eps_list):

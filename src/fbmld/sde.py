@@ -189,7 +189,7 @@ def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> Coefficient
 # solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvedPath:
     """Euler solution with its config echo."""
 

@@ -57,7 +57,7 @@ def additive_rate():
 
 def retile(blocks, n_steps):
     cells = np.repeat(blocks, n_steps // blocks.shape[0], axis=0)
-    return cm.control_from_cells(HURST_ADD, cells)
+    return cm.CmControl(HURST_ADD, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_criterion_05_holder_embedding():
     worst = 0.0
     for i in range(100):
         cells = rng.stream(505, i).standard_normal(n)
-        ctrl = cm.control_from_cells(hurst, cells)
+        ctrl = cm.CmControl(hurst, cells)
         ratio = fo.norms(ctrl.path, hurst, 0.35).holder_norm / cm.cm_norm(ctrl)
         worst = max(worst, ratio)
     line = report(5, worst <= 1.05,
@@ -192,7 +192,7 @@ def test_criterion_07_girsanov_martingale():
     n, n_paths = 256, 10_000
     cells = rng.stream(707, 0).standard_normal(n)
     cells /= math.sqrt(float(np.sum(cells ** 2)) / n)    # unit norm
-    ctrl = cm.control_from_cells(HURST_ADD, cells)
+    ctrl = cm.CmControl(HURST_ADD, cells)
     batch = fbm.sample_volterra(n, HURST_ADD, 1, n_paths, seed=707)
     w, _ = ldp.girsanov_weight(ctrl, 1.0, batch.bm_increments)
     se = float(w.std()) / math.sqrt(n_paths)

@@ -477,6 +477,33 @@ def test_readme_names_only_module_attributes_that_exist():
     assert not missing
 
 
+def test_perfbench_names_resolve():
+    # the benchmark traces and calls fbmld by name from outside the package:
+    # the tracer's counters and quoted layers must be public functions of
+    # their module (or its spans read 0), and every attribute the workload
+    # oracles and the child process call must exist
+    root = Path(__file__).parents[1] / "perfbench"
+    pattern = r"\b(rng|fbm|cmspace|sde|ldp|cli)\.([A-Za-z_]\w*)"
+    tracing = (root / "tracing.py").read_text()
+    counters = set(re.findall(
+        pattern, tracing.split("COUNTERS = {", 1)[1].split("}", 1)[0]))
+    traced = set(re.findall(rf'"{pattern}', tracing))
+    assert ("fbm", "sample_volterra") in counters and counters <= traced
+    called = set()
+    for name in ("workloads.py", "child.py"):
+        called |= set(re.findall(pattern, (root / name).read_text()))
+    assert ("ldp", "control_from_blocks") in called
+    missing = []
+    for module, attr in sorted(traced | called):
+        mod = importlib.import_module(f"fbmld.{module}")
+        obj = getattr(mod, attr, None)
+        if obj is None or (module, attr) in traced and (
+                attr.startswith("_")
+                or getattr(obj, "__module__", None) != mod.__name__):
+            missing.append(f"{module}.{attr}")
+    assert not missing
+
+
 def test_every_module_all_name_resolves():
     # nothing runs `import *`, so a stale __all__ entry would go unnoticed
     modules = [fbmld] + [importlib.import_module(f"fbmld.{info.name}")

@@ -11,6 +11,7 @@ from conftest import central_difference
 from fbmld import cmspace as cm
 from fbmld import fbm, ldp, rng, sde
 from fbmld.errors import DimensionError, DomainError, NumericError
+from fbmld.gridfn import GridFn
 
 HURST = 0.6
 ADDITIVE = sde.get_coefficients("constant")
@@ -138,7 +139,7 @@ def test_girsanov_martingale_mean_small():
     n = 128
     cells = rng.stream(9, 0).standard_normal(n)
     cells /= math.sqrt(float(np.sum(cells ** 2)) / n)
-    ctrl = cm.control_from_cells(HURST, cells)
+    ctrl = cm.CmControl(HURST, cells)
     batch = fbm.sample_volterra(n, HURST, 1, 4000, seed=21)
     w, logw = ldp.girsanov_weight(ctrl, 1.0, batch.bm_increments)
     assert abs(w.mean() - 1.0) <= 4 * w.std() / math.sqrt(4000)
@@ -871,7 +872,7 @@ def test_crude_laplace_mc_matches_the_exact_additive_value():
 def test_tilted_laplace_mc_matches_the_exact_additive_value():
     ctrl = ldp.laplace_variational(ADDITIVE, [0.0], ORACLE_H, ldp.RateConfig(
         hurst=ORACLE_HURST, n_steps=ORACLE_N, n_ctrl=16, seed=3)).control
-    assert np.any(ctrl.cell_values())
+    assert np.any(ctrl.cells)
     for eps in (0.5, 0.05):
         r = _oracle_mc(eps, ctrl)
         assert abs(r.value - _exact_laplace(eps)) <= 3.0 * r.std_err, (eps, r)
@@ -891,7 +892,7 @@ def test_zero_control_computes_no_weight(monkeypatch, family, n):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     h = ldp.get_functional("terminal_shortfall")
     for ctrl, weighed in [(cm.zero_control(HURST, n), False),
-                          (cm.control_from_cells(HURST, _cells(n, 1)), True)]:
+                          (cm.CmControl(HURST, _cells(n, 1)), True)]:
         ldp.is_probability(co, [0.0], ev, 0.25, 1500, 9, ctrl)
         assert bool(calls) == weighed, ("is_probability", ctrl)
         calls.clear()
@@ -905,7 +906,7 @@ def test_laplace_mc_checks_the_tilt():
     # must still be the coefficients' d
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     h = ldp.get_functional("terminal_shortfall")
-    tilt = cm.control_from_cells(HURST, np.full((32, 2), 0.5))
+    tilt = cm.CmControl(HURST, np.full((32, 2), 0.5))
     for estimator, entry in [(ldp.is_probability, ev), (ldp.laplace_mc, h)]:
         with pytest.raises(DimensionError, match="dim 2.*d = 1"):
             estimator(ADDITIVE, [0.0], entry, 0.5, 1000, 3, tilt)
@@ -963,7 +964,7 @@ def test_is_probability_crude_matches_gaussian(tilt):
     # variance sigma_n^2 = sum_j k(1, s_j)^2 / n, and IS is unbiased for it
     n, a, eps = 256, 0.5, 0.25
     ev = ldp.get_functional("terminal_exceedance", a=a)
-    ctrl = cm.control_from_cells(HURST, np.full((n, 1), tilt))
+    ctrl = cm.CmControl(HURST, np.full((n, 1), tilt))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, 4000, seed=44,
                              ctrl=ctrl)
     sigma_n = math.sqrt(float(np.sum(fbm.kernel_table(n, HURST)[n] ** 2)) / n)
@@ -975,13 +976,13 @@ def test_tilt_is_girsanov_shift_of_sampled_increments():
     # the tilted driver is the sampler's own kernel product applied to the
     # Brownian increments shifted by vdot ds / sqrt(eps)
     n, eps, seed = 64, 0.25, 5
-    ctrl = cm.control_from_cells(HURST, rng.stream(seed, 1).standard_normal(n))
+    ctrl = cm.CmControl(HURST, rng.stream(seed, 1).standard_normal(n))
     batch = fbm.sample_volterra(n, HURST, 1, 50, seed)
     inc = ctrl.path.increments()[None] \
         + math.sqrt(eps) * np.diff(batch.values, axis=1)
     states = sde.solve_increments(np.zeros(1), ADDITIVE, inc)
     shifted = batch.bm_increments[:, :, 0] \
-        + ctrl.cell_values()[:, 0] / (n * math.sqrt(eps))
+        + ctrl.cells[:, 0] / (n * math.sqrt(eps))
     want = math.sqrt(eps) * shifted @ fbm.kernel_table(n, HURST).T
     np.testing.assert_allclose(states[:, :, 0], want, rtol=0, atol=1e-12)
 
@@ -1073,7 +1074,7 @@ def test_laplace_mc_chunked_matches_one_batch():
     n, eps, seed = 32, 0.25, 6
     h = ldp.get_functional("terminal_shortfall")
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
-    tilt = cm.control_from_cells(HURST, _cells(n, 1))
+    tilt = cm.CmControl(HURST, _cells(n, 1))
     for co, ctrl in [(ADDITIVE, cm.zero_control(HURST, n)),
                      (sde.get_coefficients("tanh"), tilt)]:
         r = ldp.laplace_mc(co, [0.0], h, eps, N_CHUNKED, seed, ctrl)
@@ -1092,7 +1093,7 @@ def test_laplace_mc_chunked_matches_one_batch():
 def test_is_probability_chunked_matches_one_batch():
     n, eps, seed = 32, 0.1, 8
     ev = ldp.get_functional("terminal_exceedance", a=0.6)
-    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.4))
+    ctrl = cm.CmControl(HURST, np.full((n, 1), 0.4))
     est = ldp.is_probability(ADDITIVE, [0.0], ev, eps, N_CHUNKED, seed,
                              ctrl=ctrl)
     batch = fbm.sample_volterra(n, HURST, 1, N_CHUNKED, seed)
@@ -1132,8 +1133,7 @@ def test_terminal_mc_states_match_full_states(name, m, d, params, x0,
                                               tilted):
     n, eps = 32, 0.25
     co = sde.get_coefficients(name, m=m, d=d, **params)
-    ctrl = cm.control_from_cells(
-        HURST, _cells(n, d) if tilted else np.zeros((n, d)))
+    ctrl = cm.CmControl(HURST, _cells(n, d) if tilted else np.zeros((n, d)))
     seen = {True: [], False: []}
     for terminal, states in seen.items():
         ldp._mc_log_mean(
@@ -1173,7 +1173,7 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
                        a=x0[0] + (0.0 if name == "zero" else 0.3))
     h = ldp.get_functional("terminal_shortfall")
     cells = _cells(n, d) if tilted else np.zeros((n, d))
-    ctrl = cm.control_from_cells(HURST, cells)
+    ctrl = cm.CmControl(HURST, cells)
 
     def run():
         est = ldp.is_probability(co, x0, ev, eps, n_samples, seed, ctrl)
@@ -1238,6 +1238,39 @@ def test_terminal_mc_route_skips_the_synthesis(monkeypatch):
     assert est.n_hits > 0 and not calls
 
 
+def test_is_probability_rejects_five_noise_dims_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(rng, "normal_block", lambda *args: draws.append(args))
+    co = sde.get_coefficients("constant", d=5)
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
+    with pytest.raises(DomainError, match="dim must be in 1..4, got 5"):
+        ldp.is_probability(co, [0.0], ev, 0.25, 100, seed=1,
+                           ctrl=cm.zero_control(HURST, 16, 5))
+    assert not draws
+
+
+def _results():
+    ctrl = cm.zero_control(HURST, 8)
+    blocks = np.zeros((1, 1))
+    return {
+        "GridFn": GridFn(4, np.zeros(5)),
+        "SolvedPath": sde.SolvedPath(GridFn(4, np.zeros(5)), {}),
+        "RateResult": ldp.RateResult(0.0, ctrl, blocks, 0.0, True, {}),
+        "VariationalResult": ldp.VariationalResult(0.0, ctrl, blocks, {}),
+        "CmControl": ctrl,
+        "FbmBatch": fbm.sample_volterra(8, HURST, 1, 2, seed=1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_results()))
+def test_array_holders_compare_by_identity(name):
+    x = _results()[name]
+    twin = dataclasses.replace(x)
+    assert x == x and not x != x
+    assert twin != x and not twin == x
+    assert hash(x) == hash(x) and x in {x} and twin not in {x}
+
+
 # (event, functional) pairs for the terminal route and the full-state route
 ROUTES = {
     "terminal": (ldp.get_functional("terminal_exceedance", a=0.5),
@@ -1251,7 +1284,7 @@ def test_is_probability_memory_scales_with_chunk():
     # the chunked one must stay below the size of a single such array, on
     # the terminal route and on the full-state route alike
     n, n_paths = 128, 8 * ldp._CHUNK
-    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
+    ctrl = cm.CmControl(HURST, np.full((n, 1), 0.5))
     fbm.kernel_table(n, HURST)                    # keep the cached build out
     for route, (ev, _) in ROUTES.items():
         tracemalloc.start()
@@ -1271,7 +1304,7 @@ def test_estimators_hold_one_chunk_at_a_time():
     # chunk while the next is drawn and solved pushes the peak past five
     n, n_paths = 128, 8 * ldp._CHUNK
     chunk_array = ldp._CHUNK * (n + 1) * 8
-    ctrl = cm.control_from_cells(HURST, np.full((n, 1), 0.5))
+    ctrl = cm.CmControl(HURST, np.full((n, 1), 0.5))
     fbm.kernel_table(n, HURST)                    # keep the cached build out
     for route, (ev, functional) in ROUTES.items():
         h = ldp.get_functional(functional)

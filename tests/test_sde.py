@@ -286,7 +286,7 @@ def test_zero_control_skeleton_solves_ode(control_75):
 def test_skeleton_additive_shifts_by_control_path(control_75):
     co = sde.get_coefficients("constant")
     sol = sde.skeleton([0.3], co, control_75)
-    ref = 0.3 + cm.apply_kh(control_75.density, 0.75).values
+    ref = 0.3 + fbm.kernel_table(256, 0.75) @ control_75.cells / 256
     assert np.abs(sol.path.values - ref).max() <= 1e-12
 
 
@@ -328,8 +328,8 @@ def test_skeleton_lipschitz_in_control():
     ratios = []
     sol0 = sde.skeleton([0.2], co, base)
     for delta in (0.1, 0.05, 0.025):
-        pert = cm.control_from_cells(hurst,
-                                     base.cell_values() + delta * bump)
+        pert = cm.CmControl(hurst,
+                                     base.cells + delta * bump)
         sol1 = sde.skeleton([0.2], co, pert)
         gap = np.abs(sol1.path.values - sol0.path.values).max()
         ratios.append(gap / delta)
