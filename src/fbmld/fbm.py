@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -243,16 +243,23 @@ class FbmBatch:
     normals scaled by sqrt(1/n)) that drive the kernel synthesis, and the
     Girsanov machinery consumes them; for the Cholesky sampler they hold the
     i.i.d. normal draws (same scaling) as a seed-reproducibility surrogate.
+    A Volterra batch synthesises ``values`` from ``bm_increments`` on their
+    first read and keeps them, so a caller that reads only the increments
+    never pays for the kernel product; ``n_paths`` reads ``bm_increments``.
     Equality is identity.
     """
 
     hurst: float
     n_steps: int
     dim: int
-    values: np.ndarray
     bm_increments: np.ndarray
     seed: int
     sampler: str
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _synthesise(kernel_table(self.n_steps, self.hurst),
+                           self.bm_increments)
 
     @property
     def n_paths(self) -> int:
@@ -260,6 +267,15 @@ class FbmBatch:
 
     def path(self, i: int) -> GridFn:
         return GridFn(self.n_steps, self.values[i])
+
+
+@dataclass(frozen=True, eq=False)
+class _CholeskyBatch(FbmBatch):
+    """A Cholesky batch: its values come from the covariance factor, not
+    from ``bm_increments``, so they are a field, which shadows the Volterra
+    synthesis."""
+
+    values: np.ndarray = field()
 
 
 def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -312,27 +328,31 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
     # a zero first row gives every path its exact zero start
     values = _synthesise(np.vstack([np.zeros((1, n_steps)), chol]), xi)
     xi /= math.sqrt(n_steps)
-    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
-                    bm_increments=xi, seed=seed, sampler="cholesky")
+    return _CholeskyBatch(hurst=hurst, n_steps=n_steps, dim=dim,
+                          bm_increments=xi, seed=seed, sampler="cholesky",
+                          values=values)
 
 
 def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
-                    seed: int) -> FbmBatch:
+                    seed: int, first_index: int = 0) -> FbmBatch:
     """fBm synthesis from Brownian increments through the Volterra kernel.
 
     ``B^H(t_k) = sum_{j<k} k_H(t_k, s_j) dB_j`` with s_j the cell midpoints;
     the increments dB_j are retained exactly (Girsanov weights need them).
     Terminal variance carries the deterministic midpoint bias reported by
-    :func:`volterra_variance_bias`.  Path ``i`` draws from stream ``i``
-    of ``seed``.
+    :func:`volterra_variance_bias`.
+
+    Path ``i`` of the batch draws from stream ``first_index + i``, so the
+    batch for ``first_index=lo`` holds rows ``lo .. lo+n_paths-1`` of any
+    larger batch with the same seed: its increments bitwise, its values up
+    to the rounding of the matrix product.
     """
     _check_hurst(hurst)
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    increments = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
+    increments = rng.normal_block(seed, first_index, n_paths, (n_steps, dim))
     increments /= math.sqrt(n_steps)
-    values = _synthesise(kernel_table(n_steps, hurst), increments)
-    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim, values=values,
+    return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim,
                     bm_increments=increments, seed=seed, sampler="volterra")
 
 

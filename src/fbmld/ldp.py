@@ -23,6 +23,7 @@ import scipy.optimize
 from . import blas, fbm, rng
 from .cmspace import CmControl
 from .errors import DimensionError, DomainError, NumericError
+from .fbm import sample_volterra
 from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
 __all__ = [
@@ -765,8 +766,7 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
 
     Solves the SDE on the Volterra paths of ``seed``, one chunk of
     ``_CHUNK`` paths alive at a time, by the :func:`_mc_drive`, whose
-    inputs are the Brownian increments (path i draws stream i, as in
-    :func:`fbm.sample_volterra`) and whose scale is sqrt(eps);
+    inputs are the Brownian increments and whose scale is sqrt(eps);
     ``log_y(states)`` gives each path's log Y, -inf where Y = 0.
     With ``terminal`` (log_y reads only the terminal state) an affine
     family's states are the (P, 1, m) terminal slice, one product per
@@ -784,8 +784,6 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     if ctrl.dim != coeffs.d:
         raise DimensionError(f"tilt control has dim {ctrl.dim}, but the "
                              f"coefficients have d = {coeffs.d}")
-    if not 1 <= coeffs.d <= fbm.MAX_DIM:
-        raise DomainError(f"dim must be in 1..{fbm.MAX_DIM}, got {coeffs.d}")
     n_steps, hurst = ctrl.n_steps, ctrl.hurst
     shift = None
     if np.any(ctrl.cells):
@@ -795,13 +793,13 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
-        inc = rng.normal_block(seed, lo, hi - lo, (n_steps, coeffs.d))
-        inc /= math.sqrt(n_steps)
-        states = drive.states(inc, math.sqrt(eps), shift)
+        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
+                                first_index=lo)
+        states = drive.states(batch.bm_increments, math.sqrt(eps), shift)
         scores[lo:hi] = log_y(states)
         if shift is not None:
-            scores[lo:hi] += girsanov_weight(ctrl, eps, inc)[1]
-        del inc, states
+            scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
+        del batch, states
     if not np.all(scores < math.inf):                 # NaN fails it too
         raise NumericError("path scores have a NaN or +inf log value")
     nonzero = scores[scores > -math.inf]

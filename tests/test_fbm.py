@@ -286,6 +286,31 @@ def test_samplers_match_explicit_product(dim):
                                        rtol=0.0, atol=1e-12)
 
 
+def test_volterra_values_synthesised_on_first_read(monkeypatch):
+    calls = []
+    synthesise = fbm._synthesise
+    monkeypatch.setattr(fbm, "_synthesise",
+                        lambda t, z: calls.append(1) or synthesise(t, z))
+    batch = fbm.sample_volterra(32, 0.7, 2, 5, seed=4)
+    assert batch.n_paths == 5 and not calls
+    values = batch.values
+    assert len(calls) == 1 and batch.values is values
+    assert np.array_equal(values, synthesise(fbm.kernel_table(32, 0.7),
+                                             batch.bm_increments))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_volterra_first_index_selects_rows(dim):
+    n, hurst, seed = 32, 0.65, 21
+    full = fbm.sample_volterra(n, hurst, dim, 40, seed)
+    for lo, hi in [(0, 7), (7, 40), (13, 14)]:
+        part = fbm.sample_volterra(n, hurst, dim, hi - lo, seed,
+                                   first_index=lo)
+        assert np.array_equal(part.bm_increments, full.bm_increments[lo:hi])
+        np.testing.assert_allclose(part.values, full.values[lo:hi],
+                                   rtol=0.0, atol=1e-13)
+
+
 def test_volterra_brownian_case_is_cumsum():
     batch = fbm.sample_volterra(64, 0.5, 2, 3, seed=3)
     expect = np.cumsum(batch.bm_increments, axis=1)
