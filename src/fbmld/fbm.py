@@ -298,7 +298,8 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
 
     Factors R_H on t_1..t_n once (diagonal jitter starting at 1e-12 and
     escalated tenfold up to 1e-8 if needed), then draws each path and
-    component as L xi with per-path counter-based normal streams.
+    component as L xi with the counter-based normals of
+    :func:`rng.normal_block`.
     """
     _check_hurst(hurst)
     if n_steps > MAX_CHOLESKY_STEPS:
@@ -342,10 +343,10 @@ def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
     Terminal variance carries the deterministic midpoint bias reported by
     :func:`volterra_variance_bias`.
 
-    Path ``i`` of the batch draws from stream ``first_index + i``, so the
-    batch for ``first_index=lo`` holds rows ``lo .. lo+n_paths-1`` of any
-    larger batch with the same seed: its increments bitwise, its values up
-    to the rounding of the matrix product.
+    Path ``i`` of the batch draws the normals of path ``first_index + i``
+    (:func:`rng.normal_block`), so the batch for ``first_index=lo`` holds
+    rows ``lo .. lo+n_paths-1`` of any larger batch with the same seed: its
+    increments bitwise, its values up to the rounding of the matrix product.
     """
     _check_hurst(hurst)
     if not 1 <= dim <= MAX_DIM:

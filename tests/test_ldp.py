@@ -1168,9 +1168,10 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
     n, eps, n_samples, seed = 32, 0.25, 1500, 6
     co = sde.get_coefficients(name, m=m, d=d, **params)
     # the zero family's states stay at x0: its event is sure, and p_hat is
-    # the mean Girsanov weight
-    ev = ldp.get_functional("terminal_exceedance",
-                       a=x0[0] + (0.0 if name == "zero" else 0.3))
+    # the mean Girsanov weight; linear_drift's mean decays from x0, so
+    # x0 + 0.3 is hit about once in 1500 paths and its level is x0 itself
+    offset = 0.0 if name in ("zero", "linear_drift") else 0.3
+    ev = ldp.get_functional("terminal_exceedance", a=x0[0] + offset)
     h = ldp.get_functional("terminal_shortfall")
     cells = _cells(n, d) if tilted else np.zeros((n, d))
     ctrl = cm.CmControl(HURST, cells)
