@@ -38,12 +38,13 @@ def test_normal_block_rows_do_not_depend_on_the_split():
 
 def test_normal_block_rows_do_not_depend_on_the_thread_count(monkeypatch):
     got = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         pool = ThreadPoolExecutor(workers)
         monkeypatch.setattr(rng, "_POOL", pool)
         got[workers] = rng.normal_block(9, 300, 1500, SHAPE)
         pool.shutdown()
     np.testing.assert_array_equal(got[1], got[2])
+    np.testing.assert_array_equal(got[1], got[4])
 
 
 def test_blocks_have_their_own_key_space():
