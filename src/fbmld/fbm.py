@@ -1,7 +1,8 @@
 """Fractional Brownian motion: covariance, Volterra kernel, exact samplers.
 
-Two samplers validate each other: Cholesky factorisation of the covariance
-matrix draws from the exact law (O(n^3) setup), while the Volterra synthesis
+Two samplers validate each other: the Cholesky sampler draws from the exact
+law through the Schur factor of the increments' Toeplitz covariance (O(n^2)
+setup), while the Volterra synthesis
 ``B^H(t_k) = sum_j k_H(t_k, s_j) dB_j`` is O(n^2), carries a small midpoint
 quadrature bias, and exposes the driving Brownian increments that Girsanov
 reweighting needs.  Components are sampled independently (the covariance is
@@ -40,12 +41,7 @@ __all__ = [
 FORMAT_VERSION = 1
 
 MAX_DIM = 4                  # fBm components are sampled independently; d <= 4
-MAX_CHOLESKY_STEPS = 4096    # O(n^3) factorisation budget
-
-# Cholesky diagonal jitter: first value, escalation factor, ceiling
-_JITTER_INIT = 1e-12
-_JITTER_FACTOR = 10.0
-_JITTER_MAX = 1e-8
+MAX_CHOLESKY_STEPS = 4096    # memory budget: the factor is n x n doubles
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +288,64 @@ def _synthesise(table: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out.reshape(n_paths, dim, -1).transpose(0, 2, 1)
 
 
+def _fgn_autocovariance(n_steps: int, hurst: float) -> np.ndarray:
+    """gamma(k) = Cov(B_{t_1} - B_{t_0}, B_{t_(k+1)} - B_{t_k}), k < n.
+
+    ``gamma(k) = 1/2 n^(-2H) ((k+1)^2H - 2 k^2H + |k-1|^2H)``.  For k >= 1
+    the bracket is formed as ``k^2H (expm1(2H log1p(1/k)) +
+    expm1(2H log1p(-1/k)))``, which keeps the relative error near 1e-12
+    where the plain sum of powers cancels to 1e-9.
+    """
+    h2 = 2.0 * hurst
+    k = np.arange(1, n_steps, dtype=float)
+    with np.errstate(divide="ignore"):          # log1p(-1) = -inf at k = 1
+        bracket = k ** h2 * (np.expm1(h2 * np.log1p(1.0 / k))
+                             + np.expm1(h2 * np.log1p(-1.0 / k)))
+    return np.concatenate(([2.0], bracket)) * (0.5 * float(n_steps) ** -h2)
+
+
+def _schur_factor(gamma: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U (U^T U = T) of the Toeplitz matrix T with
+    first row ``gamma``, by the Schur algorithm in O(n^2).
+
+    Row k of U is the first row of T's two-row generator after k hyperbolic
+    rotations, each one numpy vector step, in the mixed form that is stable
+    for positive definite T (Bojanczyk, Brent, de Hoog & Sweet, 1995).  A
+    reflection coefficient with |rho| >= 1 means T is not positive definite
+    and raises :class:`NumericError`.
+    """
+    n = len(gamma)
+    upper = np.zeros((n, n))
+    upper[0] = gamma / math.sqrt(gamma[0])
+    # the generator's second row; entry k is rotated to zero at step k
+    lower = upper[0].copy()
+    for k in range(1, n):
+        rho = lower[k] / upper[k - 1, k - 1]
+        if not abs(rho) < 1.0:
+            raise NumericError(f"Toeplitz matrix is not positive definite: "
+                               f"reflection coefficient {rho} at step {k}")
+        shrink = math.sqrt((1.0 - rho) * (1.0 + rho))
+        row, tail = upper[k, k:], lower[k:]
+        # the previous row shifted one column right, rotated against the tail
+        np.subtract(upper[k - 1, k - 1:n - 1], rho * tail, out=row)
+        row /= shrink
+        tail *= shrink
+        tail -= rho * row
+    return upper
+
+
 def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
                     seed: int) -> FbmBatch:
-    """Exact-law fBm sampling via Cholesky factorisation of the covariance.
+    """Exact-law fBm sampling from the Cholesky factor of the covariance.
 
-    Factors R_H on t_1..t_n once (diagonal jitter starting at 1e-12 and
-    escalated tenfold up to 1e-8 if needed), then draws each path and
-    component as L xi with the counter-based normals of
-    :func:`rng.normal_block`.
+    The increments on the uniform grid are stationary, so their covariance
+    is the Toeplitz matrix of :func:`_fgn_autocovariance`, whose factor
+    ``L_G = U^T`` comes from :func:`_schur_factor` in O(n^2).  Each path
+    and component takes its increments as ``L_G xi`` from the counter-based
+    normals of :func:`rng.normal_block` and sums them over time.  The
+    partial-sum matrix is lower triangular, so ``cumsum(L_G)`` is the
+    Cholesky factor of R_H on t_1..t_n: the paths are ``L xi``.  No step
+    depends on the core count.
     """
     _check_hurst(hurst)
     if n_steps > MAX_CHOLESKY_STEPS:
@@ -308,26 +354,13 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
         )
     if not 1 <= dim <= MAX_DIM:
         raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    t = np.arange(1, n_steps + 1) / n_steps
-    cov = covariance(t[:, None], t, hurst)
-    diagonal = np.einsum("ii->i", cov)            # a writable view
-    base = diagonal.copy()
-    jitter = _JITTER_INIT
-    while True:
-        np.add(base, jitter, out=diagonal)
-        try:
-            chol = np.linalg.cholesky(cov)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= _JITTER_FACTOR
-            if jitter > _JITTER_MAX:
-                raise NumericError(
-                    f"covariance factorisation failed up to jitter {_JITTER_MAX}"
-                ) from None
-    del cov, diagonal
+    upper = _schur_factor(_fgn_autocovariance(n_steps, hurst))
     xi = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
+    increments = _synthesise(upper.T, xi)
+    del upper
     # a zero first row gives every path its exact zero start
-    values = _synthesise(np.vstack([np.zeros((1, n_steps)), chol]), xi)
+    values = np.zeros((n_paths, n_steps + 1, dim))
+    np.cumsum(increments, axis=1, out=values[:, 1:])
     xi /= math.sqrt(n_steps)
     return _CholeskyBatch(hurst=hurst, n_steps=n_steps, dim=dim,
                           bm_increments=xi, seed=seed, sampler="cholesky",

@@ -1,5 +1,9 @@
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmld import fbm, rng
-from fbmld.errors import DomainError
+from fbmld.errors import DomainError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,8 @@ def test_covariance_matches_its_plain_expression_bitwise():
 
 
 def test_cholesky_build_memory():
-    # the covariance is built and jittered in place, so at the peak it and
-    # the factor are the only n x n arrays (three before: 3.0 n^2 doubles)
+    # the Schur factor is filled row by row in place and no covariance
+    # grid is built, so the factor is the only n x n array at the peak
     n = 1024
     fbm.sample_cholesky(16, 0.75, 1, 1, seed=0)     # keep first-call costs out
     tracemalloc.start()
@@ -200,29 +204,63 @@ def test_cholesky_build_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+    assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
 
 
-def test_cholesky_jitter_retries_from_the_original_diagonal(monkeypatch):
-    n = 16
+@pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.95])
+def test_fgn_autocovariance_matches_mpmath(hurst):
+    # the plain sum of powers cancels near k = n (2.1e-9 at H = 0.3)
+    n = 2048
+    got = fbm._fgn_autocovariance(n, hurst)
+    with mpmath.workdps(40):
+        h2 = mpmath.mpf(2 * hurst)
+        scale = mpmath.mpf(n) ** -h2 / 2
+        want = np.array([
+            float(scale * ((k + 1) ** h2 - 2 * mpmath.mpf(k) ** h2
+                           + abs(k - 1) ** h2)) for k in range(n)])
+    rel = np.abs(got / want - 1.0).max()
+    assert rel <= 1e-11, rel
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.95])
+def test_schur_factor_reproduces_the_covariance_grid(hurst):
+    # the partial sums of the increments' factor factor R_H on t_1..t_n
+    n = 512
+    upper = fbm._schur_factor(fbm._fgn_autocovariance(n, hurst))
+    assert np.array_equal(upper, np.triu(upper))
+    assert np.all(np.diag(upper) > 0.0)
+    chol = np.cumsum(upper.T, axis=0)
     t = np.arange(1, n + 1) / n
-    base = np.diag(fbm.covariance(t[:, None], t, 0.75)).copy()
-    seen = []
-    factor = np.linalg.cholesky
+    cov = fbm.covariance(t[:, None], t, hurst)
+    assert np.abs(chol @ chol.T - cov).max() <= 1e-13
 
-    def failing_twice(a):
-        seen.append(np.diag(a).copy())
-        if len(seen) < 3:
-            raise np.linalg.LinAlgError("not positive definite")
-        return factor(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing_twice)
-    fbm.sample_cholesky(n, 0.75, 1, 2, seed=0)
-    jitter = fbm._JITTER_INIT
-    assert len(seen) == 3
-    for diag in seen:
-        assert np.array_equal(diag, base + jitter)
-        jitter *= fbm._JITTER_FACTOR
+def test_schur_factor_rejects_an_indefinite_sequence():
+    with pytest.raises(NumericError, match="reflection coefficient 1.5"):
+        fbm._schur_factor(np.array([1.0, 1.5, 0.0]))
+
+
+_SAMPLE_DIGESTS = """
+import hashlib, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fbmld import fbm
+for hurst in (0.3, 0.75, 0.95):
+    values = fbm.sample_cholesky(2048, hurst, 1, 64, 7).values
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare with one")
+def test_cholesky_bits_do_not_depend_on_the_core_count():
+    # the child pins itself to one CPU before numpy starts its BLAS threads
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", _SAMPLE_DIGESTS], env=env,
+                           capture_output=True, text=True, check=True)
+    here = [hashlib.sha256(fbm.sample_cholesky(2048, hurst, 1, 64, 7)
+                           .values.tobytes()).hexdigest()
+            for hurst in (0.3, 0.75, 0.95)]
+    assert child.stdout.split() == here
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +313,7 @@ def test_samplers_match_explicit_product(dim):
     chol_batch = fbm.sample_cholesky(n, hurst, dim, n_paths, seed)
     t = np.arange(1, n + 1) / n
     cov = fbm.covariance(t[:, None], t, hurst)
-    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
+    chol = np.linalg.cholesky(cov)
     assert chol_batch.values.shape == (n_paths, n + 1, dim)
     assert np.all(chol_batch.values[:, 0] == 0.0)
     np.testing.assert_array_equal(chol_batch.bm_increments, xi / math.sqrt(n))
