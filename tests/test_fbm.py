@@ -224,7 +224,8 @@ def test_fgn_autocovariance_matches_mpmath(hurst):
 
 @pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.95])
 def test_schur_factor_reproduces_the_covariance_grid(hurst):
-    # the partial sums of the increments' factor factor R_H on t_1..t_n
+    # the partial sums of the increments' factor are the factor of R_H on
+    # t_1..t_n, with no jitter
     n = 512
     upper = fbm._schur_factor(fbm._fgn_autocovariance(n, hurst))
     assert np.array_equal(upper, np.triu(upper))
@@ -241,7 +242,7 @@ def test_schur_factor_rejects_an_indefinite_sequence():
 
 
 _SAMPLE_DIGESTS = """
-import hashlib, os, sys
+import hashlib, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from fbmld import fbm
 for hurst in (0.3, 0.75, 0.95):
