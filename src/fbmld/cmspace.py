@@ -77,11 +77,11 @@ class CmControl:
         """Materialized path v = K_H v' on the nodes, cached.
 
         The direct quadrature ``v(t_k) = sum_j k_H(t_k, s_j) v'(s_j) ds``
-        (any H), as the sampler's product on the same cached
+        (any H), as the Volterra sampler's product on the same cached
         :func:`fbmld.fbm.kernel_table`, so a tilt by v is exactly a shift of
         the sampled Brownian increments by v' ds.  Its increments are the
-        control's dv in the skeleton and, one block per column, in the rate
-        searches' block map.
+        control's dv in the skeleton; the rate searches and the Monte Carlo
+        form dv from the table's row differences, equal up to rounding.
         """
         n = self.n_steps
         return GridFn(n, _synthesise(kernel_table(n, self.hurst),

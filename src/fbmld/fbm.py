@@ -154,16 +154,8 @@ def _kernel_row(t: float, s: np.ndarray, hurst: float) -> np.ndarray:
 _TABLE_BLOCK_ROWS = 64
 
 
-@functools.lru_cache(maxsize=16)
-def kernel_table(n_steps: int, hurst: float) -> np.ndarray:
-    """Kernel matrix K[k, j] = k_H(t_k, s_j) on the shared midpoint grid.
-
-    Rows index nodes t_k = k/n, columns index cell midpoints
-    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  The nonzero
-    entries are evaluated in blocks of ``_TABLE_BLOCK_ROWS`` rows, one
-    vectorised kernel call each.  Cached per (n_steps, hurst); the returned
-    array is read-only.
-    """
+def _build_kernel_table(n_steps: int, hurst: float) -> np.ndarray:
+    """The (n+1, n) table of :func:`kernel_table`, built afresh."""
     _check_hurst(hurst)
     n = n_steps
     table = np.zeros((n + 1, n))
@@ -172,6 +164,32 @@ def kernel_table(n_steps: int, hurst: float) -> np.ndarray:
         # rows lo..hi-1, cells with s_j < t_k, i.e. j <= k - 1
         r, c = np.tril_indices(hi - lo, lo - 1, hi - 1)
         table[lo + r, c] = _kernel_values((lo + r) / n, (c + 0.5) / n, hurst)
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def kernel_table(n_steps: int, hurst: float) -> np.ndarray:
+    """Kernel matrix K[k, j] = k_H(t_k, s_j) on the shared midpoint grid.
+
+    Rows index nodes t_k = k/n, columns index cell midpoints
+    s_j = (j + 1/2)/n; entries with s_j > t_k are zero.  Cached per
+    (n_steps, hurst); the returned array is read-only.
+    """
+    table = _build_kernel_table(n_steps, hurst)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _increment_table(n_steps: int, hurst: float) -> np.ndarray:
+    """The kernel table's row differences D[k] = K[k+1] - K[k], (n, n).
+
+    ``D @ dB`` gives the fBm increments directly.  D is lower triangular,
+    cached per (n_steps, hurst) and read-only; it is built without
+    :func:`kernel_table`'s cache, so a run that forms only increments
+    holds one n x n table.
+    """
+    table = np.diff(_build_kernel_table(n_steps, hurst), axis=0)
     table.setflags(write=False)
     return table
 

@@ -308,17 +308,17 @@ def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl
 
 
 @functools.lru_cache(maxsize=8)
-def _block_path_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
-    """Linear map from block coefficients to skeleton driver paths.
+def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
+    """Linear map from block coefficients to skeleton driver increments.
 
-    Column b holds the path v = K_H v' of the unit density that is 1 on
-    block b; shape (n_steps + 1, n_ctrl).  Components do not mix, so the
-    path of block coefficients (n_ctrl, d) is this map applied to each
-    component column, and one materialization of the n_ctrl block
-    indicators, one per density column, gives every column.
+    Column b holds the increments dv of the path v = K_H v' of the unit
+    density that is 1 on block b, shape (n_steps, n_ctrl): the sum of the
+    increment table's columns on block b, times ds.  Components do not
+    mix, so the increments of block coefficients (n_ctrl, d) are this map
+    applied to each component column.
     """
-    indicators = np.repeat(np.eye(n_ctrl), n_steps // n_ctrl, axis=0)
-    out = CmControl(hurst, indicators).path.values
+    table = fbm._increment_table(n_steps, hurst)
+    out = table.reshape(n_steps, n_ctrl, -1).sum(axis=2) / n_steps
     out.setflags(write=False)
     return out
 
@@ -373,14 +373,15 @@ def _affine_map(coeffs: CoefficientSet, x0: np.ndarray, columns: np.ndarray,
 
 
 class _LinearDrive:
-    """Euler states driven linearly by inputs through a path table.
+    """Euler states driven linearly by inputs through an increment table.
 
     Inputs z (B, k, d), or flat (B, k d), drive the solver by the
-    increments ``np.diff(table @ z) * scale`` of the (n+1, k) path
-    ``table``: input (j, i) moves driver component i along column j.  The
-    searches' table is the block path map and their inputs the block
-    coefficients; the Monte Carlo's is the kernel table and its inputs the
-    Brownian increments.  For an affine family the states are affine in
+    increments ``(table @ z) * scale`` of the (n, k) increment ``table``:
+    input (j, i) moves driver component i by column j.  The searches'
+    table is the block increment map and their inputs the block
+    coefficients; the Monte Carlo's is the kernel's increment table and its
+    inputs the Brownian increments, tilted ones included.  For an affine
+    family the states are affine in
     z, and with ``rows`` the drive keeps their :func:`_affine_map` on the
     last ``rows`` steps, so a batch is one product.  A batch whose bound
     could reach the overflow guard, every batch when the build
@@ -396,42 +397,24 @@ class _LinearDrive:
         self.affine = None
         if coeffs.affine and rows:
             self.n_solves = table.shape[1] * coeffs.d + 1
-            self.affine = _affine_map(coeffs, x0, np.diff(table, axis=0),
-                                      rows)
+            self.affine = _affine_map(coeffs, x0, table, rows)
 
     def solve(self, inc: np.ndarray) -> np.ndarray:
         self.n_solves += len(inc)
         return solve_increments(self.x0, self.coeffs, inc)
 
-    def increments(self, z: np.ndarray, scale: float = 1.0,
-                   shift: np.ndarray | None = None) -> np.ndarray:
-        """Driver increments (B, n, d) of the inputs z + ``shift`` (k, d):
-        the path is linear in the inputs, so the shift's path is added."""
-        values = fbm._synthesise(self.table,
-                                 z.reshape(len(z), -1, self.coeffs.d))
-        if shift is not None:
-            values += fbm._synthesise(self.table, shift[None])
-        inc = np.diff(values, axis=1)
-        del values
+    def increments(self, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """Driver increments (B, n, d) of the inputs z."""
+        inc = fbm._synthesise(self.table, z.reshape(len(z), -1, self.coeffs.d))
         inc *= scale
         return inc
 
-    def states(self, z: np.ndarray, scale: float = 1.0,
-               shift: np.ndarray | None = None) -> np.ndarray:
-        """States of the inputs z + ``shift``: (B, rows, m) from the affine
-        map, (B, n+1, m) from the Euler loop.
-
-        A shift enters the affine map as its base ``Z + scale shift @ R``,
-        with the bound raised by ``scale |shift| @ r_max``.
-        """
+    def states(self, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """States of z: (B, rows, m) by the affine map, else (B, n+1, m)."""
         if self.affine is not None:
             x, x_abs, r, r_abs = self.affine
             flat = z.reshape(len(z), -1)
             with blas.one_thread():
-                if shift is not None:
-                    shift = shift.reshape(-1)
-                    x = x + scale * (shift @ r).reshape(x.shape)
-                    x_abs = x_abs + scale * (np.abs(shift) @ r_abs)
                 bound = x_abs + scale * (np.abs(flat) @ r_abs)
                 if np.all(bound < _BOUND_LIMIT):      # NaN fails it too
                     states = flat @ r
@@ -439,7 +422,7 @@ class _LinearDrive:
                     states = states.reshape((len(z),) + x.shape)
                     states += x
                     return states
-        return self.solve(self.increments(z, scale, shift))
+        return self.solve(self.increments(z, scale))
 
 
 class _SkeletonObjective:
@@ -449,7 +432,7 @@ class _SkeletonObjective:
     squared positive violation (penalty mode) or a bounded functional, with
     its exact gradient, from one skeleton per evaluation.  :meth:`map_batch`
     is the one place that evaluates skeletons, through the
-    :class:`_LinearDrive` of the block path map, which keeps an affine
+    :class:`_LinearDrive` of the block increment map, which keeps an affine
     family's map on every step, or with ``terminal`` (g reads only the
     terminal state) on the terminal one.  ``n_solves`` counts the rows
     passed to ``solve_increments``, ``n_evals`` the skeletons evaluated.
@@ -460,20 +443,15 @@ class _SkeletonObjective:
         self.coeffs = coeffs
         self.x0 = np.asarray(x0, dtype=float).reshape(-1)
         self.cfg = cfg
-        self.path_map = _block_path_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
         self.n_params = cfg.n_ctrl * coeffs.d
         self.n_evals = 0
-        self.drive = _LinearDrive(coeffs, self.x0, self.path_map,
+        table = _block_increment_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst)
+        self.drive = _LinearDrive(coeffs, self.x0, table,
                                   1 if terminal else cfg.n_steps + 1)
 
     @property
     def n_solves(self) -> int:
         return self.drive.n_solves
-
-    @functools.cached_property
-    def inc_map(self) -> np.ndarray:
-        """The increments of the block path map, for the adjoint gradient."""
-        return np.diff(self.path_map, axis=0)
 
     def norm_sq(self, thetas: np.ndarray) -> np.ndarray:
         return np.sum(thetas ** 2, axis=-1) / self.cfg.n_ctrl
@@ -510,8 +488,8 @@ class _SkeletonObjective:
         diagonal and ``drift_jac`` acts per component: with
         ``a_k = 1 + b'(x_k) dt + s'(x_k) dv_k`` and
         ``lam_k = a_(k+1) ... a_(step-1)``, the gradient is
-        ``M^T (s(x_k) lam_k) * c`` over k < step, M the increments of the
-        block path map.  A family with no ``drift_jac`` (rotation) and no
+        ``M^T (s(x_k) lam_k) * c`` over k < step, M the block increment map
+        of the drive.  A family with no ``drift_jac`` (rotation) and no
         map raises NumericError.
         """
         co, n_ctrl = self.coeffs, self.cfg.n_ctrl
@@ -524,7 +502,7 @@ class _SkeletonObjective:
                 f"{co.name!r} has no elementwise drift Jacobian and its "
                 "affine map overflowed, so the search has no gradient")
         r = min(co.m, co.d)
-        inc_map = self.inc_map[:step]
+        inc_map = self.drive.table[:step]
         dv = inc_map @ theta.reshape(n_ctrl, co.d)[:, :r]
         # registry coefficients never depend on t
         x = states[:step]
@@ -736,15 +714,15 @@ LAPLACE_MIN_SAMPLES = 1000
 @functools.lru_cache(maxsize=4)
 def _mc_drive(coeffs: CoefficientSet, x0: tuple, n_steps: int, hurst: float,
               terminal: bool) -> _LinearDrive:
-    """The Monte Carlo's :class:`_LinearDrive`, over the cached kernel table.
+    """The Monte Carlo's :class:`_LinearDrive`, on the increment table.
 
     Its inputs are the Brownian increments, and it keeps an affine map only
     for a ``terminal`` entry, on the terminal step.  Keyed by the
     coefficient set itself, x0, the grid and ``terminal``, so the Monte
     Carlo of one run builds the map once for every eps and tilt.
     """
-    return _LinearDrive(coeffs, np.array(x0), fbm.kernel_table(n_steps, hurst),
-                        1 if terminal else None)
+    table = fbm._increment_table(n_steps, hurst)
+    return _LinearDrive(coeffs, np.array(x0), table, 1 if terminal else None)
 
 
 class _McMean(NamedTuple):
@@ -772,10 +750,11 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     family's states are the (P, 1, m) terminal slice, one product per
     chunk, and the fBm values are never synthesised.  A nonzero tilt
     ``ctrl`` (the measure tilt eps^(-1/2) v) is the Girsanov shift of the
-    Brownian increments by vdot ds / sqrt(eps), so the driver gains dv; it
-    adds each path's Girsanov log weight, on the unshifted increments, to
-    its log Y.  Paths are sampled on the control's grid and Hurst index;
-    the zero control is crude Monte Carlo, with no shift and no weight.
+    Brownian increments by vdot ds / sqrt(eps), so the driver gains dv:
+    each chunk takes its Girsanov log weights on the unshifted increments,
+    adds them to log Y, and shifts the increments in place.  Paths are
+    sampled on the control's grid and Hurst index; the zero control is
+    crude Monte Carlo, with no shift and no weight.
     The moments come from the nonzero Y in path order, so the error bar
     stays finite where the squared mean would underflow; see :class:`_McMean`.
     """
@@ -793,13 +772,15 @@ def _mc_log_mean(coeffs: CoefficientSet, x0: np.ndarray, eps: float,
     scores = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
-        batch = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
-                                first_index=lo)
-        states = drive.states(batch.bm_increments, math.sqrt(eps), shift)
-        scores[lo:hi] = log_y(states)
+        inc = sample_volterra(n_steps, hurst, coeffs.d, hi - lo, seed,
+                              first_index=lo).bm_increments
         if shift is not None:
-            scores[lo:hi] += girsanov_weight(ctrl, eps, batch.bm_increments)[1]
-        del batch, states
+            log_w = girsanov_weight(ctrl, eps, inc)[1]
+            inc += shift
+        scores[lo:hi] = log_y(drive.states(inc, math.sqrt(eps)))
+        if shift is not None:
+            scores[lo:hi] += log_w
+        del inc
     if not np.all(scores < math.inf):                 # NaN fails it too
         raise NumericError("path scores have a NaN or +inf log value")
     nonzero = scores[scores > -math.inf]

@@ -172,12 +172,13 @@ def test_rate_config_fields_and_n_ctrl_range():
 def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
                                                    n_steps, d):
     # the increments map_batch hands the Euler route for unit theta column
-    # (b, i) are the dv of the unit control on block b, component i; an
-    # n_ctrl-column kernel product rounds differently from a one-column one.
+    # (b, i) are the dv of the unit control on block b, component i; the
+    # increment table's block sums round differently from the differences of
+    # the kernel table's product.
     # linear_sigma is not affine, so map_batch solves every batch it sees.
     cfg = ldp.RateConfig(hurst=0.7, n_steps=n_steps, n_ctrl=n_ctrl)
-    assert ldp._block_path_map(n_ctrl, n_steps, 0.7).shape == \
-        (n_steps + 1, n_ctrl)
+    assert ldp._block_increment_map(n_ctrl, n_steps, 0.7).shape == \
+        (n_steps, n_ctrl)
     coeffs = sde.get_coefficients("linear_sigma", m=d, d=d)
     obj = ldp._SkeletonObjective(coeffs, np.zeros(d), cfg)
     monkeypatch.setattr(ldp, "solve_increments", lambda x0, co, inc: inc)
@@ -659,11 +660,14 @@ def geometric_oracle(cfg):
 
     The Euler skeleton is X_n = prod_k (1 + dv_k) with dv = M theta, so the
     event is sum_k log(1 + (M theta)_k) >= level; the problem is smooth and
-    settled independently of the penalty search.
+    settled independently of the penalty search.  Column b of M is the dv
+    of the unit control on block b, from its kernel-table path, not from
+    the search's block increment map.
     """
-    M = np.diff(ldp._block_path_map(cfg.n_ctrl, cfg.n_steps, cfg.hurst),
-                axis=0)
     nc = cfg.n_ctrl
+    M = np.column_stack([
+        ldp.control_from_blocks(np.eye(nc)[b], cfg, 1).path.increments()[:, 0]
+        for b in range(nc)])
     res = optimize.minimize(
         lambda th: 0.5 * th @ th / nc, np.full(nc, GEOMETRIC_LEVEL / M.sum()),
         jac=lambda th: th / nc, method="SLSQP",
@@ -1046,6 +1050,25 @@ def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
         assert 1.0 <= r["ess"] <= 1000.0 and 0.0 < r["max_weight_share"] < 1.0
 
 
+def test_a_run_holds_one_table_per_grid():
+    # the searches and the Monte Carlo read only the kernel's increment
+    # table, built without the kernel table's cache: a cached kernel table
+    # next to it was a second n x n array in every run
+    for cache in (fbm.kernel_table, fbm._increment_table, ldp._mc_drive,
+                  ldp._block_increment_map):
+        cache.cache_clear()
+    ev = ldp.get_functional("terminal_exceedance", a=0.5)
+    cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
+    ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 4, n_steps=64,
+                      cfg=cfg)
+    ldp.laplace_mc(sde.get_coefficients("tanh"), [0.0],
+                   ldp.get_functional("terminal_shortfall"), 0.25, 1000, 3,
+                   cm.CmControl(HURST, _cells(32, 1)))
+    assert fbm.kernel_table.cache_info().currsize == 0
+    info = fbm._increment_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)       # grids 64 and 32
+
+
 def test_monte_carlo_drive_is_the_callers_coefficient_set():
     # the drive cache keys on the set itself: ADDITIVE with its noise
     # doubled and its params unchanged is no registry build, and is sampled
@@ -1192,20 +1215,28 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
             (getattr(b, attr), b.std_err), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("rate, eps", [(-40.0, 1.0), (-34.0, 64.0)],
-                         ids=["map_overflows", "chunk_bound"])
+@pytest.mark.parametrize("rate, eps, tilt",
+                         [(-40.0, 1.0, 0.0), (-34.0, 64.0, 0.0),
+                          (-34.0, 1.0, 100.0)],
+                         ids=["map_overflows", "chunk_bound",
+                              "tilted_chunk_bound"])
 def test_terminal_mc_overflow_names_the_euler_step(without_affine_map, rate,
-                                                   eps):
+                                                   eps, tilt):
     # rate -40: the unit responses of the terminal map overflow, so every
     # chunk is solved in full; rate -34: the map builds, but the chunk's
-    # bound reaches the limit.  Both raise the Euler loop's message.
+    # bound reaches the limit.  At eps 1 only a tilt takes it there: the
+    # bound max|Z| + scale sum_j |z_j + shift_j| max|R_j| reads the shifted
+    # increments.  All raise the Euler loop's message.
     n = 64
     co = sde.get_coefficients("linear_drift", rate=rate, scale=1.0)
     ev = ldp.get_functional("terminal_exceedance", a=1.0)
-    ctrl = cm.zero_control(HURST, n)
-    built = ldp._affine_map(co, np.zeros(1),
-                            np.diff(fbm.kernel_table(n, HURST), axis=0), 1)
+    ctrl = cm.CmControl(HURST, np.full((n, 1), tilt))
+    built = ldp._affine_map(co, np.zeros(1), fbm._increment_table(n, HURST), 1)
     assert (built is None) == (rate == -40.0)
+    if tilt:
+        # the same chunks untilted stay under the bound and solve cleanly
+        assert ldp.is_probability(co, [0.0], ev, eps, 3000, seed=1,
+                                  ctrl=cm.zero_control(HURST, n)).n_hits > 0
     messages = []
     for full in (False, True):
         if full:
