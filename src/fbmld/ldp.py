@@ -381,9 +381,9 @@ class _LinearDrive:
     table is the block increment map and their inputs the block
     coefficients; the Monte Carlo's is the kernel's increment table and its
     inputs the Brownian increments, tilted ones included.  For an affine
-    family the states are affine in
-    z, and with ``rows`` the drive keeps their :func:`_affine_map` on the
-    last ``rows`` steps, so a batch is one product.  A batch whose bound
+    family the states are affine in z, and with ``rows`` the drive keeps
+    their :func:`_affine_map` on the last ``rows`` steps, so a batch is
+    one product.  A batch whose bound
     could reach the overflow guard, every batch when the build
     overflowed, and every batch of other families or without ``rows``, is
     solved by the Euler loop.  ``n_solves`` counts the rows passed to
