@@ -10,7 +10,8 @@ experiment runner (:mod:`fbmld.cli`).
 
 __version__ = "0.1.0"
 
-from .errors import DimensionError, DomainError, FbmldError, NumericError
+from .errors import (DimensionError, DomainError, FbmldError, InfeasibleError,
+                     NumericError)
 from .gridfn import GridFn
 
 __all__ = [
@@ -20,4 +21,5 @@ __all__ = [
     "DomainError",
     "DimensionError",
     "NumericError",
+    "InfeasibleError",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cmspace, fbm, fracops, ldp, rng, sde
-from .errors import DomainError, FbmldError, NumericError
+from .errors import DomainError, InfeasibleError, NumericError
 from .gridfn import GridFn, write_csv
 
 EXIT_OK = 0
@@ -106,10 +106,7 @@ class ExperimentConfig:
         if self.command == "solve" and not 0.5 < self.hurst < 1.0:
             raise SchemaError("solve requires hurst in (1/2, 1)")
         if self.command in ("rate", "ldp-scaling", "laplace-check"):
-            try:
-                _rate_cfg(self)
-            except DomainError as exc:
-                raise SchemaError(str(exc)) from exc
+            _rate_cfg(self)         # checks H, n_ctrl and n_ctrl | n_steps
         if not 0 <= self.seed <= rng._MASK:
             raise SchemaError("seed must lie in 0..2^64-1")
         if self.n_steps < 1:
@@ -144,11 +141,8 @@ class ExperimentConfig:
             if np.shape(self.x0) != (self.m,):
                 raise SchemaError(f"x0 must hold m={self.m} entries")
             if self.command == "solve":
-                try:
-                    sde._check_admissible(coeffs, self.hurst,
-                                          *_solve_exponents(self, coeffs))
-                except DomainError as exc:
-                    raise SchemaError(f"bad alpha/delta: {exc}") from exc
+                sde._check_admissible(coeffs, self.hurst,
+                                      *_solve_exponents(self, coeffs))
         if self.command == "ldp-scaling" and self.n_samples < 1:
             raise SchemaError("ldp-scaling needs n_samples >= 1")
         if self.command == "laplace-check":
@@ -255,10 +249,7 @@ def _registry_entry(cfg: ExperimentConfig, group: str) -> ldp.StateFunctional:
     name = params.pop(key, None)
     if name is None:
         raise SchemaError(f"{group} needs a {key!r}")
-    try:
-        entry = ldp.get_functional(name, role=group, **params)
-    except DomainError as exc:
-        raise SchemaError(f"bad {group}: {exc}") from exc
+    entry = ldp.get_functional(name, role=group, **params)
     if np.shape(entry.params.get("y", 0.0)) not in ((), (cfg.m,)):
         raise SchemaError(f"event y must be a scalar or hold m={cfg.m} entries")
     return entry
@@ -268,7 +259,7 @@ def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
     try:
         return sde.get_coefficients(cfg.coefficient, m=cfg.m, d=cfg.d,
                                     **cfg.coefficient_params)
-    except (TypeError, DomainError) as exc:
+    except TypeError as exc:    # a parameter named m or d
         raise SchemaError(f"bad coefficient: {exc}") from exc
 
 
@@ -337,7 +328,7 @@ def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
         "event": {"kind": event.name, **event.params},
     })
     if not result.feasible:
-        raise _Infeasible("rate problem infeasible at all starts")
+        raise InfeasibleError("rate problem infeasible at all starts")
     return ["control.csv", "rate_result.json"]
 
 
@@ -443,10 +434,6 @@ def _run_validate_ops(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["validate.csv"]
 
 
-class _Infeasible(FbmldError):
-    pass
-
-
 _WORKFLOWS = {
     "sample": _run_sample,
     "solve": _run_solve,
@@ -458,35 +445,36 @@ _WORKFLOWS = {
 
 
 def run(config_path: str, seed_override: int | None = None) -> int:
-    """Execute the workflow named by the config; returns the exit status."""
+    """Execute the workflow named by the config; returns the exit status.
+
+    The one place that maps failure kinds to statuses: a ``DomainError``
+    exits 2, an ``InfeasibleError`` 4 and any other ``NumericError`` 3.
+    """
     t0 = time.time()
     try:
         cfg = ExperimentConfig.from_file(config_path)
         if seed_override is not None:
             cfg.seed = int(seed_override)
             cfg.validate()
-    except SchemaError as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     try:
         artifacts = _WORKFLOWS[cfg.command](cfg, out)
-    except _Infeasible as exc:
-        _write_json(out / "error.json", {"error": "infeasible", "detail": str(exc)})
-        _write_manifest(out, cfg, t0, ["error.json"])
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except DomainError as exc:
-        # covers SchemaError and any config-content violation surfacing
-        # from the numeric layers (bad dimensions, out-of-range parameters)
+        # a config-content violation surfacing from the numeric layers
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (NumericError, FloatingPointError) as exc:
-        _write_json(out / "error.json", {"error": "numeric", "detail": str(exc)})
+    except NumericError as exc:
+        kind, status = (("infeasible", EXIT_INFEASIBLE)
+                        if isinstance(exc, InfeasibleError)
+                        else ("numeric", EXIT_NUMERIC))
+        _write_json(out / "error.json", {"error": kind, "detail": str(exc)})
         _write_manifest(out, cfg, t0, ["error.json"])
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return status
     _write_manifest(out, cfg, t0, artifacts)
     return EXIT_OK
 

@@ -15,3 +15,7 @@ class DimensionError(DomainError):
 
 class NumericError(FbmldError, ArithmeticError):
     """A computation failed numerically (overflow, non-convergence, ...)."""
+
+
+class InfeasibleError(NumericError):
+    """No admissible control reaches the event: its rate is +inf."""

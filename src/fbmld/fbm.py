@@ -70,14 +70,7 @@ def covariance(s, t, hurst: float):
     if np.any(s < 0) or np.any(s > 1) or np.any(t < 0) or np.any(t > 1):
         raise DomainError("covariance arguments must lie in [0, 1]")
     h2 = 2.0 * hurst
-    # 0.5 * (s**h2 + t**h2 - |t - s|**h2) in that order, each step in place,
-    # so a grid call holds two arrays of the grid's shape at the peak
-    out = s ** h2 + t ** h2
-    gap = np.asarray(t - s)
-    np.abs(gap, out=gap)
-    gap **= h2
-    out -= gap
-    out *= 0.5
+    out = 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)
     return float(out) if out.ndim == 0 else out
 
 

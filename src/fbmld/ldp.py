@@ -22,7 +22,7 @@ import scipy.optimize
 
 from . import blas, fbm, rng
 from .cmspace import CmControl
-from .errors import DimensionError, DomainError, NumericError
+from .errors import DimensionError, DomainError, InfeasibleError, NumericError
 from .fbm import sample_volterra
 from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
 
@@ -307,7 +307,6 @@ def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl
                                               cfg.n_ctrl, cfg.n_steps, d))
 
 
-@functools.lru_cache(maxsize=8)
 def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     """Linear map from block coefficients to skeleton driver increments.
 
@@ -318,9 +317,7 @@ def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
     applied to each component column.
     """
     table = fbm._increment_table(n_steps, hurst)
-    out = table.reshape(n_steps, n_ctrl, -1).sum(axis=2) / n_steps
-    out.setflags(write=False)
-    return out
+    return table.reshape(n_steps, n_ctrl, -1).sum(axis=2) / n_steps
 
 
 # The affine route never runs the Euler loop whose 1e12 overflow guard
@@ -916,7 +913,8 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
     tilts every eps row, each sampled at ``cfg.hurst`` with an independently
     derived seed.
     ``eps_list`` must decrease so the gap column can be read as a
-    convergence record.
+    convergence record.  Raises :class:`InfeasibleError` when no start of
+    the search is feasible, so I = +inf and there is no tilt.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -925,9 +923,12 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
         raise DomainError(f"every eps must be > 0, got {eps_list[-1]}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if n_steps % cfg.n_ctrl != 0:
+        raise DomainError(f"n_steps={n_steps} must be a multiple of "
+                          f"n_ctrl={cfg.n_ctrl}")
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
-        raise NumericError("rate minimization infeasible; no tilt available")
+        raise InfeasibleError("rate minimization infeasible; no tilt available")
     tilt = CmControl(cfg.hurst, expand_blocks(
         rate.block_values, cfg.n_ctrl, n_steps, coeffs.d))
     rows = []

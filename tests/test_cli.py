@@ -318,6 +318,22 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
     assert result["value"] == "inf" and not result["feasible"]
 
 
+def test_ldp_scaling_infeasible_exits_4(tmp_path, capsys):
+    # the zero family has no noise, so no control reaches the event: its
+    # rate is +inf, an answer about the model and not a numeric failure
+    path, _ = write_config(
+        tmp_path, command="ldp-scaling", coefficient="zero", hurst=0.6,
+        n_steps=64, n_ctrl=8, eps_list=[0.5], n_samples=100,
+        event={"kind": "terminal_exceedance", "a": 1.0})
+    assert cli.run(str(path)) == cli.EXIT_INFEASIBLE
+    assert "infeasible" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert json.loads((out / "error.json").read_text())["error"] == \
+        "infeasible"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["error.json"]
+
+
 def test_rate_workflow_grid_not_multiple_of_512(tmp_path):
     # 960 steps is no multiple of 512: the search still runs on all of
     # n_steps, not on a coarser grid below it

@@ -178,8 +178,7 @@ def test_cov_matrix_invariants():
 
 
 def test_covariance_matches_its_plain_expression_bitwise():
-    # the grid is built in place in the plain expression's order; exponents
-    # 0.5 and 1 are the ones numpy's power special-cases
+    # exponents 0.5 and 1 are the ones numpy's power special-cases
     for n, hurst in [(64, 0.25), (50, 0.5), (96, 0.75), (33, 0.9)]:
         t = np.arange(1, n + 1) / n
         s, t = t[:, None], t[None, :]

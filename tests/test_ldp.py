@@ -1029,6 +1029,12 @@ def test_scaling_table_structure_and_determinism(monkeypatch):
     with pytest.raises(DomainError, match="n_samples"):
         ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 0, 77,
                           **kwargs)
+    # so is a sampling grid that the control blocks do not divide
+    with pytest.raises(DomainError, match="multiple of n_ctrl"):
+        ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
+                          n_steps=100, cfg=ldp.RateConfig(hurst=0.6,
+                                                          n_steps=64,
+                                                          n_ctrl=16))
 
 
 def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
@@ -1054,8 +1060,7 @@ def test_a_run_holds_one_table_per_grid():
     # the searches and the Monte Carlo read only the kernel's increment
     # table, built without the kernel table's cache: a cached kernel table
     # next to it was a second n x n array in every run
-    for cache in (fbm.kernel_table, fbm._increment_table, ldp._mc_drive,
-                  ldp._block_increment_map):
+    for cache in (fbm.kernel_table, fbm._increment_table, ldp._mc_drive):
         cache.cache_clear()
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
@@ -1317,7 +1322,7 @@ def test_is_probability_memory_scales_with_chunk():
     # the terminal route and on the full-state route alike
     n, n_paths = 128, 8 * ldp._CHUNK
     ctrl = cm.CmControl(HURST, np.full((n, 1), 0.5))
-    fbm.kernel_table(n, HURST)                    # keep the cached build out
+    fbm._increment_table(n, HURST)                # keep the cached build out
     for route, (ev, _) in ROUTES.items():
         tracemalloc.start()
         try:
@@ -1337,7 +1342,7 @@ def test_estimators_hold_one_chunk_at_a_time():
     n, n_paths = 128, 8 * ldp._CHUNK
     chunk_array = ldp._CHUNK * (n + 1) * 8
     ctrl = cm.CmControl(HURST, np.full((n, 1), 0.5))
-    fbm.kernel_table(n, HURST)                    # keep the cached build out
+    fbm._increment_table(n, HURST)                # keep the cached build out
     for route, (ev, functional) in ROUTES.items():
         h = ldp.get_functional(functional)
         runs = {
