@@ -217,14 +217,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(out: Path, stem: str, header: list[str], rows: list[dict],
-                 **extra) -> list[str]:
+def _write_table(out: Path, written: list[str], stem: str,
+                 header: list[str], rows: list[dict], **extra) -> None:
     """Result rows as ``stem.csv`` (the ``header`` columns) and ``stem.json``
-    (every key, plus ``extra``); returns the two artifact names."""
+    (every key, plus ``extra``), each appended to ``written``."""
     with open(out / f"{stem}.csv", "w") as fh:
         write_csv(fh, [[r[k] for k in header] for r in rows], header)
+    written.append(f"{stem}.csv")
     _write_json(out / f"{stem}.json", {**extra, "rows": rows})
-    return [f"{stem}.csv", f"{stem}.json"]
+    written.append(f"{stem}.json")
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, t0: float,
@@ -278,20 +279,23 @@ def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
 
 
 # ---------------------------------------------------------------------------
-# workflows
+# workflows: each writes its files into ``out`` and appends each name to
+# ``written`` once the file is written, so the manifest of a run that fails
+# part way lists what the run left behind
 # ---------------------------------------------------------------------------
 
-def _run_sample(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_sample(cfg: ExperimentConfig, out: Path, written: list[str]) -> None:
     sampler = fbm.sample_volterra if cfg.sampler == "volterra" \
         else fbm.sample_cholesky
     batch = sampler(cfg.n_steps, cfg.hurst, cfg.d, cfg.n_paths, cfg.seed)
     with open(out / "paths.csv", "w") as fh:
         fbm.export_paths_csv(batch, fh)
+    written.append("paths.csv")
     fbm.export_increments(batch, str(out / "increments.npz"))
-    return ["paths.csv", "increments.npz"]
+    written.append("increments.npz")
 
 
-def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_solve(cfg: ExperimentConfig, out: Path, written: list[str]) -> None:
     coeffs = _coeffs_from_config(cfg)
     batch = fbm.sample_volterra(cfg.n_steps, cfg.hurst, cfg.d, 1, cfg.seed)
     driver = batch.path(0)
@@ -300,26 +304,28 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> list[str]:
     report = sde.norm_report(sol, alpha, delta, coeffs, hurst=cfg.hurst,
                              driver=driver)
     with open(out / "solution.csv", "w") as fh:
-        write_csv(fh, np.column_stack([driver.times, sol.path.values]),
+        write_csv(fh, np.column_stack([driver.times, sol.values]),
                   ["t"] + [f"x{i}" for i in range(coeffs.m)])
+    written.append("solution.csv")
     _write_json(out / "norm_report.json", {
         "alpha": alpha, "delta": delta, "hurst": cfg.hurst,
         "sup_norm": report.solution.sup_norm,
         "holder_norm": report.solution.holder_norm,
-        "holder_exponent": report.solution.holder_exponent,
+        "holder_exponent": 1.0 - alpha,
         "w_alpha_norm": report.solution.w_alpha_norm,
         "driver_holder": report.driver_holder,
-        "solver_config": sol.config,
+        "solver_config": {"n_steps": cfg.n_steps},
     })
-    return ["solution.csv", "norm_report.json"]
+    written.append("norm_report.json")
 
 
-def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_rate(cfg: ExperimentConfig, out: Path, written: list[str]) -> None:
     coeffs = _coeffs_from_config(cfg)
     event = _registry_entry(cfg, "event")
     result = ldp.rate_minimize(coeffs, cfg.x0, event, _rate_cfg(cfg))
     with open(out / "control.csv", "w") as fh:
         cmspace.export_control_csv(result.control, fh)
+    written.append("control.csv")
     _write_json(out / "rate_result.json", {
         "value": result.value,
         "residual": result.residual,
@@ -327,23 +333,23 @@ def _run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
         "diagnostics": result.diagnostics,
         "event": {"kind": event.name, **event.params},
     })
+    written.append("rate_result.json")
     if not result.feasible:
         raise InfeasibleError("rate problem infeasible at all starts")
-    return ["control.csv", "rate_result.json"]
 
 
-def _run_ldp_scaling(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_ldp_scaling(cfg: ExperimentConfig, out: Path,
+                     written: list[str]) -> None:
     coeffs = _coeffs_from_config(cfg)
     event = _registry_entry(cfg, "event")
     rows = ldp.scaling_table(coeffs, cfg.x0, event, cfg.eps_list,
-                             cfg.n_samples, cfg.seed, n_steps=cfg.n_steps,
-                             cfg=_rate_cfg(cfg))
-    return _write_table(out, "scaling", ["eps", "p_hat", "std_err",
-                                         "neg_eps_log_p", "rate_value", "gap"],
-                        rows)
+                             cfg.n_samples, cfg.seed, cfg=_rate_cfg(cfg))
+    _write_table(out, written, "scaling", ["eps", "p_hat", "std_err",
+                                           "neg_eps_log_p", "rate_value",
+                                           "gap"], rows)
 
 
-def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_laplace(cfg: ExperimentConfig, out: Path, written: list[str]) -> None:
     coeffs = _coeffs_from_config(cfg)
     h = _registry_entry(cfg, "functional")
     variational = ldp.laplace_variational(coeffs, cfg.x0, h, _rate_cfg(cfg))
@@ -355,10 +361,10 @@ def _run_laplace(cfg: ExperimentConfig, out: Path) -> list[str]:
                      "variational": variational.value, "h_inf": h.inf_h,
                      "h_sup": h.sup_h, "n_hits": r.n_hits, "ess": r.ess,
                      "max_weight_share": r.max_weight_share})
-    return _write_table(out, "laplace", ["eps", "value", "std_err",
-                                         "variational", "h_inf", "h_sup"],
-                        rows, functional={"name": h.name, **h.params},
-                        variational_starts=variational.diagnostics["starts"])
+    _write_table(out, written, "laplace", ["eps", "value", "std_err",
+                                           "variational", "h_inf", "h_sup"],
+                 rows, functional={"name": h.name, **h.params},
+                 variational_starts=variational.diagnostics["starts"])
 
 
 def _validate_ops_checks(cfg: ExperimentConfig):
@@ -414,24 +420,24 @@ def _validate_ops_checks(cfg: ExperimentConfig):
     sk = sde.skeleton([0.0], co, ctrl)
     cp = sde.controlled_path([0.0], co, ctrl, 0.0,
                              GridFn.zeros(128, 1))
-    yield ("eps=0 bitwise reduction",
-           np.array_equal(sk.path.values, cp.path.values), "")
+    yield ("eps=0 bitwise reduction", np.array_equal(sk.values, cp.values), "")
 
     zc = cmspace.zero_control(max(cfg.hurst, 0.6), 64)
     w, logw = ldp.girsanov_weight(zc, 1.0, np.zeros((1, 64, 1)))
     yield ("girsanov zero-control weight", w[0] == 1.0 and logw[0] == 0.0, "")
 
 
-def _run_validate_ops(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_validate_ops(cfg: ExperimentConfig, out: Path,
+                      written: list[str]) -> None:
     rows = [("check", "status", "detail")]
     failures = 0
     for name, passed, detail in _validate_ops_checks(cfg):
         rows.append((name, "pass" if passed else "FAIL", detail))
         failures += 0 if passed else 1
     (out / "validate.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    written.append("validate.csv")
     if failures:
         raise NumericError(f"{failures} validate-ops checks failed")
-    return ["validate.csv"]
 
 
 _WORKFLOWS = {
@@ -449,6 +455,8 @@ def run(config_path: str, seed_override: int | None = None) -> int:
 
     The one place that maps failure kinds to statuses: a ``DomainError``
     exits 2, an ``InfeasibleError`` 4 and any other ``NumericError`` 3.
+    A run that exits 0, 3 or 4 writes a manifest listing every file it
+    wrote.
     """
     t0 = time.time()
     try:
@@ -461,8 +469,9 @@ def run(config_path: str, seed_override: int | None = None) -> int:
         return EXIT_SCHEMA
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
+    written = []
     try:
-        artifacts = _WORKFLOWS[cfg.command](cfg, out)
+        _WORKFLOWS[cfg.command](cfg, out, written)
     except DomainError as exc:
         # a config-content violation surfacing from the numeric layers
         print(f"config error: {exc}", file=sys.stderr)
@@ -472,10 +481,11 @@ def run(config_path: str, seed_override: int | None = None) -> int:
                         if isinstance(exc, InfeasibleError)
                         else ("numeric", EXIT_NUMERIC))
         _write_json(out / "error.json", {"error": kind, "detail": str(exc)})
-        _write_manifest(out, cfg, t0, ["error.json"])
+        written.append("error.json")
+        _write_manifest(out, cfg, t0, written)
         print(f"{kind}: {exc}", file=sys.stderr)
         return status
-    _write_manifest(out, cfg, t0, artifacts)
+    _write_manifest(out, cfg, t0, written)
     return EXIT_OK
 
 

@@ -101,14 +101,15 @@ def kernel_k(t: float, s: float, hurst: float) -> float:
 # power plus one series in rho <= 1/2.  Both branches are machine-accurate.
 
 def _kernel_hyp_factor(hurst: float, rho: np.ndarray) -> np.ndarray:
-    """rho^(H-1/2) * G(1 - rho), the kernel's full hypergeometric factor."""
+    """G(1 - rho); the kernel's full hypergeometric factor is rho^(H-1/2)
+    times it."""
     h = hurst
     a, b, c = h - 0.5, 2.0 * h, h + 0.5
     x = 1.0 - rho
     out = np.empty_like(rho)
     near = x <= 0.5
     if near.any():
-        out[near] = rho[near] ** (h - 0.5) * _f21_series(a, b, c, x[near])
+        out[near] = _f21_series(a, b, c, x[near])
     far = ~near
     if far.any():
         r = rho[far]
@@ -116,8 +117,7 @@ def _kernel_hyp_factor(hurst: float, rho: np.ndarray) -> np.ndarray:
         c2 = (math.gamma(c) * math.gamma(2.0 * h - 1.0)
               / (math.gamma(h - 0.5) * math.gamma(2.0 * h)))
         tail = _f21_series(1.0, 0.5 - h, 2.0 - 2.0 * h, r)
-        g = c1 * x[far] ** (0.5 - h) + c2 * r ** (1.0 - 2.0 * h) * tail
-        out[far] = r ** (h - 0.5) * g
+        out[far] = c1 * x[far] ** (0.5 - h) + c2 * r ** (1.0 - 2.0 * h) * tail
     return out
 
 
@@ -130,8 +130,10 @@ def _kernel_values(t, s: np.ndarray, hurst: float) -> np.ndarray:
     if hurst == 0.5:
         return np.ones_like(s)
     pref = volterra_c(hurst) / math.gamma(hurst + 0.5)
+    rho = s / t
     with np.errstate(divide="ignore"):
-        return pref * (t - s) ** (hurst - 0.5) * _kernel_hyp_factor(hurst, s / t)
+        return pref * (t - s) ** (hurst - 0.5) \
+            * (rho ** (hurst - 0.5) * _kernel_hyp_factor(hurst, rho))
 
 
 def _kernel_row(t: float, s: np.ndarray, hurst: float) -> np.ndarray:
@@ -195,7 +197,7 @@ def covariance_quadrature(s: float, t: float, hurst: float, n_steps: int) -> flo
     sampling in u cannot meet tight tolerances.  Substituting u = w^p with
     p = 1/(1 - |2H-1|) flattens the singularity; midpoint cells in w then
     resolve the integral to ~1e-5 at 512 nodes.  The result reproduces the
-    covariance R_H(s, t).
+    covariance R_H(s, t), within 1e-3 at 256 nodes for H in (0, 0.9955].
     """
     _check_hurst(hurst)
     m = min(s, t)
@@ -203,25 +205,35 @@ def covariance_quadrature(s: float, t: float, hurst: float, n_steps: int) -> flo
         return 0.0
     if hurst == 0.5:
         return m
-
-    def _power_sub(lo_exp: float, a: float, b: float, n: int, mirrored: bool) -> float:
-        # integral of phi over [a, b]; phi ~ (u - a)^lo_exp at the left end
-        # (or (b - u)^lo_exp at the right end when mirrored)
-        p = 1.0 / (1.0 + lo_exp)
-        wmax = (b - a) ** (1.0 / p)
-        w = (np.arange(n) + 0.5) * (wmax / n)
-        offset = w ** p
-        u = a + offset if not mirrored else b - offset
-        phi = _kernel_row(t, u, hurst) * _kernel_row(s, u, hurst)
-        return float(np.sum(phi * p * w ** (p - 1.0)) * (wmax / n))
-
-    e0 = -abs(2.0 * hurst - 1.0)
     if hurst > 0.5:
-        return _power_sub(e0, 0.0, m, n_steps, mirrored=False)
-    # H < 1/2: the kernels also blow up as u -> min(s, t); split and mirror
-    half = n_steps // 2
-    return (_power_sub(e0, 0.0, m / 2.0, half, mirrored=False)
-            + _power_sub(e0, m / 2.0, m, n_steps - half, mirrored=True))
+        p = 1.0 / (2.0 - 2.0 * hurst)
+        wmax = m ** (1.0 / p)
+        w = (np.arange(n_steps) + 0.5) * (wmax / n_steps)
+        u = w ** p
+        phi = _kernel_row(t, u, hurst) * _kernel_row(s, u, hurst)
+        return float(np.sum(phi * p * w ** (p - 1.0)) * (wmax / n_steps))
+    # H < 1/2: k_H(r, u) = c (r - u)^a (u / r)^a G(1 - u / r), a = H - 1/2,
+    # blows up as u -> 0 and, where r = m, as u -> m.  Each half of [0, m]
+    # puts its singular end at distance w^p from u, p = 1/(2H).  At small H
+    # w^p underflows and the powers overflow, so each node's powers and
+    # Jacobian are summed as logarithms, where log w^p = p log w is exact.
+    a, p = hurst - 0.5, 0.5 / hurst
+    c = volterra_c(hurst) / math.gamma(hurst + 0.5)
+    wmax = (0.5 * m) ** (1.0 / p)
+    total = 0.0
+    for n, mirrored in ((n_steps // 2, False), (n_steps - n_steps // 2, True)):
+        w = (np.arange(n) + 0.5) * (wmax / n)
+        log_end = p * np.log(w)
+        u = m - np.exp(log_end) if mirrored else np.exp(log_end)
+        log_f = math.log(p) + (p - 1.0) * np.log(w)
+        g = c * c
+        for r in (s, t):
+            log_lag = log_end if mirrored and r == m else np.log(r - u)
+            log_rho = np.log(u / r) if mirrored else log_end - math.log(r)
+            log_f += a * (log_lag + log_rho)
+            g = g * _kernel_hyp_factor(hurst, u / r)
+        total += float(np.sum(g * np.exp(log_f))) * (wmax / n)
+    return total
 
 
 def volterra_variance_bias(n_steps: int, hurst: float) -> float:

@@ -322,9 +322,7 @@ class HolderReport:
 
     sup_norm: float
     holder_norm: float
-    holder_exponent: float
     w_alpha_norm: float
-    alpha: float
 
 
 # the exact O(n^2) Holder scan strides its base index above this many steps
@@ -369,10 +367,5 @@ def norms(f: GridFn, lam: float, alpha: float) -> HolderReport:
         acc[ell - 1 :] += coeff[ell] * diff
     w_all = np.linalg.norm(vals[1:], axis=1) + acc
     w_best = max(w_best, float(w_all.max()))
-    return HolderReport(
-        sup_norm=sup_norm,
-        holder_norm=holder,
-        holder_exponent=lam,
-        w_alpha_norm=w_best,
-        alpha=alpha,
-    )
+    return HolderReport(sup_norm=sup_norm, holder_norm=holder,
+                        w_alpha_norm=w_best)

@@ -295,16 +295,12 @@ class RateConfig:
             raise DomainError("n_steps must be a multiple of n_ctrl")
 
 
-def expand_blocks(theta: np.ndarray, n_ctrl: int, n_steps: int,
-                  d: int) -> np.ndarray:
-    """Block coefficients (n_ctrl*d,) -> cell density samples (n_steps, d)."""
-    blocks = theta.reshape(n_ctrl, d)
-    return np.repeat(blocks, n_steps // n_ctrl, axis=0)
-
-
 def control_from_blocks(theta: np.ndarray, cfg: RateConfig, d: int) -> CmControl:
-    return CmControl(cfg.hurst, expand_blocks(np.asarray(theta, dtype=float),
-                                              cfg.n_ctrl, cfg.n_steps, d))
+    """The control of block coefficients theta (n_ctrl*d,): each block's
+    density repeated on its cfg.n_steps // cfg.n_ctrl cells."""
+    blocks = np.asarray(theta, dtype=float).reshape(cfg.n_ctrl, d)
+    return CmControl(cfg.hurst,
+                     np.repeat(blocks, cfg.n_steps // cfg.n_ctrl, axis=0))
 
 
 def _block_increment_map(n_ctrl: int, n_steps: int, hurst: float) -> np.ndarray:
@@ -554,7 +550,6 @@ class RateResult:
 
     value: float
     control: CmControl
-    block_values: np.ndarray
     residual: float
     feasible: bool
     diagnostics: dict = field(repr=False)
@@ -612,7 +607,6 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: StateFunctional,
     return RateResult(
         value=chosen["value"] if feas else math.inf,
         control=control_from_blocks(theta, cfg, coeffs.d),
-        block_values=theta.reshape(cfg.n_ctrl, coeffs.d),
         residual=chosen["residual"], feasible=bool(feas), diagnostics=diag,
     )
 
@@ -658,16 +652,14 @@ def _feasibility_polish(obj, g, theta):
 class VariationalResult:
     """The deterministic side of the Laplace check and its minimiser.
 
-    ``value`` is the least objective over the starts, and ``control`` and
-    ``block_values`` that start's block control: the importance-sampling
-    tilt :func:`laplace_mc` takes.  Each entry of the diagnostics'
-    ``starts`` records its value, its L-BFGS-B iterations, whether the
-    search converged, and its message.
+    ``value`` is the least objective over the starts, and ``control`` that
+    start's block control: the importance-sampling tilt :func:`laplace_mc`
+    takes.  Each entry of the diagnostics' ``starts`` records its value,
+    its L-BFGS-B iterations, whether the search converged, and its message.
     """
 
     value: float
     control: CmControl
-    block_values: np.ndarray
     diagnostics: dict = field(repr=False)
 
 
@@ -692,7 +684,6 @@ def laplace_variational(coeffs: CoefficientSet, x0, h: StateFunctional,
     theta = runs[best["start"]][0].x
     return VariationalResult(
         value=best["value"], control=control_from_blocks(theta, cfg, coeffs.d),
-        block_values=theta.reshape(cfg.n_ctrl, coeffs.d),
         diagnostics={"starts": starts})
 
 
@@ -904,14 +895,14 @@ def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
 
 
 def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
-                  eps_list, n_samples: int, seed: int, *, n_steps: int,
+                  eps_list, n_samples: int, seed: int, *,
                   cfg: RateConfig) -> list[dict]:
     """Small-noise scaling study: rows (eps, p_hat, -eps log p_hat, I, gap).
 
     The rate value I is computed once, by :func:`rate_minimize` under
-    ``cfg``; its block control, spread onto the ``n_steps`` sampling grid,
-    tilts every eps row, each sampled at ``cfg.hurst`` with an independently
-    derived seed.
+    ``cfg``; its control tilts every eps row, so each row samples the model
+    whose rate it reports, on ``cfg``'s grid and Hurst index, with an
+    independently derived seed.
     ``eps_list`` must decrease so the gap column can be read as a
     convergence record.  Raises :class:`InfeasibleError` when no start of
     the search is feasible, so I = +inf and there is no tilt.
@@ -923,18 +914,13 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
         raise DomainError(f"every eps must be > 0, got {eps_list[-1]}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if n_steps % cfg.n_ctrl != 0:
-        raise DomainError(f"n_steps={n_steps} must be a multiple of "
-                          f"n_ctrl={cfg.n_ctrl}")
     rate = rate_minimize(coeffs, x0, event, cfg)
     if not rate.feasible:
         raise InfeasibleError("rate minimization infeasible; no tilt available")
-    tilt = CmControl(cfg.hurst, expand_blocks(
-        rate.block_values, cfg.n_ctrl, n_steps, coeffs.d))
     rows = []
     for i, eps in enumerate(eps_list):
         est = is_probability(coeffs, x0, event, eps, n_samples,
-                             rng.mix64(seed, i), tilt)
+                             rng.mix64(seed, i), rate.control)
         neg = -eps * math.log(est.p_hat) if est.p_hat > 0 else math.inf
         rows.append({
             "eps": eps,

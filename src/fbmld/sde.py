@@ -27,7 +27,6 @@ __all__ = [
     "CoefficientSet",
     "get_coefficients",
     "registry_names",
-    "SolvedPath",
     "NormReport",
     "solve_young",
     "skeleton",
@@ -189,14 +188,6 @@ def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> Coefficient
 # solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SolvedPath:
-    """Euler solution with its config echo."""
-
-    path: GridFn
-    config: dict
-
-
 # the Euler solver raises once any state component exceeds this magnitude
 _OVERFLOW_GUARD = 1e12
 
@@ -269,17 +260,14 @@ def solve_increments(x0: np.ndarray, coeffs: CoefficientSet,
     return out
 
 
-def solve_young(x0, coeffs: CoefficientSet, driver: GridFn) -> SolvedPath:
+def solve_young(x0, coeffs: CoefficientSet, driver: GridFn) -> GridFn:
     """Euler solution of dX = b dt + sigma dg for a pathwise driver g."""
     states = solve_increments(x0, coeffs, driver.increments()[None])
-    return SolvedPath(
-        path=GridFn(driver.n_steps, states[0]),
-        config={"n_steps": driver.n_steps},
-    )
+    return GridFn(driver.n_steps, states[0])
 
 
 def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
-                    fbm_path: GridFn) -> SolvedPath:
+                    fbm_path: GridFn) -> GridFn:
     """Solution of the controlled SDE dX = b dt + sigma dv + sqrt(eps) sigma dB^H.
 
     The combined driver increments are dv + sqrt(eps) dB^H, so eps = 0
@@ -291,13 +279,10 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
         raise DimensionError("control and fBm path live on different grids")
     inc = ctrl.path.increments() + math.sqrt(eps) * fbm_path.increments()
     states = solve_increments(x0, coeffs, inc[None])
-    return SolvedPath(
-        path=GridFn(ctrl.n_steps, states[0]),
-        config={"n_steps": ctrl.n_steps, "eps": eps, "hurst": ctrl.hurst},
-    )
+    return GridFn(ctrl.n_steps, states[0])
 
 
-def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> SolvedPath:
+def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> GridFn:
     """Deterministic skeleton: the controlled equation driven by v alone.
 
     This is the solution map evaluated at the control (zero-noise limit).
@@ -312,13 +297,10 @@ def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> SolvedPath:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Norms of a solution at the a-priori exponents, plus admissibility echo."""
+    """Norms of a solution, and of its driver, at the a-priori exponents."""
 
     solution: HolderReport
     driver_holder: float | None
-    alpha: float
-    delta: float
-    hurst: float
 
 
 def _check_admissible(coeffs: CoefficientSet, hurst: float,
@@ -335,7 +317,7 @@ def _check_admissible(coeffs: CoefficientSet, hurst: float,
         )
 
 
-def norm_report(sol: SolvedPath, alpha: float, delta: float,
+def norm_report(sol: GridFn, alpha: float, delta: float,
                 coeffs: CoefficientSet, hurst: float,
                 driver: GridFn | None = None) -> NormReport:
     """Solution norms at the a-priori exponents of the well-posedness bounds.
@@ -346,9 +328,8 @@ def norm_report(sol: SolvedPath, alpha: float, delta: float,
     clamped.
     """
     _check_admissible(coeffs, hurst, alpha, delta)
-    rep = norms(sol.path, 1.0 - alpha, alpha)
+    rep = norms(sol, 1.0 - alpha, alpha)
     drv = None
     if driver is not None:
         drv = norms(driver, 1.0 - alpha + delta, alpha).holder_norm
-    return NormReport(solution=rep, driver_holder=drv, alpha=alpha,
-                      delta=delta, hurst=hurst)
+    return NormReport(solution=rep, driver_holder=drv)

@@ -216,6 +216,15 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
      "has role 'event', not 'functional'"),
     ({"command": "rate", "event": {"kind": "terminal_shortfall"}},
      "has role 'functional', not 'event'"),
+    ({"command": "solve", "hurst": 0.5}, "solve requires hurst in (1/2, 1)"),
+    ({"n_steps": 0}, "n_steps must be positive"),
+    ({"sampler": "sobol"}, "sampler must be 'volterra' or 'cholesky'"),
+    ({"command": "rate"}, "rate needs an event spec"),
+    ({"command": "ldp-scaling", "eps_list": [0.5]},
+     "ldp-scaling needs an event spec"),
+    ({"command": "rate", "n_steps": 100, "n_ctrl": 16,
+      "event": {"kind": "terminal_exceedance", "a": 1.0}},
+     "n_steps must be a multiple of n_ctrl"),
 ], ids=["functional_without_name", "functional_not_an_object",
         "y_wrong_length", "negative_eps", "no_paths", "unread_r",
         "unread_a", "unread_y", "negative_samples", "zero_samples",
@@ -236,7 +245,9 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "x0_huge_int", "solve_m_zero", "rate_m_zero", "seed_2_to_70",
         "seed_2_to_64", "seed_negative", "functional_cap_negative_shortfall",
         "functional_cap_negative_sup_norm", "event_kind_as_functional",
-        "functional_name_as_event"])
+        "functional_name_as_event", "solve_hurst_half", "n_steps_zero",
+        "sampler_unknown", "rate_without_event", "ldp_scaling_without_event",
+        "n_ctrl_not_dividing_n_steps"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
                                                   overrides, fragment):
     defaults = {"hurst": 0.6, "n_steps": 64, "n_ctrl": 8, "n_samples": 1000}
@@ -246,11 +257,16 @@ def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_unreadable_config_exit_2(tmp_path):
+def test_unreadable_config_exit_2(tmp_path, capsys):
     assert cli.run(str(tmp_path / "missing.json")) == cli.EXIT_SCHEMA
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert cli.run(str(bad)) == cli.EXIT_SCHEMA
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    capsys.readouterr()
+    assert cli.run(str(listed)) == cli.EXIT_SCHEMA
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_content_errors_from_numeric_layer_exit_2(tmp_path):
@@ -316,6 +332,9 @@ def test_rate_workflow_and_infeasible_exit(tmp_path):
     assert (tmp_path / "out2" / "error.json").exists()
     result = json.loads((tmp_path / "out2" / "rate_result.json").read_text())
     assert result["value"] == "inf" and not result["feasible"]
+    manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["control.csv", "error.json",
+                                     "rate_result.json"]
 
 
 def test_ldp_scaling_infeasible_exits_4(tmp_path, capsys):
@@ -371,12 +390,28 @@ def test_laplace_workflow(tmp_path):
 
 
 def test_validate_ops_workflow(tmp_path):
-    path, _ = write_config(tmp_path, command="validate-ops", hurst=0.75)
-    assert cli.run(str(path)) == cli.EXIT_OK
-    lines = (tmp_path / "out" / "validate.csv").read_text().splitlines()
-    assert lines[0] == "check,status,detail"
-    assert all(",pass," in line or line.endswith(",pass")
-               or ",pass" in line for line in lines[1:])
+    # H = 0.05: the kernel covariance check's quadrature is singular at
+    # both ends of [0, 1/2]
+    for hurst in (0.75, 0.05):
+        out = tmp_path / f"out-{hurst}"
+        path, _ = write_config(tmp_path, command="validate-ops", hurst=hurst,
+                               output_dir=str(out))
+        assert cli.run(str(path)) == cli.EXIT_OK, hurst
+        lines = (out / "validate.csv").read_text().splitlines()
+        assert lines[0] == "check,status,detail"
+        assert all(",pass," in line or line.endswith(",pass")
+                   or ",pass" in line for line in lines[1:]), hurst
+
+
+def test_failed_validate_ops_lists_its_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_validate_ops_checks",
+                        lambda cfg: iter([("ok", True, ""), ("bad", False, "")]))
+    path, _ = write_config(tmp_path, command="validate-ops")
+    assert cli.run(str(path)) == cli.EXIT_NUMERIC
+    out = tmp_path / "out"
+    assert (out / "validate.csv").read_text().splitlines()[2] == "bad,FAIL,"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["error.json", "validate.csv"]
 
 
 # ---------------------------------------------------------------------------

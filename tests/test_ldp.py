@@ -93,7 +93,7 @@ ROLE_MISTAKES = {
     "is_probability": lambda h: ldp.is_probability(
         ADDITIVE, [0.0], h, 0.5, 100, 3, cm.zero_control(HURST, 32)),
     "scaling_table": lambda h: ldp.scaling_table(
-        ADDITIVE, [0.0], h, [0.5], 100, 3, n_steps=32, cfg=SMALL_CFG),
+        ADDITIVE, [0.0], h, [0.5], 100, 3, cfg=SMALL_CFG),
     "laplace_variational": lambda h: ldp.laplace_variational(
         ADDITIVE, [0.0], h, SMALL_CFG),
     "laplace_mc": lambda h: ldp.laplace_mc(
@@ -397,7 +397,8 @@ def test_rate_minimize_additive_oracle():
     assert res.residual <= ldp._FEASIBILITY_TOL
     assert abs(res.value - 0.5) <= 0.025
     assert abs(res.value - val_star) <= 0.01
-    l2 = np.linalg.norm(res.block_values[:, 0] - theta_star) \
+    blocks = res.control.cells[::SMALL_CFG.n_steps // SMALL_CFG.n_ctrl, 0]
+    l2 = np.linalg.norm(blocks - theta_star) \
         / np.linalg.norm(theta_star)
     assert l2 <= 0.05
     assert res.value == pytest.approx(0.5 * cm.cm_norm(res.control) ** 2,
@@ -409,7 +410,7 @@ def test_rate_minimize_trivial_event_zero_control():
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev, cfg=SMALL_CFG)
     assert res.feasible
     assert res.value == 0.0
-    assert np.abs(res.block_values).max() == 0.0
+    assert np.abs(res.control.cells).max() == 0.0
 
 
 def test_rate_minimize_quadratic_scaling():
@@ -450,7 +451,9 @@ def test_rate_minimize_n_ctrl_override():
     ev = ldp.get_functional("terminal_exceedance", a=1.0)
     res = ldp.rate_minimize(ADDITIVE, [0.0], ev,
                             cfg=dataclasses.replace(SMALL_CFG, n_ctrl=8))
-    assert res.block_values.shape == (8, 1)
+    cells = res.control.cells
+    assert cells.shape == (128, 1)
+    assert np.array_equal(cells, np.repeat(cells[::16], 16, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +720,7 @@ def geometric_scaling():
     ev = ldp.get_functional("terminal_exceedance", a=math.exp(GEOMETRIC_LEVEL))
     cfg = ldp.RateConfig(hurst=0.7, n_steps=128, n_ctrl=16, seed=0)
     rows = ldp.scaling_table(co, [1.0], ev, [0.25, 0.1, 0.05], 20_000, 61,
-                             n_steps=128, cfg=cfg)
+                             cfg=cfg)
     crude = ldp.is_probability(co, [1.0], ev, 0.1, 20_000, 62,
                                cm.zero_control(0.7, 128))
     return rows, crude
@@ -803,9 +806,11 @@ def test_laplace_variational_returns_its_minimiser():
     assert res.value == min(s["value"] for s in starts)
     assert all(s["converged"] and s["message"] and s["iterations"] > 0
                for s in starts)
-    assert res.block_values.shape == (SMALL_CFG.n_ctrl, 1)
+    cells, per_block = res.control.cells, SMALL_CFG.n_steps // SMALL_CFG.n_ctrl
+    assert np.array_equal(cells, np.repeat(cells[::per_block], per_block,
+                                           axis=0))
     # the value is the objective at the control it returns
-    terminal = sde.skeleton([0.0], ADDITIVE, res.control).path.values[-1]
+    terminal = sde.skeleton([0.0], ADDITIVE, res.control).values[-1]
     objective = h.bind(ADDITIVE, [0.0], SMALL_CFG.n_steps)(
         terminal[None, None])[0][0] + 0.5 * cm.cm_norm(res.control) ** 2
     assert objective == pytest.approx(res.value, abs=1e-9)
@@ -924,7 +929,8 @@ def test_health_fields_flag_a_mis_aimed_tilt():
     h = ldp.get_functional("terminal_shortfall", target=1.0)
     cfg = ldp.RateConfig(hurst=0.75, n_steps=64, n_ctrl=8, seed=7)
     aimed = ldp.laplace_variational(co, [0.0], h, cfg)
-    wrong = ldp.control_from_blocks(-aimed.block_values.ravel(), cfg, 1)
+    blocks = aimed.control.cells[::cfg.n_steps // cfg.n_ctrl]
+    wrong = ldp.control_from_blocks(-blocks.ravel(), cfg, 1)
     for i, eps in enumerate((0.5, 0.2, 0.1)):
         got = {name: ldp.laplace_mc(co, [0.0], h, eps, 2000,
                                     rng.mix64(7, i), ctrl)
@@ -1009,7 +1015,7 @@ def test_is_probability_rejects_fewer_than_one_sample(n_samples):
 
 def test_scaling_table_structure_and_determinism(monkeypatch):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
-    kwargs = dict(n_steps=128, cfg=SMALL_CFG)
+    kwargs = dict(cfg=SMALL_CFG)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
                              **kwargs)
     rows2 = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
@@ -1029,12 +1035,9 @@ def test_scaling_table_structure_and_determinism(monkeypatch):
     with pytest.raises(DomainError, match="n_samples"):
         ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 0, 77,
                           **kwargs)
-    # so is a sampling grid that the control blocks do not divide
+    # a grid that the control blocks do not divide has no config to pass
     with pytest.raises(DomainError, match="multiple of n_ctrl"):
-        ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 77,
-                          n_steps=100, cfg=ldp.RateConfig(hurst=0.6,
-                                                          n_steps=64,
-                                                          n_ctrl=16))
+        ldp.RateConfig(hurst=0.6, n_steps=100, n_ctrl=16)
 
 
 def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
@@ -1048,7 +1051,7 @@ def test_scaling_table_builds_one_monte_carlo_response_map(monkeypatch):
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
     rows = ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25, 0.1], 1000, 4,
-                             n_steps=64, cfg=cfg)
+                             cfg=cfg)
     assert builds == [(64, 8), (64, 64)]
     info = ldp._mc_drive.cache_info()
     assert (info.misses, info.hits) == (1, 2)
@@ -1064,8 +1067,7 @@ def test_a_run_holds_one_table_per_grid():
         cache.cache_clear()
     ev = ldp.get_functional("terminal_exceedance", a=0.5)
     cfg = ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=8, seed=3)
-    ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 4, n_steps=64,
-                      cfg=cfg)
+    ldp.scaling_table(ADDITIVE, [0.0], ev, [0.5, 0.25], 1000, 4, cfg=cfg)
     ldp.laplace_mc(sde.get_coefficients("tanh"), [0.0],
                    ldp.get_functional("terminal_shortfall"), 0.25, 1000, 3,
                    cm.CmControl(HURST, _cells(32, 1)))
@@ -1288,12 +1290,10 @@ def test_is_probability_rejects_five_noise_dims_before_drawing(monkeypatch):
 
 def _results():
     ctrl = cm.zero_control(HURST, 8)
-    blocks = np.zeros((1, 1))
     return {
         "GridFn": GridFn(4, np.zeros(5)),
-        "SolvedPath": sde.SolvedPath(GridFn(4, np.zeros(5)), {}),
-        "RateResult": ldp.RateResult(0.0, ctrl, blocks, 0.0, True, {}),
-        "VariationalResult": ldp.VariationalResult(0.0, ctrl, blocks, {}),
+        "RateResult": ldp.RateResult(0.0, ctrl, 0.0, True, {}),
+        "VariationalResult": ldp.VariationalResult(0.0, ctrl, {}),
         "CmControl": ctrl,
         "FbmBatch": fbm.sample_volterra(8, HURST, 1, 2, seed=1),
     }

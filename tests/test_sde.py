@@ -116,7 +116,7 @@ def test_ode_exponential_decay():
     n = 512
     co = sde.get_coefficients("linear_drift", rate=1.0, scale=0.0)
     sol = sde.solve_young([1.0], co, GridFn.zeros(n, 1))
-    assert abs(sol.path.values[-1, 0] - math.exp(-1.0)) <= 2.0 / n
+    assert abs(sol.values[-1, 0] - math.exp(-1.0)) <= 2.0 / n
 
 
 def test_additive_telescopes_exactly():
@@ -125,7 +125,7 @@ def test_additive_telescopes_exactly():
     g = GridFn.from_callable(lambda t: np.sin(3 * t) + 0.2 * t, n)
     sol = sde.solve_young([0.5], co, g)
     ref = 0.5 + g.values - g.values[0]
-    assert np.abs(sol.path.values - ref).max() <= 1e-12
+    assert np.abs(sol.values - ref).max() <= 1e-12
 
 
 def test_geometric_young_chain_rule():
@@ -135,7 +135,7 @@ def test_geometric_young_chain_rule():
         g = GridFn.from_callable(lambda t: np.sin(2 * np.pi * t), n)
         sol = sde.solve_young([1.0], co, g)
         ref = math.exp(g.values[-1, 0] - g.values[0, 0])
-        errs.append(abs(sol.path.values[-1, 0] - ref) / ref)
+        errs.append(abs(sol.values[-1, 0] - ref) / ref)
     assert errs[-1] <= 5e-3
     assert 0.4 <= errs[1] / errs[0] <= 0.6
 
@@ -279,15 +279,15 @@ def test_zero_control_skeleton_solves_ode(control_75):
     n, hurst = 256, 0.75
     co = sde.get_coefficients("linear_drift", rate=1.0, scale=1.0, d=1)
     sol = sde.skeleton([1.0], co, cm.zero_control(hurst, n))
-    t = sol.path.times
-    assert np.abs(sol.path.values[:, 0] - np.exp(-t)).max() <= 2.0 / n
+    t = sol.times
+    assert np.abs(sol.values[:, 0] - np.exp(-t)).max() <= 2.0 / n
 
 
 def test_skeleton_additive_shifts_by_control_path(control_75):
     co = sde.get_coefficients("constant")
     sol = sde.skeleton([0.3], co, control_75)
     ref = 0.3 + fbm.kernel_table(256, 0.75) @ control_75.cells / 256
-    assert np.abs(sol.path.values - ref).max() <= 1e-12
+    assert np.abs(sol.values - ref).max() <= 1e-12
 
 
 def test_eps_zero_reduction_bitwise(control_75):
@@ -295,7 +295,7 @@ def test_eps_zero_reduction_bitwise(control_75):
     fpath = fbm.sample_volterra(256, 0.75, 1, 1, seed=3).path(0)
     sk = sde.skeleton([0.1], co, control_75)
     cp = sde.controlled_path([0.1], co, control_75, 0.0, fpath)
-    np.testing.assert_array_equal(sk.path.values, cp.path.values)
+    np.testing.assert_array_equal(sk.values, cp.values)
 
 
 def test_zero_control_reduction_bitwise(control_75):
@@ -305,7 +305,7 @@ def test_zero_control_reduction_bitwise(control_75):
     cp = sde.controlled_path([0.1], co, zero, 0.3, fpath)
     sn = sde.solve_increments([0.1], co,
                               math.sqrt(0.3) * fpath.increments()[None])[0]
-    np.testing.assert_array_equal(cp.path.values, sn)
+    np.testing.assert_array_equal(cp.values, sn)
 
 
 def test_controlled_additive_closed_form(control_75):
@@ -314,7 +314,7 @@ def test_controlled_additive_closed_form(control_75):
     eps = 0.36
     cp = sde.controlled_path([0.0], co, control_75, eps, fpath)
     ref = control_75.path.values + math.sqrt(eps) * fpath.values
-    assert np.abs(cp.path.values - ref).max() <= 1e-12
+    assert np.abs(cp.values - ref).max() <= 1e-12
 
 
 def test_skeleton_lipschitz_in_control():
@@ -331,7 +331,7 @@ def test_skeleton_lipschitz_in_control():
         pert = cm.CmControl(hurst,
                                      base.cells + delta * bump)
         sol1 = sde.skeleton([0.2], co, pert)
-        gap = np.abs(sol1.path.values - sol0.path.values).max()
+        gap = np.abs(sol1.values - sol0.values).max()
         ratios.append(gap / delta)
     assert max(ratios) <= 2.0 * min(ratios)
 
