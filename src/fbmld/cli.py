@@ -103,8 +103,6 @@ class ExperimentConfig:
             raise SchemaError(f"command must be one of {tuple(_WORKFLOWS)}")
         if not 0.0 < self.hurst < 1.0:
             raise SchemaError("hurst must lie in (0, 1)")
-        if self.command == "solve" and not 0.5 < self.hurst < 1.0:
-            raise SchemaError("solve requires hurst in (1/2, 1)")
         if self.command in ("rate", "ldp-scaling", "laplace-check"):
             _rate_cfg(self)         # checks H, n_ctrl and n_ctrl | n_steps
         if not 0 <= self.seed <= rng._MASK:
@@ -137,12 +135,11 @@ class ExperimentConfig:
         if self.functional or self.command == "laplace-check":
             _registry_entry(self, "functional")
         if self.command in ("solve", "rate", "ldp-scaling", "laplace-check"):
-            coeffs = _coeffs_from_config(self)
+            _coeffs_from_config(self)
             if np.shape(self.x0) != (self.m,):
                 raise SchemaError(f"x0 must hold m={self.m} entries")
             if self.command == "solve":
-                sde._check_admissible(coeffs, self.hurst,
-                                      *_solve_exponents(self, coeffs))
+                sde.admissible_exponents(self.hurst, self.alpha, self.delta)
         if self.command == "ldp-scaling" and self.n_samples < 1:
             raise SchemaError("ldp-scaling needs n_samples >= 1")
         if self.command == "laplace-check":
@@ -264,16 +261,6 @@ def _coeffs_from_config(cfg: ExperimentConfig) -> sde.CoefficientSet:
         raise SchemaError(f"bad coefficient: {exc}") from exc
 
 
-def _solve_exponents(cfg: ExperimentConfig,
-                     coeffs: sde.CoefficientSet) -> tuple[float, float]:
-    """(alpha, delta) of the solve norm report; unset ones take the midpoints
-    of their admissible intervals."""
-    lo, hi = coeffs.admissible_alpha(cfg.hurst)
-    alpha = cfg.alpha if cfg.alpha is not None else 0.5 * (lo + hi)
-    delta = cfg.delta if cfg.delta is not None else 0.5 * (alpha - (1.0 - cfg.hurst))
-    return alpha, delta
-
-
 def _rate_cfg(cfg: ExperimentConfig) -> ldp.RateConfig:
     return ldp.RateConfig(cfg.hurst, cfg.n_steps, cfg.n_ctrl, cfg.seed)
 
@@ -300,9 +287,8 @@ def _run_solve(cfg: ExperimentConfig, out: Path, written: list[str]) -> None:
     batch = fbm.sample_volterra(cfg.n_steps, cfg.hurst, cfg.d, 1, cfg.seed)
     driver = batch.path(0)
     sol = sde.solve_young(cfg.x0, coeffs, driver)
-    alpha, delta = _solve_exponents(cfg, coeffs)
-    report = sde.norm_report(sol, alpha, delta, coeffs, hurst=cfg.hurst,
-                             driver=driver)
+    alpha, delta = sde.admissible_exponents(cfg.hurst, cfg.alpha, cfg.delta)
+    report = sde.norm_report(sol, alpha, delta, cfg.hurst, driver=driver)
     with open(out / "solution.csv", "w") as fh:
         write_csv(fh, np.column_stack([driver.times, sol.values]),
                   ["t"] + [f"x{i}" for i in range(coeffs.m)])

@@ -53,6 +53,18 @@ def _check_hurst(hurst: float):
         raise DomainError(f"hurst must lie in (0, 1), got {hurst}")
 
 
+def _check_grid(n_steps: int, hurst: float, dim: int = 1,
+                n_paths: int = 1) -> None:
+    """The one precondition of both samplers and of the kernel tables."""
+    _check_hurst(hurst)
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= dim <= MAX_DIM:
+        raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+
+
 def volterra_c(hurst: float) -> float:
     """Normalising constant c_H of the Volterra kernel."""
     _check_hurst(hurst)
@@ -151,7 +163,7 @@ _TABLE_BLOCK_ROWS = 64
 
 def _build_kernel_table(n_steps: int, hurst: float) -> np.ndarray:
     """The (n+1, n) table of :func:`kernel_table`, built afresh."""
-    _check_hurst(hurst)
+    _check_grid(n_steps, hurst)
     n = n_steps
     table = np.zeros((n + 1, n))
     for lo in range(1, n + 1, _TABLE_BLOCK_ROWS):
@@ -198,8 +210,12 @@ def covariance_quadrature(s: float, t: float, hurst: float, n_steps: int) -> flo
     p = 1/(1 - |2H-1|) flattens the singularity; midpoint cells in w then
     resolve the integral to ~1e-5 at 512 nodes.  The result reproduces the
     covariance R_H(s, t), within 1e-3 at 256 nodes for H in (0, 0.9955].
+    It needs one node, and for H < 1/2 two: one in each half.
     """
     _check_hurst(hurst)
+    if n_steps < (2 if hurst < 0.5 else 1):
+        raise DomainError(f"covariance_quadrature cannot use {n_steps} nodes "
+                          f"at hurst={hurst}")
     m = min(s, t)
     if m <= 0.0:
         return 0.0
@@ -370,13 +386,11 @@ def sample_cholesky(n_steps: int, hurst: float, dim: int, n_paths: int,
     Cholesky factor of R_H on t_1..t_n: the paths are ``L xi``.  No step
     depends on the core count.
     """
-    _check_hurst(hurst)
+    _check_grid(n_steps, hurst, dim, n_paths)
     if n_steps > MAX_CHOLESKY_STEPS:
         raise DomainError(
             f"n_steps={n_steps} exceeds the Cholesky budget {MAX_CHOLESKY_STEPS}"
         )
-    if not 1 <= dim <= MAX_DIM:
-        raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     upper = _schur_factor(_fgn_autocovariance(n_steps, hurst))
     xi = rng.normal_block(seed, 0, n_paths, (n_steps, dim))
     increments = _synthesise(upper.T, xi)
@@ -404,9 +418,7 @@ def sample_volterra(n_steps: int, hurst: float, dim: int, n_paths: int,
     rows ``lo .. lo+n_paths-1`` of any larger batch with the same seed: its
     increments bitwise, its values up to the rounding of the matrix product.
     """
-    _check_hurst(hurst)
-    if not 1 <= dim <= MAX_DIM:
-        raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
+    _check_grid(n_steps, hurst, dim, n_paths)
     increments = rng.normal_block(seed, first_index, n_paths, (n_steps, dim))
     increments /= math.sqrt(n_steps)
     return FbmBatch(hurst=hurst, n_steps=n_steps, dim=dim,

@@ -256,6 +256,8 @@ def _rough_holder_estimate(f: GridFn) -> float:
     scales by ~4^lambda.  Heuristic only, used for warnings.
     """
     vals = f.values
+    if f.n_steps < 4:                   # no lag-4 increment: read as smooth
+        return 1.0
     top1 = float(np.linalg.norm(vals[1:] - vals[:-1], axis=1).max())
     top4 = float(np.linalg.norm(vals[4:] - vals[:-4], axis=1).max())
     if top1 == 0.0 or top4 == 0.0:

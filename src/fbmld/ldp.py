@@ -12,7 +12,6 @@ Tail probabilities accumulate in log space throughout.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,7 +23,8 @@ from . import blas, fbm, rng
 from .cmspace import CmControl
 from .errors import DimensionError, DomainError, InfeasibleError, NumericError
 from .fbm import sample_volterra
-from .sde import _OVERFLOW_GUARD, CoefficientSet, solve_increments
+from .sde import (_OVERFLOW_GUARD, CoefficientSet, _read_params,
+                  solve_increments)
 
 __all__ = [
     "StateFunctional",
@@ -35,11 +35,10 @@ __all__ = [
     "rate_minimize",
     "VariationalResult",
     "laplace_variational",
-    "LaplaceMcResult",
+    "McEstimate",
     "LAPLACE_MIN_SAMPLES",
     "laplace_mc",
     "girsanov_weight",
-    "ProbEstimate",
     "is_probability",
     "scaling_table",
 ]
@@ -205,10 +204,10 @@ def get_functional(name: str, role: str | None = None,
                    **params) -> StateFunctional:
     """The registry entry ``name`` with its parameters.
 
-    A parameter the entry does not read raises, as in
-    :func:`sde.get_coefficients`, and ``params`` records every parameter
-    the entry reads, defaults included.  ``role``, if given, must be the
-    entry's: ``"event"`` or ``"functional"``.
+    A parameter the entry does not read raises, and ``params`` records
+    every parameter the entry reads, defaults included, by the reader of
+    :func:`sde.get_coefficients`.  ``role``, if given, must be the entry's:
+    ``"event"`` or ``"functional"``.
     """
     if name not in _REGISTRY:
         raise DomainError(f"unknown {role or 'entry'} {name!r}; "
@@ -217,12 +216,7 @@ def get_functional(name: str, role: str | None = None,
     if role not in (None, entry_role):
         raise DomainError(f"{name!r} has role {entry_role!r}, not {role!r}; "
                           f"choose from {functional_names(role)}")
-    reads = inspect.signature(build).parameters
-    unread = sorted(set(params) - set(reads))
-    if unread:
-        raise DomainError(f"{name!r} takes no parameter {unread}; "
-                          f"it reads {sorted(reads)}")
-    params = {key: params.get(key, arg.default) for key, arg in reads.items()}
+    params = _read_params(build, params, repr(name))
     fn_grad, bounds = build(**params)
     inf_h, sup_h = bounds or (None, None)
     return StateFunctional(name, params, entry_role, terminal, fn_grad,
@@ -291,6 +285,8 @@ class RateConfig:
             raise DomainError("rate computations require hurst in (1/2, 1)")
         if not 1 <= self.n_ctrl <= 64:
             raise DomainError("n_ctrl must lie in 1..64")
+        if self.n_steps < 1:
+            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.n_steps % self.n_ctrl != 0:
             raise DomainError("n_steps must be a multiple of n_ctrl")
 
@@ -791,10 +787,12 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class LaplaceMcResult:
-    """Laplace functional estimate with its standard error and the
-    health of the path scores e^(-h/eps) w: how many are nonzero, their
-    effective sample size and the largest one's share of their sum."""
+class McEstimate:
+    """A Monte Carlo estimate with its standard error and the health of
+    its nonzero path scores (the hits): how many there are, their
+    effective sample size and the largest one's share of their sum.
+    ``value`` is the Laplace functional of :func:`laplace_mc` or the
+    probability p_hat of :func:`is_probability`."""
 
     value: float
     std_err: float
@@ -805,7 +803,7 @@ class LaplaceMcResult:
 
 
 def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
-               n_samples: int, seed: int, ctrl: CmControl) -> LaplaceMcResult:
+               n_samples: int, seed: int, ctrl: CmControl) -> McEstimate:
     """Monte Carlo Laplace functional -eps log E exp(-h(X^eps)/eps).
 
     The exponential average is taken in log space by :func:`_mc_log_mean`,
@@ -825,9 +823,8 @@ def laplace_mc(coeffs: CoefficientSet, x0, h: StateFunctional, eps: float,
     g = h.bind(coeffs, x0, ctrl.n_steps)
     mc = _mc_log_mean(coeffs, x0, eps, n_samples, seed,
                       lambda states: -g(states)[0] / eps, ctrl, h.terminal)
-    return LaplaceMcResult(value=-eps * mc.log_mean, std_err=eps * mc.rel_se,
-                           n_samples=n_samples, n_hits=mc.n_nonzero,
-                           ess=mc.ess, max_weight_share=mc.max_share)
+    return McEstimate(-eps * mc.log_mean, eps * mc.rel_se, n_samples,
+                      mc.n_nonzero, mc.ess, mc.max_share)
 
 
 def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
@@ -852,23 +849,9 @@ def girsanov_weight(ctrl: CmControl, eps: float, bm_increments: np.ndarray):
     return w, log_w
 
 
-@dataclass(frozen=True)
-class ProbEstimate:
-    """Probability estimate with Monte Carlo standard error, and the
-    health of the weights of the hits: their effective sample size and
-    the largest one's share of their sum (0 and NaN without hits)."""
-
-    p_hat: float
-    std_err: float
-    n_hits: int
-    n_samples: int
-    ess: float = 0.0
-    max_weight_share: float = math.nan
-
-
 def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
                    eps: float, n_samples: int, seed: int,
-                   ctrl: CmControl) -> ProbEstimate:
+                   ctrl: CmControl) -> McEstimate:
     """Importance-sampled probability of the event under the small-noise SDE.
 
     Samples fBm on the control's grid and Hurst index, shifts it by the
@@ -888,10 +871,10 @@ def is_probability(coeffs: CoefficientSet, x0, event: StateFunctional,
         lambda states: np.where(g(states)[0] <= 0.0, 0.0, -math.inf),
         ctrl, event.terminal)
     if mc.n_nonzero == 0:
-        return ProbEstimate(0.0, 0.0, 0, n_samples)
+        return McEstimate(0.0, 0.0, n_samples, 0, 0.0, math.nan)
     p_hat = math.exp(mc.log_mean)
-    return ProbEstimate(p_hat, p_hat * mc.rel_se, mc.n_nonzero, n_samples,
-                        mc.ess, mc.max_share)
+    return McEstimate(p_hat, p_hat * mc.rel_se, n_samples, mc.n_nonzero,
+                      mc.ess, mc.max_share)
 
 
 def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
@@ -921,10 +904,10 @@ def scaling_table(coeffs: CoefficientSet, x0, event: StateFunctional,
     for i, eps in enumerate(eps_list):
         est = is_probability(coeffs, x0, event, eps, n_samples,
                              rng.mix64(seed, i), rate.control)
-        neg = -eps * math.log(est.p_hat) if est.p_hat > 0 else math.inf
+        neg = -eps * math.log(est.value) if est.value > 0 else math.inf
         rows.append({
             "eps": eps,
-            "p_hat": est.p_hat,
+            "p_hat": est.value,
             "std_err": est.std_err,
             "neg_eps_log_p": neg,
             "rate_value": rate.value,

@@ -27,6 +27,7 @@ __all__ = [
     "CoefficientSet",
     "get_coefficients",
     "registry_names",
+    "admissible_exponents",
     "NormReport",
     "solve_young",
     "skeleton",
@@ -76,13 +77,6 @@ class CoefficientSet:
     drift_jac: callable | None = None
     diffusion_jac: callable | None = None
     params: dict = field(default_factory=dict)
-
-    def admissible_alpha(self, hurst: float) -> tuple[float, float]:
-        """Open interval (1 - H, 1/2) of admissible alpha at this H: the
-        upper end min(1/2, lambda, gamma / (1 + gamma)) is 1/2, as registry
-        families do not depend on t (lambda = 1) and their sigma' is
-        Lipschitz (gamma = 1)."""
-        return 1.0 - hurst, 0.5
 
 
 def _entry_zero(m, d):
@@ -166,20 +160,27 @@ def registry_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _read_params(build, params: dict, label: str, skip: int = 0) -> dict:
+    """The parameters a registry builder reads after its first ``skip``,
+    from ``params`` or else their defaults; any other key raises, naming
+    ``label``.  Both registries, this one and ``ldp``'s, read them here."""
+    reads = list(inspect.signature(build).parameters.values())[skip:]
+    unread = sorted(set(params) - {arg.name for arg in reads})
+    if unread:
+        raise DomainError(f"{label} takes no parameter {unread}; "
+                          f"it reads {sorted(arg.name for arg in reads)}")
+    return {arg.name: params.get(arg.name, arg.default) for arg in reads}
+
+
 def get_coefficients(name: str, m: int = 1, d: int = 1, **params) -> CoefficientSet:
-    """Build a registry coefficient set for state dim m and noise dim d,
-    checking and recording its parameters as :func:`ldp.get_functional`
-    does."""
+    """Build a registry coefficient set for state dim m and noise dim d;
+    ``params`` records every parameter the family reads, defaults
+    included."""
     if name not in _REGISTRY:
         raise DomainError(f"unknown coefficient family {name!r}; "
                           f"choose from {registry_names()}")
     build = _REGISTRY[name]
-    reads = dict(list(inspect.signature(build).parameters.items())[2:])
-    unread = sorted(set(params) - set(reads))
-    if unread:
-        raise DomainError(f"coefficient family {name!r} takes no parameter "
-                          f"{unread}; it reads {sorted(reads)}")
-    params = {key: params.get(key, arg.default) for key, arg in reads.items()}
+    params = _read_params(build, params, f"coefficient family {name!r}", 2)
     return CoefficientSet(name=name, m=m, d=d, params=params,
                           **build(m, d, **params))
 
@@ -283,17 +284,40 @@ def controlled_path(x0, coeffs: CoefficientSet, ctrl: CmControl, eps: float,
 
 
 def skeleton(x0, coeffs: CoefficientSet, ctrl: CmControl) -> GridFn:
-    """Deterministic skeleton: the controlled equation driven by v alone.
-
-    This is the solution map evaluated at the control (zero-noise limit).
-    """
-    zero_fbm = GridFn.zeros(ctrl.n_steps, ctrl.dim)
-    return controlled_path(x0, coeffs, ctrl, 0.0, zero_fbm)
+    """Deterministic skeleton: the solution driven by the control's path v
+    alone (the zero-noise limit), which :func:`controlled_path` at eps = 0
+    reaches by its own route."""
+    return solve_young(x0, coeffs, ctrl.path)
 
 
 # ---------------------------------------------------------------------------
 # a-priori norm reporting
 # ---------------------------------------------------------------------------
+
+def admissible_exponents(hurst: float, alpha: float | None = None,
+                         delta: float | None = None) -> tuple[float, float]:
+    """(alpha, delta) of the a-priori bounds: alpha in (1 - H, 1/2) and
+    delta in (0, alpha - (1 - H)) for H in (1/2, 1) (Nualart & Rascanu,
+    2002).  The upper end min(1/2, lambda, gamma / (1 + gamma)) is 1/2 for
+    every registry family: none depends on t (lambda = 1) and each sigma'
+    is Lipschitz (gamma = 1).  An unset exponent takes the midpoint of its
+    interval; boundary values are rejected, not clamped."""
+    if not 0.5 < hurst < 1.0:
+        raise DomainError(f"the a-priori exponents require hurst in (1/2, 1), "
+                          f"got {hurst}")
+    lo, hi = 1.0 - hurst, 0.5
+    if alpha is None:
+        alpha = 0.5 * (lo + hi)
+    if not lo < alpha < hi:
+        raise DomainError(f"alpha={alpha} outside the admissible interval "
+                          f"({lo}, {hi}) at hurst={hurst}")
+    if delta is None:
+        delta = 0.5 * (alpha - (1.0 - hurst))
+    if not 0.0 < delta < alpha - (1.0 - hurst):
+        raise DomainError(f"delta={delta} outside (0, alpha-(1-H)) = "
+                          f"(0, {alpha - (1 - hurst)})")
+    return alpha, delta
+
 
 @dataclass(frozen=True)
 class NormReport:
@@ -303,31 +327,16 @@ class NormReport:
     driver_holder: float | None
 
 
-def _check_admissible(coeffs: CoefficientSet, hurst: float,
-                      alpha: float, delta: float) -> None:
-    lo, hi = coeffs.admissible_alpha(hurst)
-    if not lo < alpha < hi:
-        raise DomainError(
-            f"alpha={alpha} outside the admissible interval ({lo}, {hi}) "
-            f"for {coeffs.name!r} at hurst={hurst}"
-        )
-    if not 0.0 < delta < alpha - (1.0 - hurst):
-        raise DomainError(
-            f"delta={delta} outside (0, alpha-(1-H)) = (0, {alpha - (1 - hurst)})"
-        )
-
-
-def norm_report(sol: GridFn, alpha: float, delta: float,
-                coeffs: CoefficientSet, hurst: float,
+def norm_report(sol: GridFn, alpha: float, delta: float, hurst: float,
                 driver: GridFn | None = None) -> NormReport:
     """Solution norms at the a-priori exponents of the well-posedness bounds.
 
     Reports ||X||_inf and ||X||_{1-alpha} (as a HolderReport, with the
     W^{alpha,infty} norm at exponent alpha) and, when the driver is given,
     its (1-alpha+delta)-Holder norm.  Boundary alpha/delta are rejected, not
-    clamped.
+    clamped (:func:`admissible_exponents`).
     """
-    _check_admissible(coeffs, hurst, alpha, delta)
+    admissible_exponents(hurst, alpha, delta)
     rep = norms(sol, 1.0 - alpha, alpha)
     drv = None
     if driver is not None:

@@ -213,7 +213,7 @@ def test_criterion_08_rare_event_is(additive_rate):
     est = ldp.is_probability(ADDITIVE, [0.0], event, eps, n_samples,
                              seed=2025, ctrl=tilt)
     p_true = gaussian_tail(5.0)
-    dev = abs(est.p_hat - p_true) / est.std_err
+    dev = abs(est.value - p_true) / est.std_err
     ok_is = dev <= 3.0
 
     zero = cm.zero_control(HURST_ADD, n_steps)
@@ -226,10 +226,10 @@ def test_criterion_08_rare_event_is(additive_rate):
     issam = ldp.is_probability(ADDITIVE, [0.0], ev5, 0.25, n_samples,
                                seed=32, ctrl=tilt5)
     joint = math.hypot(crude.std_err, issam.std_err)
-    dev2 = abs(crude.p_hat - issam.p_hat) / joint
+    dev2 = abs(crude.value - issam.value) / joint
     ok_agree = dev2 <= 3.0
     line = report(8, ok_is and ok_agree,
-                  f"IS {est.p_hat:.3e} vs Phibar(5) {p_true:.3e}: "
+                  f"IS {est.value:.3e} vs Phibar(5) {p_true:.3e}: "
                   f"{dev:.2f} SE (<= 3) with {n_samples} samples; crude vs "
                   f"IS at eps=0.25: {dev2:.2f} joint SE (<= 3)")
     assert ok_is, line

@@ -216,8 +216,14 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
      "has role 'event', not 'functional'"),
     ({"command": "rate", "event": {"kind": "terminal_shortfall"}},
      "has role 'functional', not 'event'"),
-    ({"command": "solve", "hurst": 0.5}, "solve requires hurst in (1/2, 1)"),
+    ({"command": "solve", "hurst": 0.5}, "require hurst in (1/2, 1)"),
     ({"n_steps": 0}, "n_steps must be positive"),
+    ({"command": "solve", "coefficient": "linear_sigma", "m": 2, "d": 1,
+      "x0": [0.0, 0.0]}, "linear_sigma requires m == d"),
+    ({"command": "solve", "coefficient": "rotation", "m": 1, "d": 1},
+     "rotation requires m == 2"),
+    ({"command": "solve", "coefficient_params": {"m": 2}},
+     "bad coefficient"),
     ({"sampler": "sobol"}, "sampler must be 'volterra' or 'cholesky'"),
     ({"command": "rate"}, "rate needs an event spec"),
     ({"command": "ldp-scaling", "eps_list": [0.5]},
@@ -246,6 +252,7 @@ def test_misspelled_parameters_exit_2(tmp_path, capsys, overrides, key):
         "seed_2_to_64", "seed_negative", "functional_cap_negative_shortfall",
         "functional_cap_negative_sup_norm", "event_kind_as_functional",
         "functional_name_as_event", "solve_hurst_half", "n_steps_zero",
+        "linear_sigma_m_not_d", "rotation_m_not_2", "coefficient_param_m",
         "sampler_unknown", "rate_without_event", "ldp_scaling_without_event",
         "n_ctrl_not_dividing_n_steps"])
 def test_config_mistakes_exit_2_before_any_output(tmp_path, capsys,

@@ -59,6 +59,13 @@ def test_path_starts_at_zero_and_obeys_growth_bound():
 # cm_norm
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("cells", [np.zeros(0), np.zeros((0, 2))],
+                         ids=["flat", "two_components"])
+def test_control_needs_a_cell(cells):
+    with pytest.raises(DomainError, match="n_steps must be >= 1"):
+        cm.CmControl(0.75, cells)
+
+
 def test_cm_norm_unit_density():
     assert cm.cm_norm(cm.CmControl(0.75, np.ones(64))) == 1.0
 
@@ -86,6 +93,9 @@ def test_project_endpoints():
     np.testing.assert_array_equal(cm.project(ctrl, 1.0).cells,
                                   ctrl.cells)
     assert np.abs(cm.project(ctrl, 0.0).cells).max() == 0.0
+    for t in (-0.1, 1.1):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            cm.project(ctrl, t)
 
 
 def test_project_idempotent_and_contractive():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -46,6 +47,28 @@ def test_covariance_domain_errors():
         fbm.covariance(0.5, 1.5, 0.7)
     with pytest.raises(DomainError):
         fbm.covariance(0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("sampler", ["volterra", "cholesky"])
+@pytest.mark.parametrize("n_steps, dim, n_paths, match", [
+    (0, 1, 2, "n_steps must be >= 1"),
+    (-3, 1, 2, "n_steps must be >= 1"),
+    (8, 1, 0, "n_paths must be >= 1"),
+    (8, 1, -1, "n_paths must be >= 1"),
+    (8, 5, 2, "dim must be in 1..4"),
+], ids=["no_steps", "negative_steps", "no_paths", "negative_paths", "dim_5"])
+def test_samplers_reject_empty_grids_and_batches(sampler, n_steps, dim,
+                                                 n_paths, match):
+    sample = getattr(fbm, f"sample_{sampler}")
+    with pytest.raises(DomainError, match=match):
+        sample(n_steps, 0.7, dim, n_paths, 3)
+
+
+@pytest.mark.parametrize("build", [
+    fbm.kernel_table, fbm._increment_table, fbm.volterra_variance_bias])
+def test_kernel_tables_reject_an_empty_grid(build):
+    with pytest.raises(DomainError, match="n_steps must be >= 1"):
+        build(0, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +154,22 @@ def test_covariance_reconstruction_spot():
     # the identity int K_H(t,.) K_H(s,.) = R_H behind the derived-BM
     # construction, at a cheaper resolution than the acceptance gate
     # at H = 0.001, w^p underflows on both halves of [0, 1/2]
-    for hurst in (0.6, 0.75, 0.9, 0.3, 0.05, 0.001):
+    for hurst in (0.6, 0.75, 0.9, 0.3, 0.05, 0.001, 0.5):
         err = abs(fbm.covariance_quadrature(0.5, 1.0, hurst, 256)
                   - fbm.covariance(0.5, 1.0, hurst))
         assert err <= 1e-3, (hurst, err)
+
+
+def test_covariance_quadrature_edges_and_node_counts():
+    # no mass below min(s, t) = 0
+    assert fbm.covariance_quadrature(0.0, 0.7, 0.75, 16) == 0.0
+    # every node count it can use, and none that it cannot: H < 1/2 puts
+    # one node in each half of [0, min(s, t)]
+    assert math.isfinite(fbm.covariance_quadrature(0.5, 1.0, 0.75, 1))
+    assert math.isfinite(fbm.covariance_quadrature(0.5, 1.0, 0.3, 2))
+    for n_nodes, hurst in ((0, 0.75), (0, 0.5), (1, 0.3)):
+        with pytest.raises(DomainError, match="cannot use"):
+            fbm.covariance_quadrature(0.5, 1.0, hurst, n_nodes)
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.6, 0.75, 0.9])
@@ -434,3 +469,10 @@ def test_load_increments_checks_the_shape_and_the_records(tmp_path):
     np.savez(path, meta=meta)
     with pytest.raises(DomainError, match="record"):
         fbm.load_increments(str(path))
+    record = json.loads(bytes(meta).decode())
+    for foreign in ({"format": "fbmld-paths"}, {"version": 2}):
+        text = json.dumps({**record, **foreign}).encode()
+        np.savez(path, meta=np.frombuffer(text, dtype=np.uint8),
+                 increments=inc)
+        with pytest.raises(DomainError, match="unrecognised"):
+            fbm.load_increments(str(path))

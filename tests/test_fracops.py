@@ -255,6 +255,21 @@ def test_young_rs_dot_and_matrix_modes():
     assert out.dim == 2
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda f, g: fo.weyl_derivative(f, 0.3, "middle"), DomainError, "side"),
+    (lambda f, g: fo.young_frac(f, g, 0.0), DomainError, "alpha"),
+    (lambda f, g: fo.young_frac(f, g, 1.0), DomainError, "alpha"),
+    (lambda f, g: fo.young_frac(f, random_gridfn(3, 64), 0.3),
+     DimensionError, "grid mismatch"),
+    (lambda f, g: fo.young_frac(f, random_gridfn(3, 32, dim=2), 0.3),
+     DimensionError, "dim mismatch"),
+], ids=["weyl_side", "young_frac_alpha_0", "young_frac_alpha_1",
+        "young_frac_grid", "young_frac_dim"])
+def test_operator_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call(random_gridfn(1, 32), random_gridfn(2, 32))
+
+
 def test_young_rs_dimension_errors():
     with pytest.raises(DimensionError):
         fo.young_rs(random_gridfn(1, 32, dim=3), random_gridfn(2, 32, dim=2))
@@ -265,6 +280,16 @@ def test_young_rs_dimension_errors():
 # ---------------------------------------------------------------------------
 # young_frac
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_young_frac_runs_quietly_on_grids_without_lag_4(n):
+    # the roughness heuristic needs a lag-4 increment; without one it
+    # reads the grid as smooth and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = fo.young_frac(random_gridfn(4, n), random_gridfn(5, n), 0.3)
+    assert math.isfinite(val)
+
 
 def test_young_frac_constant_integrand():
     n = 1024

@@ -168,6 +168,13 @@ def test_rate_config_fields_and_n_ctrl_range():
             ldp.RateConfig(hurst=HURST, n_steps=64, n_ctrl=n_ctrl)
 
 
+@pytest.mark.parametrize("n_steps", [0, -64])
+def test_rate_config_rejects_an_empty_grid(n_steps):
+    # 0 and -64 are multiples of n_ctrl, so only the grid check stops them
+    with pytest.raises(DomainError, match="n_steps must be >= 1"):
+        ldp.RateConfig(hurst=HURST, n_steps=n_steps, n_ctrl=8)
+
+
 @pytest.mark.parametrize("n_ctrl, n_steps, d", [(8, 64, 1), (4, 32, 3)])
 def test_block_increment_map_matches_unit_controls(monkeypatch, n_ctrl,
                                                    n_steps, d):
@@ -731,7 +738,7 @@ def test_geometric_tilt_agrees_with_crude_monte_carlo(geometric_scaling):
     tilted = rows[1]
     assert tilted["eps"] == 0.1 and crude.n_hits > 500
     joint = math.hypot(crude.std_err, tilted["std_err"])
-    assert abs(crude.p_hat - tilted["p_hat"]) <= 3.0 * joint
+    assert abs(crude.value - tilted["p_hat"]) <= 3.0 * joint
 
 
 def test_geometric_scaling_falls_toward_the_rate(geometric_scaling):
@@ -954,7 +961,7 @@ def test_is_probability_sure_event():
     ev = ldp.get_functional("terminal_exceedance", a=-1.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 500,
                              seed=1, ctrl=cm.zero_control(HURST, 64))
-    assert est.p_hat == 1.0
+    assert est.value == 1.0
     assert est.std_err == pytest.approx(0.0, abs=1e-12)
     assert est.n_hits == 500
     assert est.ess == pytest.approx(500.0, rel=1e-12)
@@ -965,7 +972,9 @@ def test_is_probability_zero_hits_flagged():
     ev = ldp.get_functional("terminal_exceedance", a=50.0)
     est = ldp.is_probability(ADDITIVE, [0.0], ev, 0.01, 300,
                              seed=1, ctrl=cm.zero_control(HURST, 64))
-    assert est.n_hits == 0 and est.p_hat == 0.0
+    # every field spelled out: (value, std_err, n_samples, n_hits, ess, share)
+    assert dataclasses.astuple(est)[:5] == (0.0, 0.0, 300, 0, 0.0)
+    assert math.isnan(est.max_weight_share)
 
 
 @pytest.mark.parametrize("tilt", [0.0, 0.5])
@@ -979,7 +988,7 @@ def test_is_probability_crude_matches_gaussian(tilt):
                              ctrl=ctrl)
     sigma_n = math.sqrt(float(np.sum(fbm.kernel_table(n, HURST)[n] ** 2)) / n)
     p_ref = 0.5 * math.erfc(a / (math.sqrt(eps) * sigma_n) / math.sqrt(2.0))
-    assert abs(est.p_hat - p_ref) <= 3 * est.std_err
+    assert abs(est.value - p_ref) <= 3 * est.std_err
 
 
 def test_tilt_is_girsanov_shift_of_sampled_increments():
@@ -1134,7 +1143,7 @@ def test_is_probability_chunked_matches_one_batch():
     w, _ = ldp.girsanov_weight(ctrl, eps, batch.bm_increments)
     y = np.where(hits, w, 0.0)
     assert est.n_hits == int(hits.sum()) and 0 < est.n_hits < N_CHUNKED
-    assert est.p_hat == pytest.approx(y.mean(), rel=1e-12)
+    assert est.value == pytest.approx(y.mean(), rel=1e-12)
     assert est.std_err == pytest.approx(y.std() / math.sqrt(N_CHUNKED),
                                         rel=1e-9)
 
@@ -1217,9 +1226,9 @@ def test_terminal_estimators_match_full_route(without_affine_map, name, m,
     want = run()
     assert got[0].n_hits == want[0].n_hits
     assert 0 < got[0].n_hits < n_samples or name == "zero"
-    for attr, a, b in zip(("p_hat", "value"), got, want):
-        assert (getattr(a, attr), a.std_err) == pytest.approx(
-            (getattr(b, attr), b.std_err), rel=1e-12, abs=0)
+    for a, b in zip(got, want):
+        assert (a.value, a.std_err) == pytest.approx((b.value, b.std_err),
+                                                     rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rate, eps, tilt",

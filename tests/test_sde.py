@@ -103,9 +103,17 @@ def test_affine_flag_marks_affine_drift_and_state_free_sigma():
 
 
 def test_admissible_alpha_interval():
-    co = sde.get_coefficients("tanh")
-    lo, hi = co.admissible_alpha(0.75)
-    assert lo == 0.25 and hi == 0.5
+    # alpha in (1 - H, 1/2), delta in (0, alpha - (1 - H)); unset ones
+    # take their midpoints, and the ends are rejected
+    assert sde.admissible_exponents(0.75) == (0.375, 0.0625)
+    assert sde.admissible_exponents(0.75, 0.45) == (0.45, 0.5 * (0.45 - 0.25))
+    assert sde.admissible_exponents(0.75, 0.3, 0.01) == (0.3, 0.01)
+    for alpha, delta in [(0.25, None), (0.5, None), (0.3, 0.05), (0.3, 0.0)]:
+        with pytest.raises(DomainError, match="outside"):
+            sde.admissible_exponents(0.75, alpha, delta)
+    for hurst in (0.5, 0.3, 1.0):
+        with pytest.raises(DomainError, match=r"hurst in \(1/2, 1\)"):
+            sde.admissible_exponents(hurst)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +152,23 @@ def test_driver_grid_mismatch():
     co = sde.get_coefficients("constant")
     with pytest.raises(DimensionError):
         sde.solve_young([0.0], co, GridFn.zeros(64, 2))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda co, ctrl: sde.solve_increments([0.0, 0.0], co,
+                                           np.zeros((1, 16, 1))),
+     DimensionError, "x0 has dim 2"),
+    (lambda co, ctrl: sde.controlled_path([0.0], co, ctrl, -0.1, ctrl.path),
+     DomainError, "eps must be >= 0"),
+    (lambda co, ctrl: sde.controlled_path([0.0], co, ctrl, 0.1,
+                                          GridFn.zeros(32, 1)),
+     DimensionError, "different grids"),
+], ids=["x0_wrong_size", "negative_eps", "path_on_another_grid"])
+def test_solver_rejects_mismatched_inputs(call, error, match):
+    co = sde.get_coefficients("constant")
+    ctrl = cm.zero_control(0.75, 16)
+    with pytest.raises(error, match=match):
+        call(co, ctrl)
 
 
 def test_overflow_guard_reports_step():
@@ -345,13 +370,13 @@ def test_norm_report_values_and_rejections():
     co = sde.get_coefficients("linear_sigma")
     g = fbm.sample_cholesky(256, hurst, 1, 1, seed=9).path(0)
     sol = sde.solve_young([1.0], co, g)
-    rep = sde.norm_report(sol, 0.35, 0.05, co, hurst=hurst, driver=g)
+    rep = sde.norm_report(sol, 0.35, 0.05, hurst, driver=g)
     assert rep.solution.sup_norm > 0
     assert rep.driver_holder is not None and rep.driver_holder > 0
     for alpha, delta in [(0.5, 0.05), (0.25, 0.01), (0.2, 0.01),
                          (0.35, 0.2), (0.35, 0.0)]:
         with pytest.raises(DomainError):
-            sde.norm_report(sol, alpha, delta, co, hurst=hurst)
+            sde.norm_report(sol, alpha, delta, hurst)
 
 
 def test_solution_holder_norm_stable_under_refinement():
@@ -364,7 +389,7 @@ def test_solution_holder_norm_stable_under_refinement():
         if n != 512:
             g = GridFn(n, g.values[:: 512 // n])
         sol = sde.solve_young([0.2], co, g)
-        vals[n] = sde.norm_report(sol, alpha, 0.05, co,
-                                  hurst=hurst).solution.holder_norm
+        vals[n] = sde.norm_report(sol, alpha, 0.05,
+                                  hurst).solution.holder_norm
     assert abs(vals[512] - vals[256]) <= 0.1 * vals[256]
 
