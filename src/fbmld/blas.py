@@ -1,9 +1,9 @@
 """Keep BLAS work on the calling thread.
 
-numpy and scipy each bundle an OpenBLAS with its own thread pool.  After a
+numpy bundles an OpenBLAS with its own thread pool.  After a
 multi-threaded call its workers keep spinning on another core for a while,
 and the call's speed depends on whether that core is free.  fbmld's large
-products and its L-BFGS-B searches gain little from a second thread, so they
+products and its L-BFGS searches gain little from a second thread, so they
 run inside :func:`one_thread`, and their cost depends on their size alone.
 """
 
@@ -16,16 +16,16 @@ import glob
 import importlib.util
 import os
 
-_PACKAGES = ("numpy", "scipy")
-# scipy-openblas wheels prefix every symbol; the 64-bit-index build of
-# numpy's also takes the 64_ suffix
+_PACKAGES = ("numpy",)
+# numpy's wheels bundle scipy-openblas, which prefixes every symbol; its
+# 64-bit-index build also takes the 64_ suffix
 _SYMBOLS = [(f"{p}openblas_get_num_threads{s}", f"{p}openblas_set_num_threads{s}")
             for p in ("scipy_", "") for s in ("64_", "")]
 
 
 @functools.cache
 def _openblas_files() -> tuple[str, ...]:
-    """Paths of the OpenBLAS libraries bundled with numpy and scipy."""
+    """Paths of the OpenBLAS libraries bundled with numpy."""
     paths = []
     for package in _PACKAGES:
         spec = importlib.util.find_spec(package)
@@ -42,8 +42,8 @@ def _bundled_openblas() -> list[tuple]:
 
     Only libraries the process has loaded are touched (loading one would
     start its thread pool), so each call probes them again: a library loaded
-    since the last call is pinned too.  Empty when numpy and scipy link
-    another BLAS.
+    since the last call is pinned too.  Empty when numpy links another
+    BLAS.
     """
     pairs = []
     for path in _openblas_files():
@@ -69,7 +69,7 @@ _depth = 0
 
 @contextlib.contextmanager
 def one_thread():
-    """Run the enclosed BLAS calls of numpy and scipy on one thread.
+    """Run the enclosed BLAS calls of numpy on one thread.
 
     The previous thread counts are restored on exit.  The setting is
     process-wide while it lasts.  Entries nest: only the outermost one

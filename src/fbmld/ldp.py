@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from . import blas, fbm, rng
 from .cmspace import CmControl
@@ -261,8 +260,21 @@ def _largest(sq: np.ndarray):
 # ---------------------------------------------------------------------------
 
 # Optimizer constants of the control-space searches.
-_PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS-B stage per weight
-_MAXITER = 150              # L-BFGS-B iterations per stage (per start)
+_PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS stage per weight
+_MAXITER = 150              # L-BFGS iterations per stage (per start)
+# L-BFGS (:func:`_lbfgs`) on the defaults of L-BFGS-B, which it replaces
+_LBFGS_PAIRS = 10           # correction pairs kept
+_GTOL = 1e-5                # stop when max|g| is at most this
+_EPS = float(np.finfo(float).eps)
+_FTOL = 1e7 * _EPS          # stop when f falls by at most this, relative
+_MAXLS = 20                 # trials per line search
+# dcsrch's constants: sufficient decrease and curvature, the interval's
+# relative width, the extrapolation range and the largest step
+_WOLFE = (1e-3, 0.9)
+_XTOL = 0.1
+_EXTRAPOLATE = (1.1, 4.0)
+_STEP_MAX = 1e10
+_CONVERGED_GRADIENT = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
 _FEASIBILITY_TOL = 1e-3     # largest residual a feasible result may keep
 # Feasibility polish: one ladder of scales, then rounds that each split the
 # bracket at 31 interior scales; 32^8 = 2^40 shrinks it to 2^-40 of its width.
@@ -515,23 +527,230 @@ def _starts(cfg: RateConfig, n_params: int, d: int) -> list[np.ndarray]:
 
 
 def _descend(obj: _SkeletonObjective, g, weights):
-    """L-BFGS-B from every start, one stage per weight, each from the last.
+    """L-BFGS from every start, one stage per weight, each from the last.
 
-    Minimizes ``obj.value_and_grad(., g, weight)`` on one BLAS thread and
-    returns, per start, the last stage's ``OptimizeResult`` and the
-    iterations summed over the stages.
+    Minimizes ``obj.value_and_grad(., g, weight)`` by :func:`_lbfgs` on one
+    BLAS thread and returns, per start, the last stage's :class:`_Minimum`
+    and the iterations summed over the stages.
     """
     runs = []
     with blas.one_thread():
         for theta in _starts(obj.cfg, obj.n_params, obj.coeffs.d):
             iters = 0
             for weight in weights:
-                res = scipy.optimize.minimize(
-                    obj.value_and_grad, theta, args=(g, weight),
-                    jac=True, method="L-BFGS-B", options={"maxiter": _MAXITER})
-                theta, iters = res.x, iters + int(res.nit)
+                res = _lbfgs(obj.value_and_grad, theta, (g, weight))
+                theta, iters = res.x, iters + res.nit
             runs.append((res, iters))
     return runs
+
+
+class _Minimum(NamedTuple):
+    """What :func:`_lbfgs` returns: the last accepted point, its value, the
+    iterations taken, whether a convergence test stopped the search, and
+    why it stopped."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    success: bool
+    message: str
+
+
+def _lbfgs(fun, x, args=()) -> _Minimum:
+    """Minimize ``fun(x, *args) -> (value, gradient)`` from x by L-BFGS.
+
+    The direction is the two-loop recursion over the last _LBFGS_PAIRS
+    pairs (s, y), scaled by s.y / y.y of the newest, or the steepest
+    descent -g while none is held; the first step's length is 1 / |d|,
+    later ones start at 1.  Steps come from the Moré–Thuente search of
+    :func:`_line_search`.  The search stops, as L-BFGS-B does without
+    bounds, after an accepted step: on ``_MAXITER`` iterations (STOP),
+    max|g| <= _GTOL or a decrease of f of at most _FTOL relative
+    (CONVERGENCE).  A failed line search restarts from -g with the pairs
+    cleared; one that fails with none held stops (ABNORMAL).  A pair with
+    s.y <= eps * |s.g| is not kept.
+    """
+    x = np.asarray(x, dtype=float)
+    f, g = fun(x, *args)
+    if np.max(np.abs(g)) <= _GTOL:
+        return _Minimum(x, f, 0, True, _CONVERGED_GRADIENT)
+    pairs, nit = [], 0                  # pairs: (s, y, 1 / s.y), oldest first
+    while True:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d *= 1.0 / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        step = 1.0 / math.sqrt(d @ d) if nit == 0 else 1.0
+        found = _line_search(fun, args, x, d, f, slope, step) \
+            if slope < 0.0 else None                  # NaN fails it too
+        if found is None:
+            if not pairs:
+                return _Minimum(x, f, nit, False,
+                                "ABNORMAL: LINE SEARCH FAILED")
+            pairs.clear()
+            continue
+        step, x_new, f_new, g_new = found
+        nit += 1
+        s, y = step * d, g_new - g
+        x, f_old, f, g = x_new, f, f_new, g_new
+        if nit >= _MAXITER:
+            return _Minimum(x, f, nit, False,
+                            "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+        if np.max(np.abs(g)) <= _GTOL:
+            return _Minimum(x, f, nit, True, _CONVERGED_GRADIENT)
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            return _Minimum(x, f, nit, True, "CONVERGENCE: RELATIVE "
+                            "REDUCTION OF F <= FACTR*EPSMCH")
+        sy = float(s @ y)
+        if sy > _EPS * -slope * step:
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-_LBFGS_PAIRS]
+
+
+def _line_search(fun, args, x, d, f0, slope, step):
+    """The Moré–Thuente search (ACM TOMS 20, 1994) of MINPACK-2's dcsrch.
+
+    Searches ``fun(x + t d, *args) -> (value, gradient)`` over steps t in
+    [0, _STEP_MAX], from the value f0 and the slope < 0 at t = 0 and the
+    first trial ``step``.  Ends at the first trial that meets the strong
+    Wolfe conditions with _WOLFE = (ftol, gtol), or at which dcsrch warns
+    that the interval cannot shrink (rounding, xtol, or a step at a
+    bound): ``(t, x, value, gradient)`` of that trial.  None after
+    _MAXLS trials with no end.
+    """
+    ftol, gtol = _WOLFE
+    decrease = ftol * slope
+    bracketed, stage_one = False, True
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = slope
+    width, width1 = _STEP_MAX, 2.0 * _STEP_MAX
+    lo, hi = 0.0, step * (1.0 + _EXTRAPOLATE[1])
+    for _ in range(_MAXLS):
+        point = x + step * d
+        f, grad = fun(point, *args)
+        gp = float(grad @ d)
+        test = f0 + step * decrease
+        if stage_one and f <= test and gp >= 0.0:
+            stage_one = False
+        if (bracketed and (step <= lo or step >= hi
+                           or hi - lo <= _XTOL * hi)
+                or (step == _STEP_MAX and f <= test and gp <= decrease)
+                or (step == 0.0 and (f > test or gp >= decrease))
+                or (f <= test and abs(gp) <= gtol * -slope)):
+            return step, point, f, grad
+        if stage_one and fx >= f > test:
+            # the modified function f(t) - t ftol slope until a step of
+            # sufficient decrease is found, as dcsrch's first stage does
+            stx, fxm, gxm, sty, fym, gym, step, bracketed = _cstep(
+                stx, fx - stx * decrease, gx - decrease,
+                sty, fy - sty * decrease, gy - decrease,
+                step, f - step * decrease, gp - decrease, bracketed, lo, hi)
+            fx, gx = fxm + stx * decrease, gxm + decrease
+            fy, gy = fym + sty * decrease, gym + decrease
+        else:
+            stx, fx, gx, sty, fy, gy, step, bracketed = _cstep(
+                stx, fx, gx, sty, fy, gy, step, f, gp, bracketed, lo, hi)
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width1:
+                step = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            lo, hi = min(stx, sty), max(stx, sty)
+        else:
+            lo = step + _EXTRAPOLATE[0] * (step - stx)
+            hi = step + _EXTRAPOLATE[1] * (step - stx)
+        step = min(max(step, 0.0), _STEP_MAX)
+        if bracketed and (step <= lo or step >= hi or hi - lo <= _XTOL * hi):
+            step = stx
+    return None
+
+
+def _cstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, lo, hi):
+    """One safeguarded step of MINPACK-2's dcstep.
+
+    (stx, fx, dx) is the best trial so far, (sty, fy, dy) the other end of
+    the interval, and (stp, fp, dp) the newest trial: steps, values and
+    slopes.  Returns the updated ends, the next trial step, by a cubic,
+    quadratic or secant fit kept inside [lo, hi], and whether a minimizer
+    is now bracketed.
+    """
+    sgnd = dp * math.copysign(1.0, dx)
+    if fp > fx:
+        # a higher value: the minimum is bracketed; the cubic step if it
+        # is closer to stx than the quadratic one, else their mean
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma = -gamma
+        p, q = (gamma - dx) + theta, ((gamma - dx) + gamma) + dp
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else \
+            stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif sgnd < 0.0:
+        # a lower value and slopes of opposite sign: bracketed; the cubic
+        # step if it is farther from stp than the secant one
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma = -gamma
+        p, q = (gamma - dp) + theta, ((gamma - dp) + gamma) + dx
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        # a lower value, same signs, a shrinking slope: the cubic step
+        # only if the cubic rises in the step's direction or its minimum
+        # lies beyond stp
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p, q = (gamma - dp) + theta, (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = hi if stp > stx else lo
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            edge = stp + 0.66 * (sty - stp)
+            stpf = min(edge, stpf) if stp > stx else max(edge, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(lo, min(hi, stpf))
+    elif bracketed:
+        # a lower value, same signs, a slope that does not shrink: the
+        # cubic step towards sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * math.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+        if stp > sty:
+            gamma = -gamma
+        p, q = (gamma - dp) + theta, ((gamma - dp) + gamma) + dy
+        stpf = stp + p / q * (sty - stp)
+    else:
+        stpf = hi if stp > stx else lo
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, bracketed
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +782,7 @@ def rate_minimize(coeffs: CoefficientSet, x0, event: StateFunctional,
     polish rescales the control onto the constraint when that costs little.
     Returns the best feasible candidate, or an infeasibility report with
     value = inf when no start meets the tolerance.  Each entry of the
-    diagnostics' ``starts`` records whether its last L-BFGS-B stage
+    diagnostics' ``starts`` records whether its last L-BFGS stage
     converged, and that stage's message.  ``n_solves`` in the
     diagnostics counts every row passed to ``solve_increments``, the
     zero-noise flow of a ``sup_exceedance`` event included; ``n_evals``
@@ -651,7 +870,7 @@ class VariationalResult:
     ``value`` is the least objective over the starts, and ``control`` that
     start's block control: the importance-sampling tilt :func:`laplace_mc`
     takes.  Each entry of the diagnostics' ``starts`` records its value,
-    its L-BFGS-B iterations, whether the search converged, and its message.
+    its L-BFGS iterations, whether the search converged, and its message.
     """
 
     value: float

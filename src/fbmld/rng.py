@@ -25,6 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import DomainError
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 # paths per Philox key of normal_block
@@ -64,8 +66,10 @@ def normal_block(seed: int, first_index: int, n_streams: int, shape) -> np.ndarr
     ``mix64(seed, b) | 1 << 64``.  Each block writes straight into its rows
     of the result; a call that covers more than one block draws them on
     ``_POOL``.  A path's row is the same for any split into calls and any
-    thread count.
+    thread count.  A negative ``first_index`` raises DomainError.
     """
+    if first_index < 0:
+        raise DomainError(f"first_index must be >= 0, got {first_index}")
     shape = tuple(shape)
     out = np.empty((n_streams,) + shape)
     jobs = []

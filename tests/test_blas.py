@@ -10,7 +10,7 @@ def _counts():
 
 def test_one_thread_pins_and_restores():
     if not blas._bundled_openblas():
-        pytest.skip("numpy and scipy link no bundled OpenBLAS")
+        pytest.skip("numpy links no bundled OpenBLAS")
     before = _counts()
     with blas.one_thread():
         assert _counts() == [1] * len(before)
@@ -41,7 +41,7 @@ def test_nested_one_thread_probes_once(monkeypatch):
 
 def test_nested_one_thread_restores_at_the_outermost_exit():
     if not blas._bundled_openblas():
-        pytest.skip("numpy and scipy link no bundled OpenBLAS")
+        pytest.skip("numpy links no bundled OpenBLAS")
     before = _counts()
     with pytest.raises(RuntimeError):
         with blas.one_thread():

@@ -6,6 +6,8 @@ import math
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -571,6 +573,15 @@ def test_every_module_all_name_resolves():
     stale = [f"{m.__name__}.{name}" for m in exported for name in m.__all__
              if not hasattr(m, name)]
     assert not stale
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a run must not pay for its import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, fbmld.cli; print('scipy' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True)
+    assert child.stdout.strip() == "False"
 
 
 def _reject_constant(token):

@@ -160,6 +160,14 @@ def test_covariance_reconstruction_spot():
         assert err <= 1e-3, (hurst, err)
 
 
+@pytest.mark.parametrize("hurst", [0.997, 0.999])
+def test_covariance_quadrature_near_one(hurst):
+    # u = w^p underflows at the first nodes once p = 1/(2 - 2H) is large
+    err = abs(fbm.covariance_quadrature(1.0, 0.5, hurst, 256)
+              - fbm.covariance(1.0, 0.5, hurst))
+    assert err <= 1e-3, err
+
+
 def test_covariance_quadrature_edges_and_node_counts():
     # no mass below min(s, t) = 0
     assert fbm.covariance_quadrature(0.0, 0.7, 0.75, 16) == 0.0

@@ -645,7 +645,7 @@ def test_laplace_tanh_variational_value_holds():
     cfg = ldp.RateConfig(hurst=0.75, n_steps=256, n_ctrl=32, seed=7)
     value = ldp.laplace_variational(sde.get_coefficients("tanh"), [0.0], h,
                                     cfg).value
-    assert abs(value - 0.1453438596736661) <= 1e-12
+    assert abs(value - 0.14534385967366173) <= 1e-12
 
 
 def test_rate_starts_record_convergence():
@@ -655,6 +655,92 @@ def test_rate_starts_record_convergence():
     for start in res.diagnostics["starts"]:
         assert start["converged"] is True
         assert start["message"].startswith("CONVERGENCE")
+
+
+# ---------------------------------------------------------------------------
+# the searches' L-BFGS against scipy's L-BFGS-B
+# ---------------------------------------------------------------------------
+
+def _scipy_lbfgsb(fun, x, args=()):
+    res = optimize.minimize(fun, x, args=args, jac=True, method="L-BFGS-B",
+                            options={"maxiter": ldp._MAXITER})
+    return ldp._Minimum(res.x, float(res.fun), int(res.nit),
+                        bool(res.success), str(res.message))
+
+
+# the benchmark's three searches on short grids
+LBFGS_ORACLE_PROBLEMS = {
+    "rate_search": (ldp.rate_minimize,
+                    sde.get_coefficients("rotation", m=2, d=2), [0.0, 0.0],
+                    ldp.get_functional("terminal_target", y=[1.0, 0.5],
+                                       r=0.05),
+                    ldp.RateConfig(hurst=0.7, n_steps=64, n_ctrl=8, seed=7)),
+    "rare_event_is": (ldp.rate_minimize, ADDITIVE, [0.0],
+                      ldp.get_functional("terminal_exceedance", a=1.0),
+                      ldp.RateConfig(hurst=0.6, n_steps=64, n_ctrl=8, seed=7)),
+    "laplace_tanh": (ldp.laplace_variational,
+                     sde.get_coefficients("tanh"), [0.0],
+                     ldp.get_functional("terminal_shortfall", target=1.0),
+                     ldp.RateConfig(hurst=0.75, n_steps=64, n_ctrl=8, seed=7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LBFGS_ORACLE_PROBLEMS))
+def test_lbfgs_values_are_no_higher_than_scipy(name, monkeypatch):
+    search, coeffs, x0, entry, cfg = LBFGS_ORACLE_PROBLEMS[name]
+    ours = search(coeffs, x0, entry, cfg)
+    monkeypatch.setattr(ldp, "_lbfgs", _scipy_lbfgsb)
+    theirs = search(coeffs, x0, entry, cfg)
+    assert ours.value <= theirs.value + 1e-9 * abs(theirs.value)
+    for a, b in zip(ours.diagnostics["starts"], theirs.diagnostics["starts"]):
+        assert a["value"] <= b["value"] + 1e-9 * abs(b["value"]), (a, b)
+        assert a["converged"] and a["message"].startswith("CONVERGENCE")
+
+
+def _rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                      200.0 * (b - a * a)]))
+
+
+def test_lbfgs_solves_rosenbrock():
+    res = ldp._lbfgs(_rosenbrock, np.array([-1.2, 1.0]))
+    assert res.success and res.message.startswith("CONVERGENCE")
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-5)
+    assert res.fun == _rosenbrock(res.x)[0] < 1e-10
+
+
+def test_lbfgs_stops_at_maxiter(monkeypatch):
+    monkeypatch.setattr(ldp, "_MAXITER", 3)
+    x0 = np.array([-1.2, 1.0])
+    res = ldp._lbfgs(_rosenbrock, x0)
+    assert (res.nit, res.success) == (3, False)
+    assert res.message.startswith("STOP")
+    assert res.fun == _rosenbrock(res.x)[0] < _rosenbrock(x0)[0]
+
+
+def test_lbfgs_ends_abnormally_on_a_non_descent_gradient():
+    # the gradient's sign is wrong everywhere: no step along -g decreases f
+    x0 = np.array([1.0, 2.0])
+    res = ldp._lbfgs(lambda x: (float(x @ x), -2.0 * x), x0)
+    assert (res.nit, res.success) == (0, False)
+    assert res.message.startswith("ABNORMAL")
+    assert np.array_equal(res.x, x0) and res.fun == 5.0
+    # the sign turns after six good evaluations: the search restarts from
+    # -g, fails again, and returns the best point it accepted
+    values = []
+
+    def turned(x):
+        f, g = _rosenbrock(x)
+        values.append(f)
+        return f, (g if len(values) <= 6 else -g)
+
+    res = ldp._lbfgs(turned, np.array([-1.2, 1.0]))
+    assert res.nit > 0 and not res.success
+    assert res.message.startswith("ABNORMAL")
+    assert res.fun == min(values) == _rosenbrock(res.x)[0]
+
 
 
 # ---------------------------------------------------------------------------

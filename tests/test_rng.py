@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fbmld import blas, fbm, rng
+from fbmld.errors import DomainError
 
 SHAPE = (17, 2)
 
@@ -45,6 +46,17 @@ def test_normal_block_rows_do_not_depend_on_the_thread_count(monkeypatch):
         pool.shutdown()
     np.testing.assert_array_equal(got[1], got[2])
     np.testing.assert_array_equal(got[1], got[4])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: rng.normal_block(4, -5, 2, SHAPE),
+    lambda: rng.normal_block(4, -1, 1, SHAPE),
+    lambda: fbm.sample_volterra(8, 0.7, 1, 2, 1, first_index=-5),
+])
+def test_negative_first_index_raises(draw):
+    # mix64 would wrap block -1 to the key of block 2^64 - 1
+    with pytest.raises(DomainError, match="first_index must be >= 0"):
+        draw()
 
 
 def test_blocks_have_their_own_key_space():
