@@ -262,7 +262,7 @@ def _largest(sq: np.ndarray):
 # Optimizer constants of the control-space searches.
 _PENALTY_WEIGHTS = (1e1, 1e2, 1e3, 1e4, 1e5)   # one L-BFGS stage per weight
 _MAXITER = 150              # L-BFGS iterations per stage (per start)
-# L-BFGS (:func:`_lbfgs`) on the defaults of L-BFGS-B, which it replaces
+# L-BFGS (:func:`_lbfgs`), with the default tolerances of L-BFGS-B
 _LBFGS_PAIRS = 10           # correction pairs kept
 _GTOL = 1e-5                # stop when max|g| is at most this
 _EPS = float(np.finfo(float).eps)
@@ -563,11 +563,12 @@ def _lbfgs(fun, x, args=()) -> _Minimum:
     pairs (s, y), scaled by s.y / y.y of the newest, or the steepest
     descent -g while none is held; the first step's length is 1 / |d|,
     later ones start at 1.  Steps come from the Moré–Thuente search of
-    :func:`_line_search`.  The search stops, as L-BFGS-B does without
-    bounds, after an accepted step: on ``_MAXITER`` iterations (STOP),
-    max|g| <= _GTOL or a decrease of f of at most _FTOL relative
-    (CONVERGENCE).  A failed line search restarts from -g with the pairs
-    cleared; one that fails with none held stops (ABNORMAL).  A pair with
+    :func:`_line_search`.  The search stops as L-BFGS-B does without
+    bounds: at x if max|g| <= _GTOL, and after an accepted step on
+    ``_MAXITER`` iterations (STOP), max|g| <= _GTOL or a decrease of f of
+    at most _FTOL relative (CONVERGENCE).  A failed line search restarts
+    from -g with the pairs cleared; one that fails with none held stops
+    (ABNORMAL) at the last accepted point.  A pair with
     s.y <= eps * |s.g| is not kept.
     """
     x = np.asarray(x, dtype=float)
